@@ -151,6 +151,39 @@ pub struct Relocation {
     pub kind: RelocationKind,
 }
 
+/// The servers one admission decision re-scheduled, in first-touch
+/// order: the admitting holder, then the hops' destinations — at most
+/// three (a two-step chain). A fixed-capacity value, so the per-arrival
+/// path allocates nothing; it derefs to the slice of touched servers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TouchedServers {
+    ids: [ServerId; 3],
+    len: u8,
+}
+
+impl TouchedServers {
+    /// No server touched (a rejection).
+    pub const NONE: TouchedServers = TouchedServers {
+        ids: [ServerId(0); 3],
+        len: 0,
+    };
+
+    fn of<const N: usize>(ids: [ServerId; N]) -> Self {
+        let mut out = Self::NONE;
+        out.ids[..N].copy_from_slice(&ids);
+        out.len = N as u8;
+        out
+    }
+}
+
+impl std::ops::Deref for TouchedServers {
+    type Target = [ServerId];
+
+    fn deref(&self) -> &[ServerId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
 /// A feasible two-step migration chain:
 /// `(freed holder, (victim 1, its destination), (victim 2, its destination))`.
 pub type ChainPlan = (ServerId, (StreamId, ServerId), (StreamId, ServerId));
@@ -240,7 +273,7 @@ impl Controller {
         map: &ReplicaMap,
         now: SimTime,
         rng: &mut Rng,
-    ) -> (Admission, Vec<ServerId>) {
+    ) -> (Admission, TouchedServers) {
         self.stats.arrivals += 1;
         self.stats.requested_mb += stream.size_mb;
         let view_rate = stream.view_rate;
@@ -252,7 +285,7 @@ impl Controller {
             engines[server.index()].admit(stream, now);
             self.stats.accepted_direct += 1;
             self.stats.accepted_mb += size_mb;
-            return (Admission::Direct { server }, vec![server]);
+            return (Admission::Direct { server }, TouchedServers::of([server]));
         }
 
         // 2. Dynamic request migration (chain length 1).
@@ -279,7 +312,7 @@ impl Controller {
                         victim: victim_id,
                         to,
                     },
-                    vec![from, to],
+                    TouchedServers::of([from, to]),
                 );
             }
         }
@@ -310,14 +343,14 @@ impl Controller {
                         first: (v1, t1),
                         second: (v2, t2),
                     },
-                    vec![from, t1, t2],
+                    TouchedServers::of([from, t1, t2]),
                 );
             }
         }
 
         // 3. Rejection.
         self.stats.rejected += 1;
-        (Admission::Rejected, Vec::new())
+        (Admission::Rejected, TouchedServers::NONE)
     }
 
     /// Depth-2 chain search: find victims `v1` on a holder `from` and `v2`
@@ -691,7 +724,7 @@ mod tests {
                 server: ServerId(1)
             }
         );
-        assert_eq!(touched, vec![ServerId(1)]);
+        assert_eq!(touched[..], [ServerId(1)]);
         assert_eq!(engines[1].active_count(), 1);
         c.stats.check();
         assert_eq!(c.stats.accepted_direct, 1);
@@ -738,7 +771,7 @@ mod tests {
             }
             other => panic!("expected migration, got {other:?}"),
         }
-        assert_eq!(touched, vec![ServerId(0), ServerId(1)]);
+        assert_eq!(touched[..], [ServerId(0), ServerId(1)]);
         assert_eq!(engines[0].active_count(), 4, "new stream took the slot");
         assert_eq!(engines[1].active_count(), 1, "victim moved");
         assert_eq!(engines[1].streams()[0].hops, 1);
@@ -1131,7 +1164,7 @@ mod tests {
             }
             other => panic!("expected chain, got {other:?}"),
         }
-        assert_eq!(touched, vec![ServerId(0), ServerId(1), ServerId(2)]);
+        assert_eq!(touched[..], [ServerId(0), ServerId(1), ServerId(2)]);
         assert_eq!(engines[0].active_count(), 4);
         assert_eq!(engines[1].active_count(), 4);
         assert_eq!(engines[2].active_count(), 1);
@@ -1188,5 +1221,15 @@ mod tests {
         }
         .accepted());
         assert!(!Admission::Rejected.accepted());
+    }
+
+    #[test]
+    fn touched_servers_hold_up_to_three_in_order() {
+        assert!(TouchedServers::NONE.is_empty());
+        let one = TouchedServers::of([ServerId(4)]);
+        assert_eq!(one[..], [ServerId(4)]);
+        let three = TouchedServers::of([ServerId(2), ServerId(0), ServerId(1)]);
+        assert_eq!(three[..], [ServerId(2), ServerId(0), ServerId(1)]);
+        assert_ne!(one, three);
     }
 }

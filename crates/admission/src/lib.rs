@@ -35,7 +35,9 @@ pub mod replication;
 pub mod stats;
 pub mod waitlist;
 
-pub use controller::{Admission, ChainPlan, Controller, Evacuation, Relocation, RelocationKind};
+pub use controller::{
+    Admission, ChainPlan, Controller, Evacuation, Relocation, RelocationKind, TouchedServers,
+};
 pub use policy::{AssignmentPolicy, EvacuationPolicy, MigrationPolicy, VictimSelection};
 pub use replication::{
     CopyLaunch, CopySource, ReplicationManager, ReplicationSpec, ReplicationStats,

@@ -307,7 +307,7 @@ impl Waitlist {
                 batched: false,
                 waited_secs: now - w.arrived,
             });
-            for t in touched {
+            for &t in touched.iter() {
                 if !out.touched.contains(&t) {
                     out.touched.push(t);
                 }

@@ -201,7 +201,7 @@ fn measure(cfg: &SimConfig, n: usize) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..n {
-        let (_, profile) = Simulation::run_profiled(black_box(cfg), &mut []);
+        let (_, profile, _, _) = Simulation::run_instrumented(black_box(cfg), &mut [], None);
         best = best.min(profile.wall_secs);
         events = profile.events;
     }
@@ -221,7 +221,7 @@ fn bench_simloop(c: &mut Criterion) {
     for (mig_name, mig) in &migrations {
         let cfg = grid_config(SchedulerKind::Eftf, *mig);
         group.bench_with_input(BenchmarkId::new("eftf", *mig_name), &cfg, |b, cfg| {
-            b.iter(|| black_box(Simulation::run_profiled(cfg, &mut [])))
+            b.iter(|| black_box(Simulation::run_instrumented(cfg, &mut [], None)))
         });
     }
     group.finish();
@@ -283,14 +283,16 @@ fn bench_simloop(c: &mut Criterion) {
     let mut n_spans = 0;
     let mut n_windows = 0;
     for _ in 0..31 {
-        let (_, profile) = Simulation::run_profiled(black_box(&cfg), &mut []);
+        let (_, profile, _, _) = Simulation::run_instrumented(black_box(&cfg), &mut [], None);
         bare_wall_secs = bare_wall_secs.min(profile.wall_secs);
         let mut probe = SpanProbe::new();
-        let (_, profile) = Simulation::run_profiled(black_box(&cfg), &mut [&mut probe]);
+        let (_, profile, _, _) =
+            Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe], None);
         spans_wall_secs = spans_wall_secs.min(profile.wall_secs);
         n_spans = probe.finish(cfg.duration.as_secs()).spans.len();
         let mut ts_probe = TimeSeriesProbe::new(&cfg, 900.0);
-        let (_, profile) = Simulation::run_profiled(black_box(&cfg), &mut [&mut ts_probe]);
+        let (_, profile, _, _) =
+            Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe], None);
         timeseries_wall_secs = timeseries_wall_secs.min(profile.wall_secs);
         n_windows = ts_probe.finish().windows.len();
     }
@@ -317,7 +319,7 @@ fn bench_simloop(c: &mut Criterion) {
     let mut exec_wall_secs = f64::INFINITY;
     let mut exec_epochs = 0;
     for _ in 0..7 {
-        let (_, profile) = Simulation::run_profiled(black_box(&cfg), &mut []);
+        let (_, profile, _, _) = Simulation::run_instrumented(black_box(&cfg), &mut [], None);
         exec_bare_wall_secs = exec_bare_wall_secs.min(profile.wall_secs);
         let mut rec = ExecRecorder::new();
         let (_, profile, _, stats) =

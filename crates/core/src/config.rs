@@ -449,27 +449,85 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Finalises the config (validates the knobs).
-    pub fn build(self) -> SimConfig {
+    /// Finalises the config, or says which knob is invalid: θ must be
+    /// finite, the duration positive and finite, the warm-up
+    /// non-negative and shorter than the run, the receive cap at least
+    /// the view rate, the heterogeneity spread in `[0, 1)`, and shards
+    /// and threads at least one. Front ends that take user input use
+    /// this and report the error instead of panicking.
+    pub fn try_build(self) -> Result<SimConfig, ConfigError> {
         let c = &self.cfg;
-        assert!(c.theta.is_finite(), "theta must be finite");
-        assert!(c.duration > SimTime::ZERO, "duration must be positive");
-        assert!(
-            c.warmup < c.duration,
-            "warm-up must end before the run does"
-        );
-        assert!(
-            c.receive_cap_mbps >= c.system.view_rate_mbps,
-            "clients must receive at least the view rate"
-        );
-        if let Some((_, spread)) = c.heterogeneity {
-            assert!((0.0..1.0).contains(&spread), "spread must be in [0,1)");
+        let fail = |msg: String| Err(ConfigError(msg));
+        if !c.theta.is_finite() {
+            return fail(format!("theta must be finite, got {}", c.theta));
         }
-        assert!(c.shards >= 1, "at least one shard");
-        assert!(c.threads >= 1, "at least one thread");
-        self.cfg
+        let hours = c.duration.as_hours();
+        if !hours.is_finite() || hours <= 0.0 {
+            return fail(format!(
+                "duration must be positive and finite, got {hours} h"
+            ));
+        }
+        let warmup = c.warmup.as_hours();
+        if warmup.is_nan() || warmup < 0.0 {
+            return fail(format!("warm-up must not be negative, got {warmup} h"));
+        }
+        if c.warmup >= c.duration {
+            return fail(format!(
+                "warm-up must end before the run does, got {warmup} h of {hours} h"
+            ));
+        }
+        if c.receive_cap_mbps.is_nan() || c.receive_cap_mbps < c.system.view_rate_mbps {
+            return fail(format!(
+                "clients must receive at least the view rate ({} Mb/s), got {} Mb/s",
+                c.system.view_rate_mbps, c.receive_cap_mbps
+            ));
+        }
+        if let Some((_, spread)) = c.heterogeneity {
+            if !(0.0..1.0).contains(&spread) {
+                return fail(format!("spread must be in [0,1), got {spread}"));
+            }
+        }
+        if c.shards < 1 {
+            return fail("at least one shard is required, got 0".to_string());
+        }
+        if c.threads < 1 {
+            return fail("at least one thread is required, got 0".to_string());
+        }
+        Ok(self.cfg)
+    }
+
+    /// Finalises the config.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] message when a knob is invalid;
+    /// use [`SimConfigBuilder::try_build`] on user input.
+    pub fn build(self) -> SimConfig {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 }
+
+impl From<SimConfig> for SimConfigBuilder {
+    /// Starts from an existing config (e.g. one read from a file), so
+    /// builder knobs can override it before [`SimConfigBuilder::try_build`]
+    /// re-validates the result.
+    fn from(cfg: SimConfig) -> Self {
+        SimConfigBuilder { cfg }
+    }
+}
+
+/// Why a [`SimConfig`] is invalid: one human-readable sentence naming the
+/// knob and the offending value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -532,5 +590,40 @@ mod tests {
         SimConfig::builder(SystemSpec::tiny_test())
             .receive_cap(1.0)
             .build();
+    }
+
+    #[test]
+    fn try_build_reports_each_bad_knob_without_panicking() {
+        let b = || SimConfig::builder(SystemSpec::tiny_test());
+        let cases = [
+            (b().theta(f64::NAN), "theta must be finite"),
+            (b().duration_hours(-1.0), "duration must be positive"),
+            (
+                b().duration_hours(f64::INFINITY),
+                "duration must be positive",
+            ),
+            (b().warmup_hours(-0.5), "warm-up must not be negative"),
+            (
+                b().duration_hours(1.0).warmup_hours(2.0),
+                "warm-up must end before",
+            ),
+            (b().receive_cap(1.0), "at least the view rate"),
+            (
+                b().heterogeneity(HeterogeneityKind::Bandwidth, 1.5),
+                "spread must be in [0,1)",
+            ),
+            (b().shards(0), "at least one shard"),
+            (b().threads(0), "at least one thread"),
+        ];
+        for (builder, expected) in cases {
+            let err = builder.try_build().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err:?} lacks {expected:?}");
+        }
+        let ok = b().seed(3).try_build().expect("defaults are valid");
+        assert_eq!(ok, b().seed(3).build());
+        // A config read back from a file round-trips through the builder.
+        let again = SimConfigBuilder::from(ok.clone()).shards(2).try_build();
+        assert_eq!(again.map(|c| c.shards), Ok(2));
+        assert!(SimConfigBuilder::from(ok).threads(0).try_build().is_err());
     }
 }

@@ -21,9 +21,11 @@
 //! * [`spans`] — the [`spans::SpanProbe`]: request-lifecycle spans with
 //!   causal edges (why *this* stream migrated), exported through
 //!   `sct_analysis::spans`.
-//! * [`profile`] — the always-on [`profile::LoopProfiler`]: wall-clock
+//! * [`profile`] — the on-request [`profile::LoopProfiler`]: wall-clock
 //!   phase timers for the event loop itself (dispatch / allocator /
-//!   wake scheduling / probe emission).
+//!   wake scheduling / probe emission), enabled by
+//!   `Simulation::run_instrumented` and disabled — zero clock reads per
+//!   event — on `Simulation::run` and `run_with_probes`.
 //! * [`exec`] — the opt-in [`exec::ExecRecorder`]: the wall-clock
 //!   execution-plane recorder behind `sctsim run --exec-trace`,
 //!   capturing per-epoch election/merge/re-attach windows, per-burst
@@ -54,7 +56,7 @@ pub mod simulation;
 pub mod spans;
 pub mod timeseries;
 
-pub use config::{SimConfig, SimConfigBuilder, StagingSpec};
+pub use config::{ConfigError, SimConfig, SimConfigBuilder, StagingSpec};
 pub use events::{
     AdmitPath, CrossShardCounter, CrossShardEdge, JsonlTraceProbe, MetricsProbe, Probe, RunSummary,
     SimEvent,

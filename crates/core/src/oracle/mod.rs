@@ -623,7 +623,7 @@ fn run_differential_full(
                         }
                     }
                 }
-                for sid in &touched {
+                for sid in touched.iter() {
                     let e = &mut engines[sid.index()];
                     e.advance_to(now);
                     e.reschedule(now);

@@ -1,10 +1,7 @@
-//! Self-profiling of the event loop's wall-clock time.
+//! Self-profiling of the event loop's wall-clock time, on request.
 //!
-//! The ROADMAP's north star is a simulator "as fast as the hardware
-//! allows", but until now the bench trajectory only tracked the oracle —
-//! the production loop had no regression floor and no way to say *where*
-//! a trial's wall time went. The [`LoopProfiler`] fixes that: a cheap,
-//! always-on set of phase timers the loop charges as it works:
+//! The [`LoopProfiler`] is a set of phase timers the loop charges as it
+//! works, so a trial can say *where* its wall time went:
 //!
 //! * **dispatch** — one window per popped event, covering its handler
 //!   and the state publication (everything below nests inside it);
@@ -15,13 +12,27 @@
 //!   publication (the `SimEvent` fan-out rides inside dispatch: timing
 //!   each emission cost more than the fan-out itself).
 //!
-//! Timers use [`Instant`], which Linux services from the vDSO — a
-//! monotonic clock read without a syscall — so the hot path stays
-//! allocation- and syscall-free (the profiler is a fixed array of
+//! Profiling runs on request. `Simulation::run_instrumented` (behind
+//! `sctsim run --profile`, `--metrics` and `--exec-trace`, and the
+//! `bench_simloop` bench) builds enabled profilers;
+//! `Simulation::run` and `run_with_probes` build
+//! [`LoopProfiler::disabled`] ones, whose [`LoopProfiler::stamp`] is
+//! `None` and whose [`LoopProfiler::add`] /
+//! [`LoopProfiler::add_between`] do nothing. The loop takes every
+//! timestamp through [`LoopProfiler::stamp`], so the default path reads
+//! the clock zero times per event. That matters: an [`Instant`] read
+//! costs about 45 ns on a 2-vCPU x86-64 VM, and an enabled profiler
+//! takes 5 of them per admitted arrival and 8 per wake — a fifth of the
+//! Small grid's per-event cost. One runtime flag, checked once per
+//! site, keeps a single loop instantiation.
+//!
+//! When enabled, timers use [`Instant`], which Linux services from the
+//! vDSO — a monotonic clock read without a syscall — so the hot path
+//! stays allocation- and syscall-free (the profiler is a fixed array of
 //! [`Cell`] counters; interior mutability keeps `&self` access usable
 //! alongside the loop's `&mut` engine borrows). The profiler observes
 //! wall time only and feeds nothing back: simulated outcomes are
-//! bit-identical with or without anyone reading the report.
+//! bit-identical whether it is enabled or not.
 //!
 //! Surfaced as `sctsim run --profile` and recorded per scheduler ×
 //! migration by the `bench_simloop` bench into `results/BENCH_sim.json`.
@@ -56,10 +67,12 @@ struct PhaseCell {
 }
 
 /// Monotonic phase counters for one trial's event loop. Create with
-/// [`LoopProfiler::new`] when the loop starts; reduce with
-/// [`LoopProfiler::report`].
+/// [`LoopProfiler::new`] (enabled) or [`LoopProfiler::disabled`] when
+/// the loop starts; reduce with [`LoopProfiler::report`].
 pub struct LoopProfiler {
-    start: Instant,
+    /// Loop start; `None` marks a disabled profiler (the runtime flag
+    /// every stamp checks).
+    start: Option<Instant>,
     phases: [PhaseCell; N_PHASES],
 }
 
@@ -70,55 +83,70 @@ impl Default for LoopProfiler {
 }
 
 impl LoopProfiler {
-    /// Starts the wall clock.
+    /// An enabled profiler; starts the wall clock.
     pub fn new() -> Self {
         LoopProfiler {
-            start: Instant::now(),
+            start: Some(Instant::now()),
             phases: Default::default(),
         }
     }
 
-    /// A phase-start timestamp (vDSO read, no syscall on Linux).
-    #[inline]
-    pub fn clock() -> Instant {
-        Instant::now()
+    /// A disabled profiler: it never reads the clock, hands out no
+    /// stamps, and reports zero phases and zero wall time.
+    pub fn disabled() -> Self {
+        LoopProfiler {
+            start: None,
+            phases: Default::default(),
+        }
     }
 
-    /// Charges the time since `since` to `phase`.
+    /// Whether this profiler times anything.
+    pub fn enabled(&self) -> bool {
+        self.start.is_some()
+    }
+
+    /// A fresh profiler with this one's setting, for work that is
+    /// absorbed back later (see [`LoopProfiler::absorb`]).
+    pub fn fork(&self) -> LoopProfiler {
+        if self.enabled() {
+            Self::new()
+        } else {
+            Self::disabled()
+        }
+    }
+
+    /// A phase-boundary timestamp (vDSO read, no syscall on Linux), or
+    /// `None` without reading the clock when the profiler is disabled.
     #[inline]
-    pub fn add(&self, phase: Phase, since: Instant) {
-        let cell = &self.phases[phase as usize];
-        cell.nanos
-            .set(cell.nanos.get() + since.elapsed().as_nanos() as u64);
-        cell.calls.set(cell.calls.get() + 1);
+    pub fn stamp(&self) -> Option<Instant> {
+        self.start.map(|_| Instant::now())
+    }
+
+    /// Charges the time since `since` to `phase`; a no-op for a `None`
+    /// stamp, so a disabled profiler's charges cost one branch.
+    #[inline]
+    pub fn add(&self, phase: Phase, since: Option<Instant>) {
+        if let Some(since) = since {
+            self.charge(phase, since.elapsed());
+        }
     }
 
     /// Charges the window `[start, end]` to `phase`. Lets adjacent phases
     /// share one boundary timestamp instead of each reading the clock
     /// twice — the hot loop's windows meet end-to-start, so every shared
-    /// boundary saves a clock read per event.
+    /// boundary saves a clock read per event. A no-op for `None` stamps.
     #[inline]
-    pub fn add_between(&self, phase: Phase, start: Instant, end: Instant) {
-        let cell = &self.phases[phase as usize];
-        cell.nanos
-            .set(cell.nanos.get() + end.duration_since(start).as_nanos() as u64);
-        cell.calls.set(cell.calls.get() + 1);
+    pub fn add_between(&self, phase: Phase, start: Option<Instant>, end: Option<Instant>) {
+        if let (Some(start), Some(end)) = (start, end) {
+            self.charge(phase, end.duration_since(start));
+        }
     }
 
-    /// Fans `event` out to every probe. Deliberately not timed: a clock
-    /// pair per emission cost more than the fan-out itself on the hot
-    /// path, so the fan-out is charged to the surrounding dispatch
-    /// window and [`Phase::Probe`] covers the per-event state
-    /// publication (where probes do their real work).
     #[inline]
-    pub(crate) fn emit(
-        &self,
-        probes: &mut [&mut dyn crate::events::Probe],
-        now: sct_simcore::SimTime,
-        event: &crate::events::SimEvent,
-    ) {
-        let _ = self;
-        crate::events::emit(probes, now, event);
+    fn charge(&self, phase: Phase, d: std::time::Duration) {
+        let cell = &self.phases[phase as usize];
+        cell.nanos.set(cell.nanos.get() + d.as_nanos() as u64);
+        cell.calls.set(cell.calls.get() + 1);
     }
 
     /// Folds another profiler's phase counters into this one. The
@@ -134,9 +162,10 @@ impl LoopProfiler {
     }
 
     /// Reduces the counters to a serialisable report. The event count is
-    /// the number of dispatch windows (one per live event).
+    /// the number of dispatch windows (one per live event); a disabled
+    /// profiler reports all zeros.
     pub fn report(&self) -> LoopProfile {
-        let wall_secs = self.start.elapsed().as_secs_f64();
+        let wall_secs = self.start.map_or(0.0, |t| t.elapsed().as_secs_f64());
         let stat = |p: Phase| {
             let cell = &self.phases[p as usize];
             PhaseStat {
@@ -279,13 +308,15 @@ mod tests {
     #[test]
     fn phases_accumulate_time_and_calls() {
         let prof = LoopProfiler::new();
+        assert!(prof.enabled());
         for _ in 0..3 {
-            let t0 = LoopProfiler::clock();
+            let t0 = prof.stamp();
+            assert!(t0.is_some());
             std::hint::black_box(4u64 + 4);
             prof.add(Phase::Dispatch, t0);
         }
-        let t0 = LoopProfiler::clock();
-        prof.add(Phase::Alloc, t0);
+        let (t0, t1) = (prof.stamp(), prof.stamp());
+        prof.add_between(Phase::Alloc, t0, t1);
         let report = prof.report();
         assert_eq!(report.events, 3);
         assert_eq!(report.dispatch.calls, 3);
@@ -293,6 +324,37 @@ mod tests {
         assert_eq!(report.wake.calls, 0);
         assert!(report.wall_secs >= report.dispatch.secs);
         assert!(report.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn disabled_profiler_hands_out_no_stamps_and_reports_nothing() {
+        let prof = LoopProfiler::disabled();
+        assert!(!prof.enabled());
+        for _ in 0..3 {
+            let t0 = prof.stamp();
+            assert_eq!(t0, None, "a disabled profiler must not read the clock");
+            prof.add(Phase::Dispatch, t0);
+            prof.add_between(Phase::Probe, t0, prof.stamp());
+        }
+        let burst = prof.fork();
+        assert!(!burst.enabled(), "a forked profiler inherits the setting");
+        burst.add(Phase::Alloc, burst.stamp());
+        prof.absorb(&burst);
+        let report = prof.report();
+        assert_eq!(report.wall_secs, 0.0);
+        assert_eq!(report.events, 0);
+        assert_eq!(report.events_per_sec, 0.0);
+        for s in [
+            report.dispatch,
+            report.alloc,
+            report.wake,
+            report.probe,
+            report.barrier,
+        ] {
+            assert_eq!(s.calls, 0);
+            assert_eq!(s.secs, 0.0);
+        }
+        assert!(LoopProfiler::new().fork().enabled());
     }
 
     #[test]
@@ -415,8 +477,7 @@ mod tests {
     #[test]
     fn report_round_trips_and_renders() {
         let prof = LoopProfiler::new();
-        let t0 = LoopProfiler::clock();
-        prof.add(Phase::Probe, t0);
+        prof.add(Phase::Probe, prof.stamp());
         let report = prof.report();
         let json = serde_json::to_string(&report).unwrap();
         let back: LoopProfile = serde_json::from_str(&json).unwrap();

@@ -201,7 +201,7 @@ impl WakeScheduler {
         check: bool,
         prof: &LoopProfiler,
     ) {
-        let t0 = LoopProfiler::clock();
+        let t0 = prof.stamp();
         if advance {
             engine.advance_to(now);
         }
@@ -209,7 +209,7 @@ impl WakeScheduler {
         if let Some(wake) = wake {
             if wake <= self.end {
                 // Alloc and wake-push windows share the boundary read.
-                let t1 = LoopProfiler::clock();
+                let t1 = prof.stamp();
                 prof.add_between(Phase::Alloc, t0, t1);
                 self.queue.push(
                     self.map.shard_of(engine.id()),
@@ -247,7 +247,7 @@ impl WakeScheduler {
         );
         if let Some(wake) = engine.last_wake() {
             if wake <= self.end {
-                let t1 = LoopProfiler::clock();
+                let t1 = prof.stamp();
                 self.queue.push(
                     self.map.shard_of(engine.id()),
                     wake,
@@ -297,8 +297,8 @@ struct SimWorld<'a> {
     last_time: SimTime,
     last_sample_mb: f64,
     sample_index: u32,
-    /// Always-on wall-clock phase timers, one per shard (a single entry
-    /// on the monolithic loop); handlers charge
+    /// Wall-clock phase timers, one per shard (a single entry on the
+    /// monolithic loop), all enabled or all disabled; handlers charge
     /// `profs[cur_shard]`. See [`crate::profile`].
     profs: Vec<LoopProfiler>,
     /// The shard whose run is currently executing events.
@@ -337,8 +337,8 @@ struct SimWorld<'a> {
 impl<'a> SimWorld<'a> {
     /// Builds the world: catalog, cluster, placement, engines, policies,
     /// and the initial event queue (first arrival, failure phases, first
-    /// sample tick).
-    fn new(config: &'a SimConfig) -> Self {
+    /// sample tick). `profile` enables the loop's wall-clock profilers.
+    fn new(config: &'a SimConfig, profile: bool) -> Self {
         // Independent randomness streams so that, e.g., changing the
         // placement cannot perturb the arrival sequence.
         let root = Rng::new(config.seed);
@@ -453,7 +453,15 @@ impl<'a> SimWorld<'a> {
             last_time: SimTime::ZERO,
             last_sample_mb: 0.0,
             sample_index: 0,
-            profs: (0..n_shards).map(|_| LoopProfiler::new()).collect(),
+            profs: (0..n_shards)
+                .map(|_| {
+                    if profile {
+                        LoopProfiler::new()
+                    } else {
+                        LoopProfiler::disabled()
+                    }
+                })
+                .collect(),
             cur_shard: 0,
             epoch_workers: (0..n_shards).map(|_| WorkerQueue::new()).collect(),
             epoch_emissions: (0..n_shards).map(|_| Vec::new()).collect(),
@@ -503,13 +511,11 @@ impl<'a> SimWorld<'a> {
             }
             // Recorder timestamps are kept apart from `tb`: the
             // profiler's barrier charge stays gated on `multi`, so the
-            // monolithic profile is unchanged with recording on.
-            let t_elect = self.exec.as_ref().map(|_| LoopProfiler::clock());
-            let tb = if multi {
-                Some(LoopProfiler::clock())
-            } else {
-                None
-            };
+            // monolithic profile is unchanged with recording on. The
+            // shard is not elected yet, but every shard's profiler shares
+            // one setting, so shard 0's stamps for it.
+            let t_elect = self.exec.as_ref().map(|_| Instant::now());
+            let tb = if multi { self.profs[0].stamp() } else { None };
             let Some(token) = self.sched.queue.begin_run() else {
                 break;
             };
@@ -530,10 +536,8 @@ impl<'a> SimWorld<'a> {
             } else {
                 None
             };
-            if let Some(tb) = tb {
-                self.profs[shard].add(Phase::Barrier, tb);
-            }
-            let t_elect_end = self.exec.as_ref().map(|_| LoopProfiler::clock());
+            self.profs[shard].add(Phase::Barrier, tb);
+            let t_elect_end = self.exec.as_ref().map(|_| Instant::now());
             let events_before = self.events_processed;
             while let Some(entry) = self.sched.queue.pop_run(&token) {
                 let now = entry.time;
@@ -545,7 +549,7 @@ impl<'a> SimWorld<'a> {
                     }
                 }
                 self.events_processed += 1;
-                let t0 = LoopProfiler::clock();
+                let t0 = self.profs[shard].stamp();
                 match entry.payload {
                     Event::Arrival => self.on_arrival(now, probes),
                     Event::Wake { server, .. } => self.on_wake(now, server, probes),
@@ -560,11 +564,11 @@ impl<'a> SimWorld<'a> {
                 // The publish window ends where the dispatch window does,
                 // so the two phases share the closing timestamp (one
                 // clock read saved per event).
-                let t1 = LoopProfiler::clock();
+                let t1 = self.profs[shard].stamp();
                 self.publish_state(now, probes);
-                let t2 = LoopProfiler::clock();
-                self.profs[self.cur_shard].add_between(Phase::Probe, t1, t2);
-                self.profs[self.cur_shard].add_between(Phase::Dispatch, t0, t2);
+                let t2 = self.profs[shard].stamp();
+                self.profs[shard].add_between(Phase::Probe, t1, t2);
+                self.profs[shard].add_between(Phase::Dispatch, t0, t2);
             }
             if let Some((start, slack)) = election {
                 let summary = crate::events::RunSummary {
@@ -575,12 +579,12 @@ impl<'a> SimWorld<'a> {
                     events: self.events_processed - events_before,
                     stalled: self.sched.queue.shard_len(shard) > 0,
                 };
-                let ts = LoopProfiler::clock();
+                let ts = self.profs[shard].stamp();
                 crate::events::emit_run(probes, &summary);
                 self.profs[shard].add(Phase::Barrier, ts);
             }
             if self.exec.is_some() {
-                let end = LoopProfiler::clock();
+                let end = Instant::now();
                 let slack_secs = election.as_ref().and_then(|(_, slack)| *slack);
                 let stalled = self.sched.queue.shard_len(shard) > 0;
                 let events = self.events_processed - events_before;
@@ -617,7 +621,9 @@ impl<'a> SimWorld<'a> {
     /// sequential loop for any thread count (see
     /// `sct_simcore::parallel` for the full argument).
     fn run_epoch(&mut self, probes: &mut [&mut dyn Probe]) -> bool {
-        let tb = LoopProfiler::clock();
+        // Profiler and recorder stamps are kept apart, as in `run_loop`.
+        let tb = self.profs[0].stamp();
+        let t_elect = self.exec.as_ref().map(|_| Instant::now());
         let Some(token) = self.sched.queue.begin_epoch(0) else {
             return false;
         };
@@ -659,15 +665,16 @@ impl<'a> SimWorld<'a> {
                 engines: mine,
                 base: range.start,
                 emissions: std::mem::take(&mut self.epoch_emissions[shard]),
-                prof: LoopProfiler::new(),
-                window: (tb, tb),
+                prof: self.profs[shard].fork(),
+                window: None,
+                record: self.exec.is_some(),
                 end: self.sched.end,
                 check: self.config.check_invariants,
             });
         }
         let mut ctxs: Vec<WorkerCtx<'_>> = ctxs.into_iter().map(Option::unwrap).collect();
         self.profs[0].add(Phase::Barrier, tb);
-        let t_elect_end = self.exec.as_ref().map(|_| LoopProfiler::clock());
+        let t_elect_end = self.exec.as_ref().map(|_| Instant::now());
 
         // Burst phase. Small epochs run inline: spawning threads for a
         // handful of events costs more than it saves, and thread count
@@ -715,7 +722,8 @@ impl<'a> SimWorld<'a> {
 
         // Barrier: fold the burst profilers into their shards' timers,
         // then merge the logs in global order, replaying emissions.
-        let tm = LoopProfiler::clock();
+        let tm = self.profs[0].stamp();
+        let t_merge = self.exec.as_ref().map(|_| Instant::now());
         let meta: Vec<(usize, (SimTime, u64))> =
             (0..n).map(|i| (token.shard(i), token.head(i))).collect();
         let horizon = token.horizon();
@@ -726,10 +734,10 @@ impl<'a> SimWorld<'a> {
         // (the shells' foreign buffers drain at the merge).
         self.exec_burst_meta.clear();
         for (i, ctx) in ctxs.into_iter().enumerate() {
-            if self.exec.is_some() {
+            if let Some(window) = ctx.window {
                 let worker = if offloaded { (i / chunk) as u32 } else { 0 };
                 self.exec_burst_meta
-                    .push((worker, ctx.window, ctx.w.foreign_pushes() as u64));
+                    .push((worker, window, ctx.w.foreign_pushes() as u64));
             }
             self.profs[ctx.w.shard()].absorb(&ctx.prof);
             shells.push(ctx.w);
@@ -759,7 +767,7 @@ impl<'a> SimWorld<'a> {
         self.events_processed += n_events;
         self.epochs_run += 1;
         self.profs[0].add(Phase::Barrier, tm);
-        let t_merge_end = self.exec.as_ref().map(|_| LoopProfiler::clock());
+        let t_merge_end = self.exec.as_ref().map(|_| Instant::now());
 
         // One run summary per burst, in elected (head-key) order — the
         // order the sequential protocol would first elect each shard.
@@ -772,7 +780,7 @@ impl<'a> SimWorld<'a> {
                 events: shells[i].events(),
                 stalled: shells[i].stalled(),
             };
-            let ts = LoopProfiler::clock();
+            let ts = self.profs[shard].stamp();
             crate::events::emit_run(probes, &summary);
             self.profs[shard].add(Phase::Barrier, ts);
         }
@@ -804,11 +812,11 @@ impl<'a> SimWorld<'a> {
         if let Some(rec) = self.exec.as_mut() {
             rec.push_epoch(
                 EpochObs {
-                    elect_start: tb,
+                    elect_start: t_elect.expect("recorder timestamps set together"),
                     elect_end: t_elect_end.expect("recorder timestamps set together"),
-                    merge_start: tm,
+                    merge_start: t_merge.expect("recorder timestamps set together"),
                     merge_end: t_merge_end.expect("recorder timestamps set together"),
-                    reattach_end: LoopProfiler::clock(),
+                    reattach_end: Instant::now(),
                     pending: pending as u64,
                     offloaded,
                     threads_used: if offloaded { threads as u32 } else { 1 },
@@ -834,7 +842,7 @@ impl<'a> SimWorld<'a> {
             if from_shard == to_shard {
                 continue;
             }
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &SimEvent::CrossShard {
@@ -898,7 +906,7 @@ impl<'a> SimWorld<'a> {
                 if track_hints {
                     self.loc_hint.insert(stream_id, server.0);
                 }
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Admitted {
@@ -914,7 +922,7 @@ impl<'a> SimWorld<'a> {
                     self.loc_hint.insert(stream_id, server.0);
                     self.loc_hint.insert(victim.0, to.0);
                 }
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Admitted {
@@ -924,7 +932,7 @@ impl<'a> SimWorld<'a> {
                         path: AdmitPath::Migrated,
                     },
                 );
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Migrated {
@@ -945,7 +953,7 @@ impl<'a> SimWorld<'a> {
                     self.loc_hint.insert(first.0 .0, first.1 .0);
                     self.loc_hint.insert(second.0 .0, second.1 .0);
                 }
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Admitted {
@@ -955,7 +963,7 @@ impl<'a> SimWorld<'a> {
                         path: AdmitPath::Chained,
                     },
                 );
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Migrated {
@@ -965,7 +973,7 @@ impl<'a> SimWorld<'a> {
                         emergency: false,
                     },
                 );
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Migrated {
@@ -977,7 +985,7 @@ impl<'a> SimWorld<'a> {
                 );
             }
             Admission::Rejected => {
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Rejected {
@@ -999,7 +1007,7 @@ impl<'a> SimWorld<'a> {
                     now,
                 ) {
                     self.sched.push_at(expires, Event::WaitlistExpiry);
-                    self.profs[self.cur_shard].emit(
+                    crate::events::emit(
                         probes,
                         now,
                         &SimEvent::WaitlistQueued {
@@ -1032,7 +1040,7 @@ impl<'a> SimWorld<'a> {
                             false,
                             &self.profs[self.cur_shard],
                         );
-                        self.profs[self.cur_shard].emit(
+                        crate::events::emit(
                             probes,
                             now,
                             &SimEvent::CopyStarted {
@@ -1050,7 +1058,7 @@ impl<'a> SimWorld<'a> {
                         // simply never materialise.
                         self.sched
                             .push_at(now + done_in_secs, Event::CopyDone(token.0));
-                        self.profs[self.cur_shard].emit(
+                        crate::events::emit(
                             probes,
                             now,
                             &SimEvent::CopyStarted {
@@ -1087,7 +1095,7 @@ impl<'a> SimWorld<'a> {
                 }
             }
         }
-        for sid in touched {
+        for &sid in touched.iter() {
             self.sched.arm(
                 &self.engines[sid.index()],
                 now,
@@ -1102,7 +1110,7 @@ impl<'a> SimWorld<'a> {
     /// A live wake: integrate the server, reap finished streams, feed the
     /// waitlist with any freed slots, and re-arm.
     fn on_wake(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
-        let t0 = LoopProfiler::clock();
+        let t0 = self.profs[self.cur_shard].stamp();
         let e = &mut self.engines[server as usize];
         e.advance_to(now);
         self.profs[self.cur_shard].add(Phase::Alloc, t0);
@@ -1116,7 +1124,7 @@ impl<'a> SimWorld<'a> {
                     .as_mut()
                     .and_then(|mgr| mgr.on_copy_finished(done.id, &mut self.replica_map))
                     .is_some();
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::CopyDone {
@@ -1126,7 +1134,7 @@ impl<'a> SimWorld<'a> {
                 );
             } else {
                 self.loc_hint.remove(&done.id.0);
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::Completed {
@@ -1157,7 +1165,7 @@ impl<'a> SimWorld<'a> {
         };
         let expired = wl.expire(now);
         if expired > 0 {
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &SimEvent::WaitlistExpired {
@@ -1167,7 +1175,7 @@ impl<'a> SimWorld<'a> {
         }
         let outcome = wl.try_serve(&mut self.engines, &self.replica_map, now);
         for w in &outcome.served {
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &SimEvent::WaitlistServed {
@@ -1203,7 +1211,7 @@ impl<'a> SimWorld<'a> {
             &self.replica_map,
             now,
         );
-        self.profs[self.cur_shard].emit(
+        crate::events::emit(
             probes,
             now,
             &SimEvent::ServerDown {
@@ -1216,7 +1224,7 @@ impl<'a> SimWorld<'a> {
         // so they share the emergency-migration event; the stats split
         // them out via `restarted_on_failure`.
         for &(stream, to) in evac.relocated.iter().chain(&evac.restarted) {
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &SimEvent::Migrated {
@@ -1252,7 +1260,7 @@ impl<'a> SimWorld<'a> {
     /// the fresh capacity and schedule the next failure.
     fn on_server_up(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         self.engines[server as usize].repair(now);
-        self.profs[self.cur_shard].emit(probes, now, &SimEvent::ServerUp { server });
+        crate::events::emit(probes, now, &SimEvent::ServerUp { server });
         self.serve_from_waitlist(now, probes);
         let up_time = self
             .failure_dists
@@ -1270,7 +1278,7 @@ impl<'a> SimWorld<'a> {
             let installed = mgr
                 .on_copy_finished(StreamId(id), &mut self.replica_map)
                 .is_some();
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &SimEvent::CopyDone {
@@ -1286,7 +1294,7 @@ impl<'a> SimWorld<'a> {
         if let Some(wl) = self.waitlist.as_mut() {
             let expired = wl.expire(now);
             if expired > 0 {
-                self.profs[self.cur_shard].emit(
+                crate::events::emit(
                     probes,
                     now,
                     &SimEvent::WaitlistExpired {
@@ -1304,7 +1312,7 @@ impl<'a> SimWorld<'a> {
             .config
             .sample_interval_secs
             .expect("sample event without sampling enabled");
-        let t0 = LoopProfiler::clock();
+        let t0 = self.profs[self.cur_shard].stamp();
         for e in self.engines.iter_mut() {
             e.advance_to(now);
         }
@@ -1312,7 +1320,7 @@ impl<'a> SimWorld<'a> {
         let total: f64 = self.engines.iter().map(|e| e.measured_mb()).sum();
         let utilization =
             (total - self.last_sample_mb) / (self.cluster.total_bandwidth_mbps() * dt);
-        self.profs[self.cur_shard].emit(
+        crate::events::emit(
             probes,
             now,
             &SimEvent::WindowSample {
@@ -1352,7 +1360,7 @@ impl<'a> SimWorld<'a> {
             }
         }
         if let Some(server) = found {
-            self.profs[self.cur_shard].emit(
+            crate::events::emit(
                 probes,
                 now,
                 &if paused {
@@ -1373,6 +1381,20 @@ impl<'a> SimWorld<'a> {
             // client-side no-op.
             self.loc_hint.remove(&id);
         }
+    }
+
+    /// Runs the loop with the built-in [`MetricsProbe`] first in the hub,
+    /// then `extra`, and returns the metrics probe for [`SimWorld::finish`].
+    fn run_probed(&mut self, extra: &mut [&mut dyn Probe]) -> MetricsProbe {
+        let mut metrics = MetricsProbe::new(self.catalog.len(), self.config.track_per_video);
+        let mut hub: Vec<&mut dyn Probe> = Vec::with_capacity(1 + extra.len());
+        hub.push(&mut metrics);
+        for p in extra.iter_mut() {
+            hub.push(&mut **p);
+        }
+        self.run_loop(&mut hub);
+        drop(hub);
+        metrics
     }
 
     /// Integrates the tail of every engine to the horizon and reduces the
@@ -1458,12 +1480,15 @@ struct WorkerCtx<'e> {
     base: usize,
     /// Events emitted by this burst; log entries carry `(lo, hi)` ranges.
     emissions: Vec<SimEvent>,
-    /// Fresh per-burst profiler, absorbed into the shard's at the barrier.
+    /// Fresh per-burst profiler with the shard's setting, absorbed into
+    /// the shard's at the barrier.
     prof: LoopProfiler,
+    /// Whether the execution-plane recorder is attached.
+    record: bool,
     /// The burst's wall window, stamped by [`worker_burst`] on entry and
-    /// exit (two clock reads per burst — an execution-plane observation
-    /// that never feeds back into the run).
-    window: (Instant, Instant),
+    /// exit when `record` is set (two clock reads per burst — an
+    /// execution-plane observation that never feeds back into the run).
+    window: Option<(Instant, Instant)>,
     end: SimTime,
     check: bool,
 }
@@ -1476,7 +1501,7 @@ struct WorkerCtx<'e> {
 /// wake events and that the wake path needs no waitlist, replication,
 /// or location-hint state.
 fn worker_burst(ctx: &mut WorkerCtx<'_>) {
-    let t_start = LoopProfiler::clock();
+    let t_start = ctx.record.then(Instant::now);
     while let Some((now, ev)) = ctx.w.pop() {
         let Event::Wake { server, generation } = ev else {
             unreachable!("non-wake event on a worker shard of an eligible config");
@@ -1486,7 +1511,7 @@ fn worker_burst(ctx: &mut WorkerCtx<'_>) {
             ctx.w.discard(); // superseded by a later reallocation
             continue;
         }
-        let t0 = LoopProfiler::clock();
+        let t0 = ctx.prof.stamp();
         e.advance_to(now);
         ctx.prof.add(Phase::Alloc, t0);
         let lo = ctx.emissions.len() as u32;
@@ -1497,10 +1522,10 @@ fn worker_burst(ctx: &mut WorkerCtx<'_>) {
                 server,
             });
         }
-        let ta = LoopProfiler::clock();
+        let ta = ctx.prof.stamp();
         if let Some(wake) = e.reschedule(now) {
             if wake <= ctx.end {
-                let t1 = LoopProfiler::clock();
+                let t1 = ctx.prof.stamp();
                 ctx.prof.add_between(Phase::Alloc, ta, t1);
                 ctx.w.push(
                     wake,
@@ -1520,11 +1545,11 @@ fn worker_burst(ctx: &mut WorkerCtx<'_>) {
             e.check_invariants();
         }
         let hi = ctx.emissions.len() as u32;
-        let t2 = LoopProfiler::clock();
+        let t2 = ctx.prof.stamp();
         ctx.prof.add_between(Phase::Dispatch, t0, t2);
         ctx.w.record((lo, hi));
     }
-    ctx.window = (t_start, LoopProfiler::clock());
+    ctx.window = t_start.map(|t| (t, Instant::now()));
 }
 
 /// Runs trials described by [`SimConfig`].
@@ -1541,41 +1566,24 @@ impl Simulation {
     /// the built-in metrics probe. Probes see every
     /// [`SimEvent`] in simulation-time order and
     /// cannot perturb the run: the returned outcome is bit-identical to
-    /// [`Simulation::run`] on the same config.
+    /// [`Simulation::run`] on the same config. The loop's profilers are
+    /// disabled, so no event reads the wall clock.
     pub fn run_with_probes(config: &SimConfig, extra: &mut [&mut dyn Probe]) -> SimOutcome {
-        Self::run_profiled(config, extra).0
+        let mut world = SimWorld::new(config, false);
+        let metrics = world.run_probed(extra);
+        world.finish(metrics)
     }
 
-    /// Like [`Simulation::run_with_probes`], but also returns the event
-    /// loop's wall-clock decomposition (see [`crate::profile`]). The
-    /// profiler is always on — this merely reads its report — so the
-    /// outcome stays bit-identical to the other entry points.
-    pub fn run_profiled(
-        config: &SimConfig,
-        extra: &mut [&mut dyn Probe],
-    ) -> (SimOutcome, LoopProfile) {
-        let (outcome, merged, _) = Self::run_profiled_sharded(config, extra);
-        (outcome, merged)
-    }
-
-    /// Like [`Simulation::run_profiled`], but additionally returns the
-    /// per-shard profiles the merged report was reduced from (one entry
-    /// per event-loop shard, in shard order). With `shards = 1` the slice
-    /// has one entry equal to the merged profile minus rounding.
-    pub fn run_profiled_sharded(
-        config: &SimConfig,
-        extra: &mut [&mut dyn Probe],
-    ) -> (SimOutcome, LoopProfile, Vec<LoopProfile>) {
-        let (outcome, profile, per_shard, _) = Self::run_instrumented(config, extra, None);
-        (outcome, profile, per_shard)
-    }
-
-    /// Like [`Simulation::run_profiled_sharded`], but optionally attaches
-    /// an execution-plane [`ExecRecorder`] (see [`crate::exec`]) and
-    /// always returns the loop's [`ExecStats`] counters. The recorder is
-    /// wall-clock-only and reads loop state that already exists for the
-    /// run summaries, so the outcome — and every probe's output — is
-    /// bit-identical with recording on (`tests/parallel_determinism.rs`
+    /// Like [`Simulation::run_with_probes`], but with the event loop's
+    /// wall-clock profilers enabled (see [`crate::profile`]) and an
+    /// optional execution-plane [`ExecRecorder`] attached (see
+    /// [`crate::exec`]). Returns the outcome, the merged loop profile,
+    /// the per-shard profiles it was reduced from (one per event-loop
+    /// shard, in shard order), and the loop's [`ExecStats`] counters.
+    /// Profiler and recorder are wall-clock-only and read loop state
+    /// that already exists for the run summaries, so the outcome — and
+    /// every probe's output — is bit-identical to
+    /// [`Simulation::run_with_probes`] (`tests/parallel_determinism.rs`
     /// enforces this across the golden scenarios and the shard × thread
     /// matrix). Callers turn the filled recorder into a wire trace with
     /// [`ExecRecorder::finish`], passing the returned merged profile.
@@ -1584,17 +1592,9 @@ impl Simulation {
         extra: &mut [&mut dyn Probe],
         exec: Option<&mut ExecRecorder>,
     ) -> (SimOutcome, LoopProfile, Vec<LoopProfile>, ExecStats) {
-        let mut world = SimWorld::new(config);
+        let mut world = SimWorld::new(config, true);
         world.exec = exec;
-        let mut metrics = MetricsProbe::new(world.catalog.len(), config.track_per_video);
-        {
-            let mut hub: Vec<&mut dyn Probe> = Vec::with_capacity(1 + extra.len());
-            hub.push(&mut metrics);
-            for p in extra.iter_mut() {
-                hub.push(&mut **p);
-            }
-            world.run_loop(&mut hub);
-        }
+        let metrics = world.run_probed(extra);
         let per_shard: Vec<LoopProfile> = world.profs.iter().map(LoopProfiler::report).collect();
         let profile = LoopProfile::merge(&per_shard);
         let stats = world.exec_stats();
@@ -1635,12 +1635,8 @@ mod tests {
             .offload_min_events(0)
             .build();
         assert!(par_cfg.parallel_eligible());
-        let mut world = SimWorld::new(&par_cfg);
-        let mut metrics = MetricsProbe::new(world.catalog.len(), par_cfg.track_per_video);
-        {
-            let mut hub: Vec<&mut dyn Probe> = vec![&mut metrics];
-            world.run_loop(&mut hub);
-        }
+        let mut world = SimWorld::new(&par_cfg, false);
+        let metrics = world.run_probed(&mut []);
         assert!(world.epochs_run > 0, "the parallel path never engaged");
         assert_eq!(world.finish(metrics), reference);
     }
@@ -1756,8 +1752,9 @@ mod tests {
     #[test]
     fn profile_reconciles_with_the_event_count() {
         let cfg = quick_config(42);
-        let (out, profile) = Simulation::run_profiled(&cfg, &mut []);
+        let (out, profile, per_shard, _) = Simulation::run_instrumented(&cfg, &mut [], None);
         assert_eq!(out, Simulation::run(&cfg), "profiling must not perturb");
+        assert_eq!(per_shard.len(), 1);
         assert_eq!(profile.events, out.events_processed);
         assert_eq!(profile.dispatch.calls, out.events_processed);
         assert!(profile.wall_secs > 0.0);
@@ -1768,6 +1765,47 @@ mod tests {
         assert!(profile.alloc.calls > 0, "every trial re-arms engines");
         assert!(profile.wake.calls > 0, "every trial schedules wakes");
         assert!(profile.probe.calls > 0, "every event is published");
+    }
+
+    /// The default entry points run the loop with disabled profilers on
+    /// every path — monolithic, classic sharded, and parallel epochs
+    /// (whose per-burst profilers inherit the setting) — so no phase is
+    /// ever charged and no event reads the clock for them.
+    #[test]
+    fn default_path_never_profiles() {
+        let sharded = |threads: usize| {
+            SimConfig::builder(SystemSpec::tiny_test())
+                .duration_hours(3.0)
+                .warmup_hours(0.25)
+                .seed(42)
+                .shards(3)
+                .threads(threads)
+                .offload_min_events(0)
+                .build()
+        };
+        for cfg in [quick_config(42), sharded(1), sharded(2)] {
+            let mut world = SimWorld::new(&cfg, false);
+            world.run_probed(&mut []);
+            assert!(world.events_processed > 0);
+            if cfg.threads > 1 {
+                assert!(world.epochs_run > 0, "the parallel path never engaged");
+            }
+            for prof in &world.profs {
+                assert!(!prof.enabled());
+                let report = prof.report();
+                assert_eq!(report.wall_secs, 0.0);
+                for s in [
+                    report.dispatch,
+                    report.alloc,
+                    report.wake,
+                    report.probe,
+                    report.barrier,
+                ] {
+                    assert_eq!(s.calls, 0, "a disabled profiler was charged");
+                }
+            }
+        }
+        assert!(sharded(2).parallel_eligible());
     }
 
     #[test]
@@ -1782,12 +1820,8 @@ mod tests {
             .seed(97)
             .check_invariants(true)
             .build();
-        let mut world = SimWorld::new(&cfg);
-        let mut metrics = MetricsProbe::new(world.catalog.len(), cfg.track_per_video);
-        {
-            let mut hub: Vec<&mut dyn Probe> = vec![&mut metrics];
-            world.run_loop(&mut hub);
-        }
+        let mut world = SimWorld::new(&cfg, false);
+        world.run_probed(&mut []);
         let in_engines: std::collections::HashSet<u64> = world
             .engines
             .iter()
@@ -1815,12 +1849,8 @@ mod tests {
     #[test]
     fn loc_hint_unused_without_interactivity() {
         let cfg = quick_config(42);
-        let mut world = SimWorld::new(&cfg);
-        let mut metrics = MetricsProbe::new(world.catalog.len(), cfg.track_per_video);
-        {
-            let mut hub: Vec<&mut dyn Probe> = vec![&mut metrics];
-            world.run_loop(&mut hub);
-        }
+        let mut world = SimWorld::new(&cfg, false);
+        world.run_probed(&mut []);
         assert!(
             world.loc_hint.is_empty(),
             "no interactivity: the hint map must never be populated"

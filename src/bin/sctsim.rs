@@ -17,7 +17,7 @@ use semi_continuous_vod::analysis::slo::SloPolicy;
 use semi_continuous_vod::analysis::snapshot::LoopProfilesSnapshot;
 use semi_continuous_vod::analysis::timeseries::{diff, render_dashboard, TimeSeriesRecording};
 use semi_continuous_vod::analysis::{MetricsSnapshot, SpanSet};
-use semi_continuous_vod::core::config::SimConfig;
+use semi_continuous_vod::core::config::{SimConfig, SimConfigBuilder};
 use semi_continuous_vod::core::policies::Policy;
 use semi_continuous_vod::core::runner::{run_trials, utilization_summary, TrialPlan};
 use semi_continuous_vod::core::simulation::Simulation;
@@ -139,53 +139,53 @@ fn policy_by_name(name: &str) -> Policy {
 }
 
 fn build_config(args: &Args) -> SimConfig {
-    if let Some(path) = args.get("config") {
+    let mut b = if let Some(path) = args.get("config") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             exit(1)
         });
-        let mut config: SimConfig = serde_json::from_str(&text).unwrap_or_else(|e| {
+        let config: SimConfig = serde_json::from_str(&text).unwrap_or_else(|e| {
             eprintln!("cannot parse {path}: {e}");
             exit(1)
         });
-        // --shards/--threads compose with --config: loop-execution
-        // knobs, not part of the experiment a config file describes.
-        if let Some(s) = args.get_f64("shards") {
-            config.shards = (s as usize).max(1);
+        SimConfigBuilder::from(config)
+    } else {
+        let system = system_by_name(args.get("system").unwrap_or("small"));
+        let mut b = SimConfig::builder(system);
+        if let Some(p) = args.get("policy") {
+            b = b.policy(policy_by_name(p));
         }
-        if let Some(t) = args.get_f64("threads") {
-            config.threads = (t as usize).max(1);
+        if let Some(t) = args.get_f64("theta") {
+            b = b.theta(t);
         }
-        return config;
-    }
-    let system = system_by_name(args.get("system").unwrap_or("small"));
-    let mut b = SimConfig::builder(system);
-    if let Some(s) = args.get_f64("shards") {
-        b = b.shards((s as usize).max(1));
-    }
-    if let Some(t) = args.get_f64("threads") {
-        b = b.threads((t as usize).max(1));
-    }
-    if let Some(p) = args.get("policy") {
-        b = b.policy(policy_by_name(p));
-    }
-    if let Some(t) = args.get_f64("theta") {
-        b = b.theta(t);
-    }
-    if let Some(h) = args.get_f64("hours") {
-        b = b.duration_hours(h);
-        // Keep the default warm-up sensible for short runs.
-        if args.get("warmup").is_none() {
-            b = b.warmup_hours((h * 0.1).min(1.0));
+        if let Some(h) = args.get_f64("hours") {
+            b = b.duration_hours(h);
+            // Keep the default warm-up sensible for short runs.
+            if args.get("warmup").is_none() {
+                b = b.warmup_hours((h * 0.1).min(1.0));
+            }
         }
+        if let Some(w) = args.get_f64("warmup") {
+            b = b.warmup_hours(w);
+        }
+        if let Some(s) = args.get_f64("seed") {
+            b = b.seed(s as u64);
+        }
+        b
+    };
+    // --shards/--threads compose with --config: loop-execution knobs,
+    // not part of the experiment a config file describes. A negative
+    // count saturates to 0, which `try_build` refuses.
+    if let Some(n) = args.get_f64("shards") {
+        b = b.shards(n as usize);
     }
-    if let Some(w) = args.get_f64("warmup") {
-        b = b.warmup_hours(w);
+    if let Some(n) = args.get_f64("threads") {
+        b = b.threads(n as usize);
     }
-    if let Some(s) = args.get_f64("seed") {
-        b = b.seed(s as u64);
-    }
-    b.build()
+    b.try_build().unwrap_or_else(|e| {
+        eprintln!("invalid configuration: {e}");
+        exit(2)
+    })
 }
 
 /// Why `--threads > 1` fell back to the classic single-threaded

@@ -58,7 +58,9 @@ pub mod prelude {
         render_dashboard, RecordingDiff, TimeSeriesRecording, WindowRow,
     };
     pub use sct_cluster::placement::PlacementStrategy;
-    pub use sct_core::config::{FailureSpec, PauseSpec, SimConfig, SimConfigBuilder, StagingSpec};
+    pub use sct_core::config::{
+        ConfigError, FailureSpec, PauseSpec, SimConfig, SimConfigBuilder, StagingSpec,
+    };
     pub use sct_core::events::{
         AdmitPath, CrossShardCounter, CrossShardEdge, JsonlTraceProbe, MetricsProbe, Probe,
         RunSummary, SimEvent,

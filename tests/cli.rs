@@ -116,6 +116,61 @@ fn bad_usage_exits_nonzero() {
     assert!(err.contains("usage"));
 }
 
+/// Invalid knobs get one diagnostic line and exit 2 — never a panic
+/// backtrace (exit 101) and never a silent clamp.
+#[test]
+fn invalid_run_knobs_exit_2_with_one_diagnostic() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--theta", "nan"], "theta must be finite"),
+        (&["--hours", "-1"], "duration must be positive"),
+        (&["--shards", "0"], "at least one shard"),
+        (&["--threads", "0"], "at least one thread"),
+    ];
+    for (flags, expected) in cases {
+        let mut args = vec!["run", "--system", "tiny"];
+        args.extend_from_slice(flags);
+        let out = sctsim(&args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(out.stdout.is_empty(), "{flags:?} still ran");
+        assert_eq!(err.lines().count(), 1, "{flags:?}: {err}");
+        assert!(err.contains(expected), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
+/// The `--config` path validates too: a file with a bad knob, or a good
+/// file combined with a bad `--shards`, exits 2 with a diagnostic.
+#[test]
+fn invalid_config_file_exits_2_with_one_diagnostic() {
+    let out = sctsim(&["scenario", "--system", "tiny"]);
+    assert!(out.status.success());
+    let good = String::from_utf8(out.stdout).unwrap();
+    let bad = good.replacen("\"threads\": 1", "\"threads\": 0", 1);
+    assert_ne!(bad, good, "scenario output lacks a threads knob");
+    let dir = std::env::temp_dir().join(format!("sctsim-badcfg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good_path = dir.join("good.json");
+    let bad_path = dir.join("bad.json");
+    std::fs::write(&good_path, &good).unwrap();
+    std::fs::write(&bad_path, &bad).unwrap();
+    for (path, extra, expected) in [
+        (&bad_path, None, "at least one thread"),
+        (&good_path, Some("0"), "at least one shard"),
+    ] {
+        let mut args = vec!["run", "--config", path.to_str().unwrap()];
+        if let Some(n) = extra {
+            args.extend(["--shards", n]);
+        }
+        let out = sctsim(&args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains(expected), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_spans_exports_and_spans_subcommand_analyses_them() {
     let dir = std::env::temp_dir().join("sctsim-test-spans");

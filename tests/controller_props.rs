@@ -135,7 +135,7 @@ proptest! {
             );
             let (admission, touched) =
                 controller.admit(stream, &mut engines, &map, arrival, &mut rng);
-            for sid in &touched {
+            for sid in touched.iter() {
                 let e = &mut engines[sid.index()];
                 e.advance_to(arrival);
                 e.reschedule(arrival);

@@ -29,12 +29,14 @@ use semi_continuous_vod::prelude::*;
 const SHARDS: [usize; 3] = [1, 2, 4];
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Like [`capture`], but with the execution-plane recorder attached,
+/// Like [`capture`], but through `Simulation::run_instrumented` — loop
+/// profilers enabled and the execution-plane recorder attached —
 /// returning the recorder's trace alongside the outcome and span set.
-/// The recorder is wall-clock-only, so the outcome and spans must match
-/// a recorder-off run bit for bit — the matrix below compares every
-/// recorder-on cell against a recorder-off baseline, which pins both
-/// shard/thread invariance *and* recorder invisibility in one pass.
+/// Profiler and recorder are wall-clock-only, so the outcome and spans
+/// must match a `run_with_probes` run bit for bit — the matrix below
+/// compares every instrumented cell against an uninstrumented baseline,
+/// which pins shard/thread invariance *and* instrumentation invisibility
+/// in one pass.
 fn capture_with_exec(
     config: &SimConfig,
 ) -> (
@@ -47,6 +49,13 @@ fn capture_with_exec(
     let (outcome, profile, _, stats) =
         Simulation::run_instrumented(config, &mut [&mut probe], Some(&mut rec));
     let trace = rec.finish(config, &profile);
+    // The profile still counts one dispatch window per live event, on
+    // every path (monolithic, classic sharded, parallel epochs).
+    assert_eq!(
+        profile.dispatch.calls, outcome.events_processed,
+        "profile lost or double-counted dispatch windows"
+    );
+    assert_eq!(profile.events, outcome.events_processed);
     // The trace must reconcile with the loop's own accounting on every
     // cell: one record per epoch, every event attributed exactly once.
     assert_eq!(trace.epochs_run(), stats.epochs_run);
@@ -61,10 +70,11 @@ fn capture_with_exec(
 
 /// Runs `build(shards, threads)` over the full matrix and asserts
 /// outcomes and span sets match the single-threaded `shards = 1`
-/// baseline bit-for-bit. The baseline runs recorder-off; every other
-/// cell runs with the execution-plane recorder attached, so a single
-/// pass pins shard invariance, thread invariance, and recorder
-/// invisibility against each other.
+/// baseline bit-for-bit. The baseline runs through `run_with_probes`
+/// (profilers disabled, no recorder); every cell, `(1, 1)` included,
+/// runs through `run_instrumented` with the execution-plane recorder
+/// attached, so a single pass pins shard invariance, thread invariance,
+/// and profiler/recorder invisibility against each other.
 fn assert_parallel_invariant(name: &str, build: impl Fn(usize, usize) -> SimConfig) {
     let (base_outcome, base_spans) = capture(&build(1, 1));
     assert!(
@@ -73,9 +83,6 @@ fn assert_parallel_invariant(name: &str, build: impl Fn(usize, usize) -> SimConf
     );
     for &shards in &SHARDS {
         for &threads in &THREADS {
-            if (shards, threads) == (1, 1) {
-                continue;
-            }
             let (outcome, spans, _trace) = capture_with_exec(&build(shards, threads));
             assert_eq!(
                 outcome, base_outcome,

@@ -71,7 +71,7 @@ fn controller_props_regression_seed_bd871fc3() {
             arrival,
         );
         let (admission, touched) = controller.admit(stream, &mut engines, &map, arrival, &mut rng);
-        for sid in &touched {
+        for sid in touched.iter() {
             let e = &mut engines[sid.index()];
             e.advance_to(arrival);
             e.reschedule(arrival);
