@@ -8,8 +8,8 @@
 //!
 //! The comparator is schema-free: both files are flattened to
 //! `path → number` leaves. Array elements that carry identifying
-//! fields (`scheduler`/`migration` for the grid, `shards`/`threads`
-//! for the huge sweep) are labelled by those ids rather than by index,
+//! fields (`scheduler`/`migration` for the grid, `shards` for the
+//! huge rows) are labelled by those ids rather than by index,
 //! so a reordered array still lines up. Each leaf is classified by its
 //! name — throughput-like leaves (`events_per_sec`, `speedup`,
 //! `floor`) regress when they *drop*, cost-like leaves (`wall_secs`,
@@ -35,7 +35,7 @@ pub enum Direction {
 /// One numeric leaf present in either file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellDelta {
-    /// Flattened path, e.g. `huge[4s,8t].events_per_sec`.
+    /// Flattened path, e.g. `huge.rows[4s].events_per_sec`.
     pub path: String,
     /// Value in the old file.
     pub old: f64,
@@ -96,8 +96,8 @@ fn element_label(v: &Value, index: usize) -> String {
         if let (Some(s), Some(m)) = (get("scheduler"), get("migration")) {
             return format!("[{s},{m}]");
         }
-        if let (Some(s), Some(t)) = (get("shards"), get("threads")) {
-            return format!("[{s}s,{t}t]");
+        if let Some(s) = get("shards") {
+            return format!("[{s}s]");
         }
     }
     format!("[{index}]")
@@ -262,7 +262,8 @@ mod tests {
         {"scheduler": "fcfs", "migration": "none", "events_per_sec": 900.0, "events": 500}
       ],
       "huge": [
-        {"shards": 4, "threads": 8, "events_per_sec": 61845.1, "wall_secs": 2.0}
+        {"shards": 1, "events_per_sec": 50000.0, "wall_secs": 3.0},
+        {"shards": 4, "events_per_sec": 61845.1, "wall_secs": 2.0}
       ],
       "probe_overhead": {"overhead_pct": 3.26},
       "floor": 883006.0
@@ -274,11 +275,12 @@ mod tests {
         {"scheduler": "eftf", "migration": "single_hop", "events_per_sec": 800.0, "events": 500}
       ],
       "huge": [
-        {"shards": 4, "threads": 8, "events_per_sec": 70000.0, "wall_secs": 1.8}
+        {"shards": 4, "events_per_sec": 70000.0, "wall_secs": 1.8},
+        {"shards": 1, "events_per_sec": 50000.0, "wall_secs": 3.0}
       ],
       "probe_overhead": {"overhead_pct": 4.0},
       "floor": 883006.0,
-      "exec_overhead": {"overhead_pct": 1.1}
+      "trace_overhead": {"overhead_pct": 1.1}
     }"#;
 
     #[test]
@@ -295,12 +297,18 @@ mod tests {
         let huge = d
             .cells
             .iter()
-            .find(|c| c.path == "huge[4s,8t].events_per_sec")
-            .expect("labelled by shards+threads");
+            .find(|c| c.path == "huge[4s].events_per_sec")
+            .expect("labelled by shards despite reorder");
         assert!(
             huge.regression_pct < 0.0,
             "improvement is negative regression"
         );
+        let mono = d
+            .cells
+            .iter()
+            .find(|c| c.path == "huge[1s].events_per_sec")
+            .expect("each shard count gets its own label");
+        assert_eq!((mono.old, mono.new), (50000.0, 50000.0));
     }
 
     #[test]
@@ -308,13 +316,10 @@ mod tests {
         let d = diff(OLD, NEW).unwrap();
         let by = |p: &str| d.cells.iter().find(|c| c.path == p).unwrap();
         assert_eq!(
-            by("huge[4s,8t].events_per_sec").direction,
+            by("huge[4s].events_per_sec").direction,
             Direction::HigherBetter
         );
-        assert_eq!(
-            by("huge[4s,8t].wall_secs").direction,
-            Direction::LowerBetter
-        );
+        assert_eq!(by("huge[4s].wall_secs").direction, Direction::LowerBetter);
         assert_eq!(
             by("probe_overhead.overhead_pct").direction,
             Direction::LowerBetter
@@ -322,7 +327,7 @@ mod tests {
         assert_eq!(by("floor").direction, Direction::HigherBetter);
         assert_eq!(by("grid[fcfs,none].events").direction, Direction::Info);
         // wall_secs dropped 10%: an improvement for a lower-better leaf.
-        assert!(by("huge[4s,8t].wall_secs").regression_pct < 0.0);
+        assert!(by("huge[4s].wall_secs").regression_pct < 0.0);
     }
 
     #[test]
@@ -351,7 +356,7 @@ mod tests {
     fn added_and_removed_leaves_are_reported() {
         let d = diff(OLD, NEW).unwrap();
         assert!(
-            d.added.iter().any(|p| p == "exec_overhead.overhead_pct"),
+            d.added.iter().any(|p| p == "trace_overhead.overhead_pct"),
             "{:?}",
             d.added
         );
@@ -360,7 +365,7 @@ mod tests {
         assert!(back
             .removed
             .iter()
-            .any(|p| p == "exec_overhead.overhead_pct"));
+            .any(|p| p == "trace_overhead.overhead_pct"));
     }
 
     #[test]

@@ -18,11 +18,6 @@
 //!   (`sctsim run --spans`): the serialisable [`spans::SpanSet`] schema,
 //!   a Chrome-trace/Perfetto exporter, and a critical-path analyzer
 //!   decomposing completed-request latency into wait/serve/pause.
-//! * [`exec`] — the wall-clock execution-plane trace (`sctsim run
-//!   --exec-trace`): the serialisable [`exec::ExecTrace`] schema of
-//!   epoch/burst/run timings, a Perfetto exporter (one tid per worker
-//!   thread, barrier slices on the coordinator track), and the
-//!   Amdahl-style barrier-stall analyzer behind `sctsim exec`.
 //! * [`benchdiff`] — schema-free structured comparator for bench
 //!   result files (`sctsim bench-diff`), flattening numeric leaves,
 //!   classifying them by direction, and naming the worst-moved cell.
@@ -45,7 +40,6 @@
 
 pub mod benchdiff;
 pub mod erlang;
-pub mod exec;
 pub mod fairness;
 pub mod report;
 pub mod series;
@@ -58,7 +52,6 @@ pub mod trace;
 
 pub use benchdiff::{BenchDiff, CellDelta, Direction};
 pub use erlang::{erlang_b, expected_utilization_vs_svbr};
-pub use exec::{BurstRecord, EpochRecord, ExecReport, ExecTrace, RunRecord};
 pub use fairness::jain_index;
 pub use report::Table;
 pub use series::{Curve, Series};

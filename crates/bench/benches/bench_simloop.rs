@@ -13,7 +13,7 @@ use sct_admission::MigrationPolicy;
 use sct_core::config::SimConfig;
 use sct_core::policies::Policy;
 use sct_core::simulation::Simulation;
-use sct_core::{ExecRecorder, SpanProbe, TimeSeriesProbe};
+use sct_core::{SpanProbe, TimeSeriesProbe};
 use sct_transmission::SchedulerKind;
 use sct_workload::SystemSpec;
 use serde::{Deserialize, Serialize};
@@ -39,7 +39,6 @@ struct GridRow {
 #[derive(Serialize)]
 struct HugeRow {
     shards: usize,
-    threads: usize,
     events: u64,
     wall_secs: f64,
     events_per_sec: f64,
@@ -69,26 +68,11 @@ struct ProbeOverhead {
 }
 
 #[derive(Serialize)]
-struct ExecOverhead {
-    /// Minimum recorder-off wall over the interleaved repetitions on the
-    /// Huge `(shards = 4, threads = 4)` cell.
-    bare_wall_secs: f64,
-    /// Same cell with the execution-plane recorder attached.
-    exec_wall_secs: f64,
-    epochs: u64,
-    overhead_pct: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
     scenario: ScenarioInfo,
     grid: Vec<GridRow>,
     huge: HugeReport,
     probe_overhead: ProbeOverhead,
-    /// Execution-plane recorder attachment cost on the Huge parallel
-    /// cell — the recorder works per epoch, not per event, so CI gates
-    /// this at ≤ 2 % (see .github/workflows).
-    exec_overhead: ExecOverhead,
     /// Monotone throughput ratchet: the highest `RATCHET_FRACTION ×
     /// min(grid events/s)` any committed run has observed. CI fails when
     /// a run's slowest cell drops below this floor (after its own
@@ -100,16 +84,6 @@ struct Report {
     /// trials run seconds, not milliseconds, so its rows are single runs
     /// and the CI allowance (see the workflow) absorbs the extra jitter.
     huge_floor_events_per_sec: f64,
-    /// Parallel speedup of this run: the Huge `(shards = 4, threads = 4)`
-    /// row's events/s over the monolithic `(1, 1)` row's. The epoch
-    /// protocol must never make the sharded loop slower than the
-    /// single-queue loop, whatever the host's core count.
-    huge_parallel_speedup: f64,
-    /// Ratchet over `huge_parallel_speedup`, advanced like the
-    /// throughput floors: CI fails when a run's speedup drops below its
-    /// allowance of this value, so the parallel path cannot quietly
-    /// decay back toward single-queue throughput.
-    huge_speedup_floor: f64,
 }
 
 const SIM_HOURS: f64 = 2.0;
@@ -121,11 +95,10 @@ const SEED: u64 = 5;
 /// of wall time. Keep the simulated span short so the whole bench stays
 /// affordable.
 const HUGE_SIM_HOURS: f64 = 0.05;
-/// (shards, threads) cells for the Huge sweep: the monolithic baseline,
-/// the classic sharded loop, and the epoch path at rising thread counts.
-/// Determinism makes every row's event count identical, so the sweep
-/// doubles as an end-to-end invariance check at scale.
-const HUGE_COMBOS: [(usize, usize); 5] = [(1, 1), (4, 1), (4, 2), (4, 4), (4, 8)];
+/// Shard counts for the Huge rows: the monolithic baseline and the
+/// sharded loop. Determinism makes both rows' event counts identical,
+/// so the pair doubles as an end-to-end invariance check at scale.
+const HUGE_SHARDS: [usize; 2] = [1, 4];
 const RESULT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_sim.json");
 
 /// Fraction of the measured minimum used when advancing the floor: a
@@ -158,26 +131,13 @@ fn prior_huge_floor() -> Option<f64> {
     Some(prior.huge_floor_events_per_sec)
 }
 
-/// Same lookup for the speedup ratchet; reports written before the
-/// threaded sweep existed lack the field and bootstrap from this run.
-fn prior_speedup_floor() -> Option<f64> {
-    #[derive(Deserialize)]
-    struct Prior {
-        huge_speedup_floor: f64,
-    }
-    let text = std::fs::read_to_string(RESULT_PATH).ok()?;
-    let prior: Prior = serde_json::from_str(&text).ok()?;
-    Some(prior.huge_speedup_floor)
-}
-
-fn huge_config(shards: usize, threads: usize) -> SimConfig {
+fn huge_config(shards: usize) -> SimConfig {
     SimConfig::builder(SystemSpec::huge())
         .theta(THETA)
         .duration_hours(HUGE_SIM_HOURS)
         .warmup_hours(0.0)
         .seed(SEED)
         .shards(shards)
-        .threads(threads)
         .build()
 }
 
@@ -201,7 +161,7 @@ fn measure(cfg: &SimConfig, n: usize) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..n {
-        let (_, profile, _, _) = Simulation::run_instrumented(black_box(cfg), &mut [], None);
+        let (_, profile, _) = Simulation::run_instrumented(black_box(cfg), &mut []);
         best = best.min(profile.wall_secs);
         events = profile.events;
     }
@@ -221,7 +181,7 @@ fn bench_simloop(c: &mut Criterion) {
     for (mig_name, mig) in &migrations {
         let cfg = grid_config(SchedulerKind::Eftf, *mig);
         group.bench_with_input(BenchmarkId::new("eftf", *mig_name), &cfg, |b, cfg| {
-            b.iter(|| black_box(Simulation::run_instrumented(cfg, &mut [], None)))
+            b.iter(|| black_box(Simulation::run_instrumented(cfg, &mut [])))
         });
     }
     group.finish();
@@ -248,23 +208,21 @@ fn bench_simloop(c: &mut Criterion) {
         }
     }
 
-    // The million-slot Huge scenario: monolithic, classic sharded, and
-    // the epoch path at rising thread counts. Each trial costs seconds,
-    // so every cell takes the better of two runs — enough to shed the
-    // worst host-jitter outliers without doubling the bench again;
-    // determinism makes the event count identical across every row.
+    // The million-slot Huge scenario, monolithic and sharded. Each trial
+    // costs seconds, so every row takes the better of two runs — enough
+    // to shed the worst host-jitter outliers without doubling the bench;
+    // determinism makes the event count identical across the rows.
     let mut huge_rows = Vec::new();
-    for (shards, threads) in HUGE_COMBOS {
-        let cfg = huge_config(shards, threads);
+    for shards in HUGE_SHARDS {
+        let cfg = huge_config(shards);
         let (wall_secs, events) = measure(&cfg, 2);
         println!(
-            "simloop: huge shards={shards} threads={threads} {events:>8} events  \
+            "simloop: huge shards={shards} {events:>8} events  \
              {wall_secs:.4} s  ({:.0} events/s)",
             events as f64 / wall_secs
         );
         huge_rows.push(HugeRow {
             shards,
-            threads,
             events,
             wall_secs,
             events_per_sec: events as f64 / wall_secs,
@@ -283,16 +241,14 @@ fn bench_simloop(c: &mut Criterion) {
     let mut n_spans = 0;
     let mut n_windows = 0;
     for _ in 0..31 {
-        let (_, profile, _, _) = Simulation::run_instrumented(black_box(&cfg), &mut [], None);
+        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut []);
         bare_wall_secs = bare_wall_secs.min(profile.wall_secs);
         let mut probe = SpanProbe::new();
-        let (_, profile, _, _) =
-            Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe], None);
+        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe]);
         spans_wall_secs = spans_wall_secs.min(profile.wall_secs);
         n_spans = probe.finish(cfg.duration.as_secs()).spans.len();
         let mut ts_probe = TimeSeriesProbe::new(&cfg, 900.0);
-        let (_, profile, _, _) =
-            Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe], None);
+        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe]);
         timeseries_wall_secs = timeseries_wall_secs.min(profile.wall_secs);
         n_windows = ts_probe.finish().windows.len();
     }
@@ -305,32 +261,6 @@ fn bench_simloop(c: &mut Criterion) {
     println!(
         "simloop: time-series probe {timeseries_wall_secs:.4} s vs bare {bare_wall_secs:.4} s \
          ({n_windows} windows, {timeseries_overhead_pct:+.2} %)"
-    );
-
-    // Execution-plane recorder cost on the Huge parallel cell, where the
-    // epoch machinery it instruments actually runs. Sides interleave and
-    // each takes its minimum, like the probe measurement above. The real
-    // per-epoch cost is a few dozen nanoseconds (scratch reuse + flat
-    // buffers — no allocation in steady state), far below this box's
-    // run-to-run jitter, so the repetitions exist to stabilise the
-    // minimum against that jitter, not to resolve the recorder.
-    let cfg = huge_config(4, 4);
-    let mut exec_bare_wall_secs = f64::INFINITY;
-    let mut exec_wall_secs = f64::INFINITY;
-    let mut exec_epochs = 0;
-    for _ in 0..7 {
-        let (_, profile, _, _) = Simulation::run_instrumented(black_box(&cfg), &mut [], None);
-        exec_bare_wall_secs = exec_bare_wall_secs.min(profile.wall_secs);
-        let mut rec = ExecRecorder::new();
-        let (_, profile, _, stats) =
-            Simulation::run_instrumented(black_box(&cfg), &mut [], Some(&mut rec));
-        exec_wall_secs = exec_wall_secs.min(profile.wall_secs);
-        exec_epochs = stats.epochs_run;
-    }
-    let exec_overhead_pct = (exec_wall_secs - exec_bare_wall_secs) / exec_bare_wall_secs * 100.0;
-    println!(
-        "simloop: exec recorder {exec_wall_secs:.4} s vs bare {exec_bare_wall_secs:.4} s \
-         ({exec_epochs} epochs, {exec_overhead_pct:+.2} %)"
     );
 
     let min_eps = grid
@@ -352,22 +282,6 @@ fn bench_simloop(c: &mut Criterion) {
     println!(
         "simloop: huge floor {huge_min_eps:.0} events/s, ratchet \
          {huge_floor_events_per_sec:.0} events/s"
-    );
-
-    let huge_eps = |shards: usize, threads: usize| {
-        huge_rows
-            .iter()
-            .find(|row| (row.shards, row.threads) == (shards, threads))
-            .map(|row| row.events_per_sec)
-            .expect("huge combo measured")
-    };
-    let huge_parallel_speedup = huge_eps(4, 4) / huge_eps(1, 1);
-    let huge_speedup_floor = prior_speedup_floor()
-        .unwrap_or(0.0)
-        .max(RATCHET_FRACTION * huge_parallel_speedup);
-    println!(
-        "simloop: huge parallel speedup {huge_parallel_speedup:.2}x, ratchet \
-         {huge_speedup_floor:.2}x"
     );
 
     let report = Report {
@@ -397,16 +311,8 @@ fn bench_simloop(c: &mut Criterion) {
             windows: n_windows,
             timeseries_overhead_pct,
         },
-        exec_overhead: ExecOverhead {
-            bare_wall_secs: exec_bare_wall_secs,
-            exec_wall_secs,
-            epochs: exec_epochs,
-            overhead_pct: exec_overhead_pct,
-        },
         floor_events_per_sec,
         huge_floor_events_per_sec,
-        huge_parallel_speedup,
-        huge_speedup_floor,
     };
     std::fs::write(
         RESULT_PATH,

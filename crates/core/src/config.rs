@@ -171,49 +171,16 @@ pub struct SimConfig {
     /// monolithic loop). Outcomes are identical for every value; shards
     /// change batching and accounting, never behaviour.
     pub shards: usize,
-    /// Worker threads for epoch bursts of the sharded loop (1 = keep the
-    /// classic single-threaded barrier loop). Outcomes are bit-identical
-    /// for every value; threads change wall-clock only.
-    pub threads: usize,
-    /// Minimum events pending across the elected shards before an epoch
-    /// burst is offloaded to the thread pool; smaller epochs run inline
-    /// (spawning threads for a handful of events costs more than it
-    /// saves). Irrelevant to outcomes.
-    pub offload_min_events: usize,
     /// Root seed for all randomness in the trial.
     pub seed: u64,
     /// Run (expensive) invariant checks while simulating.
     pub check_invariants: bool,
 }
 
-fn default_threads() -> usize {
-    1
-}
-
-fn default_offload_min_events() -> usize {
-    256
-}
-
 impl SimConfig {
     /// Starts a builder from paper defaults for `system`.
     pub fn builder(system: SystemSpec) -> SimConfigBuilder {
         SimConfigBuilder::new(system)
-    }
-
-    /// Whether this config's *features* admit the parallel epoch path:
-    /// more than one worker thread requested and no scenario extension
-    /// that routes non-`Wake` events to worker shards or reaches across
-    /// shards mid-burst (failures, interactivity, waitlists, dynamic
-    /// replication). The loop additionally requires `shards > 1` after
-    /// clamping and that no attached probe consumes state views; when
-    /// any condition fails it silently falls back to the classic
-    /// single-threaded barrier loop — outcomes are identical either way.
-    pub fn parallel_eligible(&self) -> bool {
-        self.threads > 1
-            && self.failures.is_none()
-            && self.interactivity.is_none()
-            && self.waitlist.is_none()
-            && self.replication.is_none()
     }
 
     /// The client profile this config gives every request, resolved
@@ -234,6 +201,11 @@ impl SimConfig {
 #[derive(Clone, Debug)]
 pub struct SimConfigBuilder {
     cfg: SimConfig,
+    /// Duration and warm-up overrides in raw hours, held back until
+    /// [`SimConfigBuilder::try_build`] has checked them: a NaN must
+    /// never reach [`SimTime`], whose constructors assert against it.
+    duration_hours: Option<f64>,
+    warmup_hours: Option<f64>,
 }
 
 impl SimConfigBuilder {
@@ -262,11 +234,11 @@ impl SimConfigBuilder {
                 sample_interval_secs: None,
                 track_per_video: false,
                 shards: 1,
-                threads: default_threads(),
-                offload_min_events: default_offload_min_events(),
                 seed: 0,
                 check_invariants: false,
             },
+            duration_hours: None,
+            warmup_hours: None,
         }
     }
 
@@ -333,13 +305,13 @@ impl SimConfigBuilder {
 
     /// Sets the simulated duration in hours.
     pub fn duration_hours(mut self, h: f64) -> Self {
-        self.cfg.duration = SimTime::from_hours(h);
+        self.duration_hours = Some(h);
         self
     }
 
     /// Sets the warm-up (excluded from metrics) in hours.
     pub fn warmup_hours(mut self, h: f64) -> Self {
-        self.cfg.warmup = SimTime::from_hours(h);
+        self.warmup_hours = Some(h);
         self
     }
 
@@ -413,22 +385,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Dispatches epoch bursts of the sharded loop on `n` worker threads
-    /// (1 = the classic single-threaded loop). Outcomes do not depend on
-    /// it; see [`SimConfig::parallel_eligible`] for when it engages.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// Sets the minimum pending events before an epoch burst is
-    /// offloaded to the thread pool (0 = always offload; tests use this
-    /// to force real threads onto tiny scenarios).
-    pub fn offload_min_events(mut self, n: usize) -> Self {
-        self.cfg.offload_min_events = n;
-        self
-    }
-
     /// Sets the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -452,25 +408,35 @@ impl SimConfigBuilder {
     /// Finalises the config, or says which knob is invalid: θ must be
     /// finite, the duration positive and finite, the warm-up
     /// non-negative and shorter than the run, the receive cap at least
-    /// the view rate, the heterogeneity spread in `[0, 1)`, and shards
-    /// and threads at least one. Front ends that take user input use
-    /// this and report the error instead of panicking.
-    pub fn try_build(self) -> Result<SimConfig, ConfigError> {
-        let c = &self.cfg;
+    /// the view rate, the heterogeneity spread in `[0, 1)`, and at least
+    /// one shard. Front ends that take user input use this and report
+    /// the error instead of panicking.
+    pub fn try_build(mut self) -> Result<SimConfig, ConfigError> {
         let fail = |msg: String| Err(ConfigError(msg));
-        if !c.theta.is_finite() {
-            return fail(format!("theta must be finite, got {}", c.theta));
+        if !self.cfg.theta.is_finite() {
+            return fail(format!("theta must be finite, got {}", self.cfg.theta));
         }
-        let hours = c.duration.as_hours();
+        let hours = self
+            .duration_hours
+            .unwrap_or_else(|| self.cfg.duration.as_hours());
         if !hours.is_finite() || hours <= 0.0 {
             return fail(format!(
                 "duration must be positive and finite, got {hours} h"
             ));
         }
-        let warmup = c.warmup.as_hours();
+        let warmup = self
+            .warmup_hours
+            .unwrap_or_else(|| self.cfg.warmup.as_hours());
         if warmup.is_nan() || warmup < 0.0 {
             return fail(format!("warm-up must not be negative, got {warmup} h"));
         }
+        if let Some(h) = self.duration_hours {
+            self.cfg.duration = SimTime::from_hours(h);
+        }
+        if let Some(h) = self.warmup_hours {
+            self.cfg.warmup = SimTime::from_hours(h);
+        }
+        let c = &self.cfg;
         if c.warmup >= c.duration {
             return fail(format!(
                 "warm-up must end before the run does, got {warmup} h of {hours} h"
@@ -489,9 +455,6 @@ impl SimConfigBuilder {
         }
         if c.shards < 1 {
             return fail("at least one shard is required, got 0".to_string());
-        }
-        if c.threads < 1 {
-            return fail("at least one thread is required, got 0".to_string());
         }
         Ok(self.cfg)
     }
@@ -512,7 +475,11 @@ impl From<SimConfig> for SimConfigBuilder {
     /// builder knobs can override it before [`SimConfigBuilder::try_build`]
     /// re-validates the result.
     fn from(cfg: SimConfig) -> Self {
-        SimConfigBuilder { cfg }
+        SimConfigBuilder {
+            cfg,
+            duration_hours: None,
+            warmup_hours: None,
+        }
     }
 }
 
@@ -602,7 +569,12 @@ mod tests {
                 b().duration_hours(f64::INFINITY),
                 "duration must be positive",
             ),
+            (b().duration_hours(f64::NAN), "duration must be positive"),
             (b().warmup_hours(-0.5), "warm-up must not be negative"),
+            (
+                b().duration_hours(1.0).warmup_hours(f64::NAN),
+                "warm-up must not be negative",
+            ),
             (
                 b().duration_hours(1.0).warmup_hours(2.0),
                 "warm-up must end before",
@@ -613,7 +585,6 @@ mod tests {
                 "spread must be in [0,1)",
             ),
             (b().shards(0), "at least one shard"),
-            (b().threads(0), "at least one thread"),
         ];
         for (builder, expected) in cases {
             let err = builder.try_build().unwrap_err().to_string();
@@ -624,6 +595,6 @@ mod tests {
         // A config read back from a file round-trips through the builder.
         let again = SimConfigBuilder::from(ok.clone()).shards(2).try_build();
         assert_eq!(again.map(|c| c.shards), Ok(2));
-        assert!(SimConfigBuilder::from(ok).threads(0).try_build().is_err());
+        assert!(SimConfigBuilder::from(ok).shards(0).try_build().is_err());
     }
 }

@@ -291,11 +291,10 @@ pub trait Probe {
     /// monolithic loop never calls it.
     fn on_run(&mut self, _summary: &RunSummary) {}
 
-    /// Whether this probe consumes [`Probe::on_state`] views. The
-    /// parallel epoch path cannot build a coherent global state view
-    /// mid-burst, so it only engages when every attached probe returns
-    /// `false`. Defaults to `true` (conservative: unknown probes force
-    /// the sequential loop); event-only probes override it.
+    /// Whether this probe consumes [`Probe::on_state`] views. Purely
+    /// descriptive: the loop no longer reads it, and publishes state to
+    /// every probe after every event either way. Defaults to `true`;
+    /// event-only probes override it to say they ignore the views.
     fn uses_state(&self) -> bool {
         true
     }

@@ -21,16 +21,11 @@
 //! * [`spans`] — the [`spans::SpanProbe`]: request-lifecycle spans with
 //!   causal edges (why *this* stream migrated), exported through
 //!   `sct_analysis::spans`.
-//! * [`profile`] — the on-request [`profile::LoopProfiler`]: wall-clock
-//!   phase timers for the event loop itself (dispatch / allocator /
-//!   wake scheduling / probe emission), enabled by
+//! * [`profile`] — the on-request [`profile::LoopProfiler`]: the loop's
+//!   one wall-clock layer, phase timers per event-loop shard (dispatch /
+//!   allocator / wake scheduling / probe emission / barrier), enabled by
 //!   `Simulation::run_instrumented` and disabled — zero clock reads per
 //!   event — on `Simulation::run` and `run_with_probes`.
-//! * [`exec`] — the opt-in [`exec::ExecRecorder`]: the wall-clock
-//!   execution-plane recorder behind `sctsim run --exec-trace`,
-//!   capturing per-epoch election/merge/re-attach windows, per-burst
-//!   worker timelines, and offload decisions without perturbing the
-//!   virtual-time outcome.
 //! * [`timeseries`] — the flight recorder: [`timeseries::TimeSeriesProbe`]
 //!   folds the event stream, state views, and barrier run summaries into
 //!   fixed-width virtual-time windows with online SLO evaluation,
@@ -44,7 +39,6 @@
 
 pub mod config;
 pub mod events;
-pub mod exec;
 pub mod experiments;
 pub mod metrics;
 #[cfg(feature = "differential")]
@@ -61,7 +55,6 @@ pub use events::{
     AdmitPath, CrossShardCounter, CrossShardEdge, JsonlTraceProbe, MetricsProbe, Probe, RunSummary,
     SimEvent,
 };
-pub use exec::{ExecRecorder, ExecStats};
 pub use metrics::{Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge};
 pub use policies::Policy;
 pub use profile::{LoopProfile, LoopProfiler, PhaseStat};

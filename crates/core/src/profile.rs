@@ -13,8 +13,8 @@
 //!   each emission cost more than the fan-out itself).
 //!
 //! Profiling runs on request. `Simulation::run_instrumented` (behind
-//! `sctsim run --profile`, `--metrics` and `--exec-trace`, and the
-//! `bench_simloop` bench) builds enabled profilers;
+//! `sctsim run --profile` and `--metrics`, and the `bench_simloop`
+//! bench) builds enabled profilers, one per event-loop shard;
 //! `Simulation::run` and `run_with_probes` build
 //! [`LoopProfiler::disabled`] ones, whose [`LoopProfiler::stamp`] is
 //! `None` and whose [`LoopProfiler::add`] /
@@ -33,6 +33,11 @@
 //! alongside the loop's `&mut` engine borrows). The profiler observes
 //! wall time only and feeds nothing back: simulated outcomes are
 //! bit-identical whether it is enabled or not.
+//!
+//! This is the loop's only wall-clock layer. Every shard's profiler
+//! charges its own runs and the barriers that elect them, so the
+//! per-shard tables of `sctsim run --profile --shards N` show where the
+//! sharded loop spends its time, barrier work included.
 //!
 //! Surfaced as `sctsim run --profile` and recorded per scheduler ×
 //! migration by the `bench_simloop` bench into `results/BENCH_sim.json`.
@@ -105,16 +110,6 @@ impl LoopProfiler {
         self.start.is_some()
     }
 
-    /// A fresh profiler with this one's setting, for work that is
-    /// absorbed back later (see [`LoopProfiler::absorb`]).
-    pub fn fork(&self) -> LoopProfiler {
-        if self.enabled() {
-            Self::new()
-        } else {
-            Self::disabled()
-        }
-    }
-
     /// A phase-boundary timestamp (vDSO read, no syscall on Linux), or
     /// `None` without reading the clock when the profiler is disabled.
     #[inline]
@@ -147,18 +142,6 @@ impl LoopProfiler {
         let cell = &self.phases[phase as usize];
         cell.nanos.set(cell.nanos.get() + d.as_nanos() as u64);
         cell.calls.set(cell.calls.get() + 1);
-    }
-
-    /// Folds another profiler's phase counters into this one. The
-    /// parallel epoch path gives each worker burst a fresh profiler
-    /// (the cells are not `Sync`) and absorbs it into the owning
-    /// shard's profiler after the join; wall time stays this profiler's
-    /// own (absorbed work happened inside this profiler's lifetime).
-    pub fn absorb(&self, other: &LoopProfiler) {
-        for (a, b) in self.phases.iter().zip(&other.phases) {
-            a.nanos.set(a.nanos.get() + b.nanos.get());
-            a.calls.set(a.calls.get() + b.calls.get());
-        }
     }
 
     /// Reduces the counters to a serialisable report. The event count is
@@ -336,10 +319,6 @@ mod tests {
             prof.add(Phase::Dispatch, t0);
             prof.add_between(Phase::Probe, t0, prof.stamp());
         }
-        let burst = prof.fork();
-        assert!(!burst.enabled(), "a forked profiler inherits the setting");
-        burst.add(Phase::Alloc, burst.stamp());
-        prof.absorb(&burst);
         let report = prof.report();
         assert_eq!(report.wall_secs, 0.0);
         assert_eq!(report.events, 0);
@@ -354,7 +333,6 @@ mod tests {
             assert_eq!(s.calls, 0);
             assert_eq!(s.secs, 0.0);
         }
-        assert!(LoopProfiler::new().fork().enabled());
     }
 
     #[test]

@@ -42,15 +42,9 @@
 //! advance under the conservative barrier of
 //! [`sct_simcore::ShardedQueue`]; because the merged pop order equals
 //! the single-queue order, outcomes are identical for every shard count
-//! (and `shards = 1` is the exact pre-sharding loop). With
-//! `SimConfig::threads > 1` on an eligible config (see
-//! [`SimConfig::parallel_eligible`]) the loop additionally runs
-//! *epochs*: every worker shard whose head lies below the plane's head
-//! is elected at once and its burst executes on a scoped worker thread
-//! against a private [`WorkerQueue`], with emissions buffered and
-//! replayed at the barrier in global order — bit-identical outcomes for
-//! every thread count (see `SimWorld::run_epoch` and
-//! `sct_simcore::parallel`). The four causal-edge interactions that
+//! (and `shards = 1` is the exact pre-sharding loop). Shards multiplex
+//! one thread: the barrier changes batching and accounting, never the
+//! order events run in. The four causal-edge interactions that
 //! *span* shards — DRM displacement, chain-2 inner hops, cluster-sourced
 //! replication copies, evacuation rescues — are surfaced on the explicit
 //! cross-shard channel as [`SimEvent::CrossShard`] records; probe output
@@ -59,7 +53,6 @@
 
 use crate::config::SimConfig;
 use crate::events::{AdmitPath, MetricsProbe, Probe, SimEvent};
-use crate::exec::{BurstObs, EpochObs, ExecRecorder, ExecStats, RunObs};
 use crate::profile::{LoopProfile, LoopProfiler, Phase};
 use sct_admission::{
     Admission, AdmissionStats, Controller, CopyLaunch, Relocation, ReplicationManager,
@@ -67,12 +60,11 @@ use sct_admission::{
 };
 use sct_cluster::{ClusterSpec, ReplicaMap, ServerId, ShardMap};
 use sct_media::{Catalog, ClientProfile};
-use sct_simcore::{Exponential, Rng, ShardedQueue, SimTime, WorkerQueue, ZipfLike};
+use sct_simcore::{Exponential, Rng, ShardedQueue, SimTime, ZipfLike};
 use sct_transmission::{ServerEngine, Stream, StreamId};
 use sct_workload::{calibrated_rate, RequestGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Event payloads for the global queue.
 #[derive(Clone, Copy, Debug)]
@@ -303,35 +295,6 @@ struct SimWorld<'a> {
     profs: Vec<LoopProfiler>,
     /// The shard whose run is currently executing events.
     cur_shard: usize,
-    /// Reusable worker shells for the parallel epoch path, indexed by
-    /// shard (shard 0's shell is never loaded — it is the plane). Kept
-    /// across epochs so the steady state allocates nothing.
-    epoch_workers: Vec<WorkerQueue<Event, (u32, u32)>>,
-    /// Per-shard scratch buffers for the `SimEvent`s a burst emits;
-    /// burst logs reference `(lo, hi)` ranges into them and the barrier
-    /// replays the ranges in global order.
-    epoch_emissions: Vec<Vec<SimEvent>>,
-    /// Parallel epochs executed (tests assert the path engaged).
-    epochs_run: u64,
-    /// Bursts dispatched to worker threads vs run inline on the
-    /// coordinator, and classic (plane/fallback) runs — always counted
-    /// (integer adds), surfaced by `--profile` through [`ExecStats`].
-    bursts_offloaded: u64,
-    bursts_inline: u64,
-    classic_runs: u64,
-    /// Opt-in execution-plane recorder (see [`crate::exec`]). All reads
-    /// it triggers are wall-clock only and gated on `is_some()`, per
-    /// epoch/run — never per event — so the virtual-time outcome is
-    /// bit-identical with recording on.
-    exec: Option<&'a mut ExecRecorder>,
-    /// Recorder scratch, reused across epochs so a recorded epoch
-    /// allocates nothing in steady state: per-elected-shard pending
-    /// counts at election, per-burst (worker slot, wall window,
-    /// foreign-push count) read before `end_epoch` drains them, and the
-    /// assembled burst observations handed to the recorder.
-    exec_pending: Vec<u64>,
-    exec_burst_meta: Vec<(u32, (Instant, Instant), u64)>,
-    exec_bursts: Vec<BurstObs>,
 }
 
 impl<'a> SimWorld<'a> {
@@ -463,26 +426,6 @@ impl<'a> SimWorld<'a> {
                 })
                 .collect(),
             cur_shard: 0,
-            epoch_workers: (0..n_shards).map(|_| WorkerQueue::new()).collect(),
-            epoch_emissions: (0..n_shards).map(|_| Vec::new()).collect(),
-            epochs_run: 0,
-            bursts_offloaded: 0,
-            bursts_inline: 0,
-            classic_runs: 0,
-            exec: None,
-            exec_pending: Vec::new(),
-            exec_burst_meta: Vec::new(),
-            exec_bursts: Vec::new(),
-        }
-    }
-
-    /// Execution-plane counters for `--profile` output.
-    fn exec_stats(&self) -> ExecStats {
-        ExecStats {
-            epochs_run: self.epochs_run,
-            bursts_offloaded: self.bursts_offloaded,
-            bursts_inline: self.bursts_inline,
-            classic_runs: self.classic_runs,
         }
     }
 
@@ -495,36 +438,15 @@ impl<'a> SimWorld<'a> {
     /// processed.
     fn run_loop(&mut self, probes: &mut [&mut dyn Probe]) {
         let multi = self.sched.queue.n_shards() > 1;
-        // Parallel epochs engage only when the config's features keep
-        // worker shards self-contained (wake events only, no mid-burst
-        // global state) *and* no attached probe consumes state views —
-        // otherwise every run below falls through to the classic
-        // single-threaded protocol, which handles everything.
-        let par =
-            multi && self.config.parallel_eligible() && probes.iter().all(|p| !p.uses_state());
         loop {
-            // Drain every electable epoch before (and between) classic
-            // runs; the classic run that follows is then a plane run,
-            // since the epochs left no worker head below the plane's.
-            if par {
-                while self.run_epoch(probes) {}
-            }
-            // Recorder timestamps are kept apart from `tb`: the
-            // profiler's barrier charge stays gated on `multi`, so the
-            // monolithic profile is unchanged with recording on. The
-            // shard is not elected yet, but every shard's profiler shares
-            // one setting, so shard 0's stamps for it.
-            let t_elect = self.exec.as_ref().map(|_| Instant::now());
+            // The shard is not elected yet, but every shard's profiler
+            // shares one setting, so shard 0's stamps for it.
             let tb = if multi { self.profs[0].stamp() } else { None };
             let Some(token) = self.sched.queue.begin_run() else {
                 break;
             };
             let shard = token.shard();
             self.cur_shard = shard;
-            let pending_at_elect = self
-                .exec
-                .as_ref()
-                .map(|_| self.sched.queue.shard_len(shard) as u64);
             // Election snapshot for the run summary (virtual time only,
             // so the summary stream stays deterministic). `multi` only:
             // the monolithic loop has no barrier to observe.
@@ -537,7 +459,6 @@ impl<'a> SimWorld<'a> {
                 None
             };
             self.profs[shard].add(Phase::Barrier, tb);
-            let t_elect_end = self.exec.as_ref().map(|_| Instant::now());
             let events_before = self.events_processed;
             while let Some(entry) = self.sched.queue.pop_run(&token) {
                 let now = entry.time;
@@ -583,248 +504,8 @@ impl<'a> SimWorld<'a> {
                 crate::events::emit_run(probes, &summary);
                 self.profs[shard].add(Phase::Barrier, ts);
             }
-            if self.exec.is_some() {
-                let end = Instant::now();
-                let slack_secs = election.as_ref().and_then(|(_, slack)| *slack);
-                let stalled = self.sched.queue.shard_len(shard) > 0;
-                let events = self.events_processed - events_before;
-                if let Some(rec) = self.exec.as_mut() {
-                    rec.push_run(RunObs {
-                        shard: shard as u32,
-                        elect_start: t_elect.expect("recorder timestamps set together"),
-                        elect_end: t_elect_end.expect("recorder timestamps set together"),
-                        end,
-                        events,
-                        pending: pending_at_elect.expect("recorder timestamps set together"),
-                        slack_secs,
-                        stalled,
-                    });
-                }
-            }
-            self.classic_runs += 1;
             self.sched.queue.end_run(token);
         }
-    }
-
-    /// Attempts one parallel epoch: elects every worker shard whose head
-    /// lies below the plane's head, runs their bursts — inline, or
-    /// chunked over scoped worker threads when enough events are pending
-    /// to amortize the spawns — and merges the burst logs at the barrier
-    /// in global `(time, seq)` order, replaying each event's buffered
-    /// emissions at its merged turn. Returns `false` when no shard is
-    /// electable; the caller then falls back to a classic (plane) run.
-    ///
-    /// Eligibility (checked by the caller) guarantees worker shards hold
-    /// only `Wake` events, whose handling touches exactly one engine and
-    /// re-arms on its own shard — so a burst needs nothing beyond its
-    /// [`WorkerCtx`], and the merged outcome is bit-identical to the
-    /// sequential loop for any thread count (see
-    /// `sct_simcore::parallel` for the full argument).
-    fn run_epoch(&mut self, probes: &mut [&mut dyn Probe]) -> bool {
-        // Profiler and recorder stamps are kept apart, as in `run_loop`.
-        let tb = self.profs[0].stamp();
-        let t_elect = self.exec.as_ref().map(|_| Instant::now());
-        let Some(token) = self.sched.queue.begin_epoch(0) else {
-            return false;
-        };
-        let n = token.n_elected();
-        let n_shards = self.sched.queue.n_shards();
-        let pending: usize = (0..n)
-            .map(|i| self.sched.queue.shard_len(token.shard(i)))
-            .sum();
-        // Per-elected-shard pending counts, recorder only (the queues
-        // detach into the worker shells below, so read them here).
-        if self.exec.is_some() {
-            self.exec_pending.clear();
-            for i in 0..n {
-                let len = self.sched.queue.shard_len(token.shard(i)) as u64;
-                self.exec_pending.push(len);
-            }
-        }
-
-        // Partition `engines` into one disjoint slice per elected shard
-        // (shard server ranges are contiguous and ascending, so a single
-        // left-to-right sweep splits them off), and arm each shard's
-        // reusable worker shell with its detached queue.
-        let mut ctxs: Vec<Option<WorkerCtx<'_>>> = (0..n).map(|_| None).collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| token.shard(i));
-        let mut rest: &mut [ServerEngine] = &mut self.engines;
-        let mut offset = 0usize;
-        for &i in &order {
-            let shard = token.shard(i);
-            let range = self.sched.map.servers_of(shard);
-            let tail = rest.split_at_mut(range.start - offset).1;
-            let (mine, tail) = tail.split_at_mut(range.end - range.start);
-            rest = tail;
-            offset = range.end;
-            let mut w = std::mem::take(&mut self.epoch_workers[shard]);
-            self.sched.queue.load_worker(&token, i, &mut w);
-            ctxs[i] = Some(WorkerCtx {
-                w,
-                engines: mine,
-                base: range.start,
-                emissions: std::mem::take(&mut self.epoch_emissions[shard]),
-                prof: self.profs[shard].fork(),
-                window: None,
-                record: self.exec.is_some(),
-                end: self.sched.end,
-                check: self.config.check_invariants,
-            });
-        }
-        let mut ctxs: Vec<WorkerCtx<'_>> = ctxs.into_iter().map(Option::unwrap).collect();
-        self.profs[0].add(Phase::Barrier, tb);
-        let t_elect_end = self.exec.as_ref().map(|_| Instant::now());
-
-        // Burst phase. Small epochs run inline: spawning threads for a
-        // handful of events costs more than it saves, and thread count
-        // never affects the outcome — only which thread runs a burst.
-        let threads = self.config.threads.min(n);
-        let offloaded = threads >= 2 && pending >= self.config.offload_min_events;
-        let chunk = if offloaded {
-            n.div_ceil(threads)
-        } else {
-            n.max(1)
-        };
-        if offloaded {
-            std::thread::scope(|s| {
-                let mut chunks = ctxs.chunks_mut(chunk);
-                let first = chunks.next();
-                let handles: Vec<_> = chunks
-                    .map(|c| {
-                        s.spawn(move || {
-                            for ctx in c {
-                                worker_burst(ctx);
-                            }
-                        })
-                    })
-                    .collect();
-                if let Some(c) = first {
-                    for ctx in c {
-                        worker_burst(ctx);
-                    }
-                }
-                for h in handles {
-                    h.join().expect("worker burst panicked");
-                }
-            });
-        } else {
-            for ctx in &mut ctxs {
-                worker_burst(ctx);
-            }
-        }
-
-        if offloaded {
-            self.bursts_offloaded += n as u64;
-        } else {
-            self.bursts_inline += n as u64;
-        }
-
-        // Barrier: fold the burst profilers into their shards' timers,
-        // then merge the logs in global order, replaying emissions.
-        let tm = self.profs[0].stamp();
-        let t_merge = self.exec.as_ref().map(|_| Instant::now());
-        let meta: Vec<(usize, (SimTime, u64))> =
-            (0..n).map(|i| (token.shard(i), token.head(i))).collect();
-        let horizon = token.horizon();
-        let mut shells: Vec<WorkerQueue<Event, (u32, u32)>> = Vec::with_capacity(n);
-        let mut emissions: Vec<Vec<SimEvent>> = Vec::with_capacity(n);
-        // Per-burst recorder scratch: worker slot, wall window, and the
-        // foreign-push count — all of which are gone after `end_epoch`
-        // (the shells' foreign buffers drain at the merge).
-        self.exec_burst_meta.clear();
-        for (i, ctx) in ctxs.into_iter().enumerate() {
-            if let Some(window) = ctx.window {
-                let worker = if offloaded { (i / chunk) as u32 } else { 0 };
-                self.exec_burst_meta
-                    .push((worker, window, ctx.w.foreign_pushes() as u64));
-            }
-            self.profs[ctx.w.shard()].absorb(&ctx.prof);
-            shells.push(ctx.w);
-            emissions.push(ctx.emissions);
-        }
-        let mut idx_of = vec![usize::MAX; n_shards];
-        for (i, &(shard, _)) in meta.iter().enumerate() {
-            idx_of[shard] = i;
-        }
-        let mut last_time = self.last_time;
-        let mut n_events = 0u64;
-        {
-            let mut worker_refs: Vec<&mut WorkerQueue<Event, (u32, u32)>> =
-                shells.iter_mut().collect();
-            self.sched
-                .queue
-                .end_epoch(token, &mut worker_refs, |shard, time, &(lo, hi)| {
-                    debug_assert!(time >= last_time, "event order violated");
-                    last_time = time;
-                    n_events += 1;
-                    for ev in &emissions[idx_of[shard]][lo as usize..hi as usize] {
-                        crate::events::emit(probes, time, ev);
-                    }
-                });
-        }
-        self.last_time = last_time;
-        self.events_processed += n_events;
-        self.epochs_run += 1;
-        self.profs[0].add(Phase::Barrier, tm);
-        let t_merge_end = self.exec.as_ref().map(|_| Instant::now());
-
-        // One run summary per burst, in elected (head-key) order — the
-        // order the sequential protocol would first elect each shard.
-        for (i, &(shard, head)) in meta.iter().enumerate() {
-            let summary = crate::events::RunSummary {
-                shard: shard as u16,
-                n_shards: n_shards as u16,
-                start: head.0,
-                slack_secs: horizon.map(|h| h.0 - head.0),
-                events: shells[i].events(),
-                stalled: shells[i].stalled(),
-            };
-            let ts = self.profs[shard].stamp();
-            crate::events::emit_run(probes, &summary);
-            self.profs[shard].add(Phase::Barrier, ts);
-        }
-        // Burst stall flags are only valid now: `end_epoch` recomputes
-        // them when it folds unconsumed pushes back into the shards.
-        if self.exec.is_some() {
-            self.exec_bursts.clear();
-            for (i, &(shard, head)) in meta.iter().enumerate() {
-                let (worker, window, foreign) = self.exec_burst_meta[i];
-                self.exec_bursts.push(BurstObs {
-                    shard: shard as u32,
-                    worker,
-                    start: window.0,
-                    end: window.1,
-                    events: shells[i].events(),
-                    pending: self.exec_pending[i],
-                    foreign_pushes: foreign,
-                    slack_secs: horizon.map(|h| h.0 - head.0),
-                    stalled: shells[i].stalled(),
-                });
-            }
-        }
-        for (shell, mut emis) in shells.into_iter().zip(emissions) {
-            let shard = shell.shard();
-            emis.clear();
-            self.epoch_emissions[shard] = emis;
-            self.epoch_workers[shard] = shell;
-        }
-        if let Some(rec) = self.exec.as_mut() {
-            rec.push_epoch(
-                EpochObs {
-                    elect_start: t_elect.expect("recorder timestamps set together"),
-                    elect_end: t_elect_end.expect("recorder timestamps set together"),
-                    merge_start: t_merge.expect("recorder timestamps set together"),
-                    merge_end: t_merge_end.expect("recorder timestamps set together"),
-                    reattach_end: Instant::now(),
-                    pending: pending as u64,
-                    offloaded,
-                    threads_used: if offloaded { threads as u32 } else { 1 },
-                },
-                &self.exec_bursts,
-            );
-        }
-        true
     }
 
     /// Surfaces the cross-shard slice of `relocs` on the explicit
@@ -1468,90 +1149,6 @@ impl<'a> SimWorld<'a> {
     }
 }
 
-/// Everything one epoch burst may touch: the elected shard's private
-/// queue, its engines, and per-burst emission/profiler scratch. Owning
-/// the lot makes the struct `Send`, so a burst can run on any scoped
-/// worker thread — or inline — with identical results.
-struct WorkerCtx<'e> {
-    w: WorkerQueue<Event, (u32, u32)>,
-    /// The elected shard's engines (`servers_of(shard)` slice).
-    engines: &'e mut [ServerEngine],
-    /// Server id of `engines[0]` (the slice is contiguous).
-    base: usize,
-    /// Events emitted by this burst; log entries carry `(lo, hi)` ranges.
-    emissions: Vec<SimEvent>,
-    /// Fresh per-burst profiler with the shard's setting, absorbed into
-    /// the shard's at the barrier.
-    prof: LoopProfiler,
-    /// Whether the execution-plane recorder is attached.
-    record: bool,
-    /// The burst's wall window, stamped by [`worker_burst`] on entry and
-    /// exit when `record` is set (two clock reads per burst — an
-    /// execution-plane observation that never feeds back into the run).
-    window: Option<(Instant, Instant)>,
-    end: SimTime,
-    check: bool,
-}
-
-/// Runs one shard's epoch burst to exhaustion. The body mirrors the
-/// classic loop's wake path — staleness check, integrate, reap, re-arm
-/// — except that emissions are buffered for the barrier instead of
-/// reaching probes directly, and the re-armed wake goes to the private
-/// queue. Parallel eligibility guarantees the worker shard holds only
-/// wake events and that the wake path needs no waitlist, replication,
-/// or location-hint state.
-fn worker_burst(ctx: &mut WorkerCtx<'_>) {
-    let t_start = ctx.record.then(Instant::now);
-    while let Some((now, ev)) = ctx.w.pop() {
-        let Event::Wake { server, generation } = ev else {
-            unreachable!("non-wake event on a worker shard of an eligible config");
-        };
-        let e = &mut ctx.engines[server as usize - ctx.base];
-        if generation != e.generation() {
-            ctx.w.discard(); // superseded by a later reallocation
-            continue;
-        }
-        let t0 = ctx.prof.stamp();
-        e.advance_to(now);
-        ctx.prof.add(Phase::Alloc, t0);
-        let lo = ctx.emissions.len() as u32;
-        for done in e.reap_finished(now) {
-            debug_assert!(!done.is_copy(), "replica copy without replication");
-            ctx.emissions.push(SimEvent::Completed {
-                stream: done.id.0,
-                server,
-            });
-        }
-        let ta = ctx.prof.stamp();
-        if let Some(wake) = e.reschedule(now) {
-            if wake <= ctx.end {
-                let t1 = ctx.prof.stamp();
-                ctx.prof.add_between(Phase::Alloc, ta, t1);
-                ctx.w.push(
-                    wake,
-                    Event::Wake {
-                        server,
-                        generation: e.generation(),
-                    },
-                );
-                ctx.prof.add(Phase::Wake, t1);
-            } else {
-                ctx.prof.add(Phase::Alloc, ta);
-            }
-        } else {
-            ctx.prof.add(Phase::Alloc, ta);
-        }
-        if ctx.check {
-            e.check_invariants();
-        }
-        let hi = ctx.emissions.len() as u32;
-        let t2 = ctx.prof.stamp();
-        ctx.prof.add_between(Phase::Dispatch, t0, t2);
-        ctx.w.record((lo, hi));
-    }
-    ctx.window = t_start.map(|t| (t, Instant::now()));
-}
-
 /// Runs trials described by [`SimConfig`].
 pub struct Simulation;
 
@@ -1575,30 +1172,22 @@ impl Simulation {
     }
 
     /// Like [`Simulation::run_with_probes`], but with the event loop's
-    /// wall-clock profilers enabled (see [`crate::profile`]) and an
-    /// optional execution-plane [`ExecRecorder`] attached (see
-    /// [`crate::exec`]). Returns the outcome, the merged loop profile,
-    /// the per-shard profiles it was reduced from (one per event-loop
-    /// shard, in shard order), and the loop's [`ExecStats`] counters.
-    /// Profiler and recorder are wall-clock-only and read loop state
-    /// that already exists for the run summaries, so the outcome — and
-    /// every probe's output — is bit-identical to
-    /// [`Simulation::run_with_probes`] (`tests/parallel_determinism.rs`
-    /// enforces this across the golden scenarios and the shard × thread
-    /// matrix). Callers turn the filled recorder into a wire trace with
-    /// [`ExecRecorder::finish`], passing the returned merged profile.
+    /// wall-clock profilers enabled (see [`crate::profile`]). Returns
+    /// the outcome, the merged loop profile, and the per-shard profiles
+    /// it was reduced from (one per event-loop shard, in shard order).
+    /// The profilers are wall-clock-only, so the outcome — and every
+    /// probe's output — is bit-identical to
+    /// [`Simulation::run_with_probes`] (`tests/shard_determinism.rs`
+    /// enforces this across the golden scenarios and the shard matrix).
     pub fn run_instrumented(
         config: &SimConfig,
         extra: &mut [&mut dyn Probe],
-        exec: Option<&mut ExecRecorder>,
-    ) -> (SimOutcome, LoopProfile, Vec<LoopProfile>, ExecStats) {
+    ) -> (SimOutcome, LoopProfile, Vec<LoopProfile>) {
         let mut world = SimWorld::new(config, true);
-        world.exec = exec;
         let metrics = world.run_probed(extra);
         let per_shard: Vec<LoopProfile> = world.profs.iter().map(LoopProfiler::report).collect();
         let profile = LoopProfile::merge(&per_shard);
-        let stats = world.exec_stats();
-        (world.finish(metrics), profile, per_shard, stats)
+        (world.finish(metrics), profile, per_shard)
     }
 }
 
@@ -1617,81 +1206,6 @@ mod tests {
             .seed(seed)
             .check_invariants(true)
             .build()
-    }
-
-    /// The epoch path must actually engage on an eligible sharded config
-    /// (`epochs_run` is internal, so this lives here rather than in the
-    /// integration suite) and produce the classic loop's exact outcome.
-    #[test]
-    fn parallel_epochs_engage_and_match_the_classic_loop() {
-        let reference = Simulation::run(&quick_config(42));
-        let par_cfg = SimConfig::builder(SystemSpec::tiny_test())
-            .duration_hours(3.0)
-            .warmup_hours(0.25)
-            .seed(42)
-            .check_invariants(true)
-            .shards(4)
-            .threads(2)
-            .offload_min_events(0)
-            .build();
-        assert!(par_cfg.parallel_eligible());
-        let mut world = SimWorld::new(&par_cfg, false);
-        let metrics = world.run_probed(&mut []);
-        assert!(world.epochs_run > 0, "the parallel path never engaged");
-        assert_eq!(world.finish(metrics), reference);
-    }
-
-    /// The execution-plane recorder must be invisible to the run (same
-    /// outcome with recording on) and its trace must reconcile with the
-    /// loop's own counters: every epoch in the trace is an `epochs_run`
-    /// tick, burst events plus classic-run events equal the events
-    /// processed, and the offload split matches the stats counters.
-    #[test]
-    fn exec_recorder_is_invisible_and_reconciles() {
-        let par_cfg = SimConfig::builder(SystemSpec::tiny_test())
-            .duration_hours(3.0)
-            .warmup_hours(0.25)
-            .seed(42)
-            .check_invariants(true)
-            .shards(4)
-            .threads(2)
-            .offload_min_events(0)
-            .build();
-        let (plain, _, _, plain_stats) = Simulation::run_instrumented(&par_cfg, &mut [], None);
-        let mut rec = ExecRecorder::new();
-        let (recorded, profile, _, stats) =
-            Simulation::run_instrumented(&par_cfg, &mut [], Some(&mut rec));
-        assert_eq!(recorded, plain, "recording perturbed the outcome");
-        assert_eq!(stats, plain_stats, "recording changed the loop's path");
-
-        let trace = rec.finish(&par_cfg, &profile);
-        assert_eq!(trace.epochs_run(), stats.epochs_run);
-        assert!(stats.epochs_run > 0, "the parallel path never engaged");
-        assert_eq!(trace.bursts_offloaded(), stats.bursts_offloaded);
-        assert_eq!(trace.bursts_inline(), stats.bursts_inline);
-        assert_eq!(trace.runs.len() as u64, stats.classic_runs);
-        assert_eq!(
-            trace.total_events(),
-            recorded.events_processed,
-            "trace events must reconcile with the loop"
-        );
-        // Phase windows are ordered and the analyzer produces a verdict.
-        for e in &trace.epochs {
-            assert!(e.elect_start_us <= e.elect_end_us);
-            assert!(e.elect_end_us <= e.merge_start_us);
-            assert!(e.merge_start_us <= e.merge_end_us);
-            assert!(e.merge_end_us <= e.reattach_end_us);
-            for b in &e.bursts {
-                assert!(b.start_us <= b.end_us);
-                assert!(b.start_us >= e.elect_start_us);
-            }
-        }
-        let report = trace.analyze();
-        assert!(!report.verdict.is_empty());
-        assert!(
-            report.profiler_barrier_secs > 0.0,
-            "merged barrier phase missing"
-        );
     }
 
     #[test]
@@ -1752,7 +1266,7 @@ mod tests {
     #[test]
     fn profile_reconciles_with_the_event_count() {
         let cfg = quick_config(42);
-        let (out, profile, per_shard, _) = Simulation::run_instrumented(&cfg, &mut [], None);
+        let (out, profile, per_shard) = Simulation::run_instrumented(&cfg, &mut []);
         assert_eq!(out, Simulation::run(&cfg), "profiling must not perturb");
         assert_eq!(per_shard.len(), 1);
         assert_eq!(profile.events, out.events_processed);
@@ -1768,28 +1282,20 @@ mod tests {
     }
 
     /// The default entry points run the loop with disabled profilers on
-    /// every path — monolithic, classic sharded, and parallel epochs
-    /// (whose per-burst profilers inherit the setting) — so no phase is
-    /// ever charged and no event reads the clock for them.
+    /// both paths — monolithic and sharded — so no phase is ever charged
+    /// and no event reads the clock for them.
     #[test]
     fn default_path_never_profiles() {
-        let sharded = |threads: usize| {
-            SimConfig::builder(SystemSpec::tiny_test())
-                .duration_hours(3.0)
-                .warmup_hours(0.25)
-                .seed(42)
-                .shards(3)
-                .threads(threads)
-                .offload_min_events(0)
-                .build()
-        };
-        for cfg in [quick_config(42), sharded(1), sharded(2)] {
+        let sharded = SimConfig::builder(SystemSpec::tiny_test())
+            .duration_hours(3.0)
+            .warmup_hours(0.25)
+            .seed(42)
+            .shards(3)
+            .build();
+        for cfg in [quick_config(42), sharded] {
             let mut world = SimWorld::new(&cfg, false);
             world.run_probed(&mut []);
             assert!(world.events_processed > 0);
-            if cfg.threads > 1 {
-                assert!(world.epochs_run > 0, "the parallel path never engaged");
-            }
             for prof in &world.profs {
                 assert!(!prof.enabled());
                 let report = prof.report();
@@ -1805,7 +1311,6 @@ mod tests {
                 }
             }
         }
-        assert!(sharded(2).parallel_eligible());
     }
 
     #[test]

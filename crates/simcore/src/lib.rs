@@ -8,12 +8,8 @@
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with strict
 //!   FIFO tie-breaking so that runs are bit-for-bit reproducible.
 //! * [`sharded`] — per-shard event queues ([`ShardedQueue`]) under a
-//!   conservative lower-bound-timestamp barrier, preserving the global
-//!   pop order for any shard count.
-//! * [`parallel`] — epochs: simultaneous barrier-to-barrier bursts for
-//!   every shard below a common horizon ([`WorkerQueue`]), merged back
-//!   in global key order so outcomes stay bit-identical for any shard
-//!   *and* thread count.
+//!   conservative lower-bound-timestamp barrier, multiplexed on one
+//!   thread and preserving the global pop order for any shard count.
 //! * [`rng`] — a self-contained xoshiro256\*\* PRNG ([`Rng`]) seeded via
 //!   SplitMix64. We implement the generator ourselves (rather than pulling
 //!   in `rand`) so that experiment outputs are stable across platforms and
@@ -32,7 +28,6 @@
 
 pub mod dist;
 pub mod event;
-pub mod parallel;
 pub mod rng;
 pub mod sharded;
 pub mod stats;
@@ -40,7 +35,6 @@ pub mod time;
 
 pub use dist::{AliasTable, Exponential, UniformRange, ZipfLike};
 pub use event::{EventEntry, EventQueue, QueueCounters};
-pub use parallel::{EpochToken, WorkerQueue};
 pub use rng::Rng;
 pub use sharded::{RunToken, ShardedQueue};
 pub use stats::{OnlineStats, Summary};

@@ -24,18 +24,11 @@
 //!    ([`ShardedQueue::end_run`] consumes the token) and the next
 //!    barrier re-elects.
 //!
-//! The [`crate::parallel`] module generalizes a run to an **epoch** that
-//! elects *every* shard below a common horizon at once and executes
-//! their bursts independently (optionally on worker threads), merging
-//! the results back in global key order at the barrier.
-//!
 //! **Observation points.** [`ShardedQueue::run_head`],
 //! [`ShardedQueue::run_horizon`], [`ShardedQueue::shard_len`], and
 //! [`ShardedQueue::len`] are O(1) reads with no effect on queue state;
-//! they exist so election snapshots (run summaries) and the wall-clock
-//! execution-plane recorder (`sct-core::exec`) can observe barriers
-//! without perturbing them. The same contract covers
-//! `WorkerQueue::{events, stalled, foreign_pushes}` on the epoch path.
+//! they exist so election snapshots (the run summaries probes receive)
+//! can observe barriers without perturbing them.
 //!
 //! Because the horizon comparison uses the full `(time, seq)` key —
 //! unique and totally ordered — the interleaving produced by any shard
@@ -72,15 +65,15 @@ impl RunToken {
 /// and coordinated by a conservative barrier. See the module docs.
 #[derive(Clone, Debug)]
 pub struct ShardedQueue<T> {
-    pub(crate) shards: Vec<EventQueue<T>>,
-    pub(crate) next_seq: u64,
-    pub(crate) len: usize,
+    shards: Vec<EventQueue<T>>,
+    next_seq: u64,
+    len: usize,
     /// The shard a run is currently draining, if any.
-    pub(crate) active: Option<usize>,
+    active: Option<usize>,
     /// The run's incoming cross-shard horizon: the minimum `(time, seq)`
     /// key the *other* shards hold, tightened by every foreign push the
     /// run performs. `None` means unbounded (no other shard has work).
-    pub(crate) horizon: Option<(SimTime, u64)>,
+    horizon: Option<(SimTime, u64)>,
 }
 
 impl<T> ShardedQueue<T> {

@@ -12,7 +12,6 @@
 
 use semi_continuous_vod::analysis::benchdiff;
 use semi_continuous_vod::analysis::erlang::{erlang_b, expected_utilization_vs_svbr};
-use semi_continuous_vod::analysis::exec::ExecTrace;
 use semi_continuous_vod::analysis::slo::SloPolicy;
 use semi_continuous_vod::analysis::snapshot::LoopProfilesSnapshot;
 use semi_continuous_vod::analysis::timeseries::{diff, render_dashboard, TimeSeriesRecording};
@@ -22,7 +21,7 @@ use semi_continuous_vod::core::policies::Policy;
 use semi_continuous_vod::core::runner::{run_trials, utilization_summary, TrialPlan};
 use semi_continuous_vod::core::simulation::Simulation;
 use semi_continuous_vod::core::{
-    ExecRecorder, JsonlTraceProbe, LoopProfile, MetricsRegistry, Probe, SpanProbe, TelemetryProbe,
+    JsonlTraceProbe, LoopProfile, MetricsRegistry, Probe, SpanProbe, TelemetryProbe,
     TimeSeriesProbe,
 };
 use semi_continuous_vod::simcore::{Rng, SimTime, ZipfLike};
@@ -34,8 +33,6 @@ fn usage() -> ! {
         "usage:\n  sctsim run [--config FILE | --system small|large|tiny|huge] [--policy P1..P8]\n\
          \x20          [--theta T] [--hours H] [--warmup H] [--trials N] [--seed S] [--out FILE]\n\
          \x20          [--shards N]  (partition the event loop; outcomes are shard-invariant)\n\
-         \x20          [--threads N]  (run shard bursts on N worker threads; outcomes are\n\
-         \x20                          thread-invariant — wall-clock only)\n\
          \x20          [--trace FILE]  (export a JSONL event trace; single trial only)\n\
          \x20          [--metrics FILE]  (export a telemetry snapshot, merged across trials)\n\
          \x20          [--spans FILE]  (export request-lifecycle spans; single trial only)\n\
@@ -45,10 +42,6 @@ fn usage() -> ! {
          \x20                                merged across trials)\n\
          \x20          [--window SECS]  (time-series window width, default 900)\n\
          \x20          [--slo FILE]  (SLO rule policy JSON for the recording's alerts)\n\
-         \x20          [--exec-trace FILE]  (export a wall-clock execution-plane trace,\n\
-         \x20                                Perfetto-loadable; single trial only)\n\
-         \x20 sctsim exec FILE  (analyse an execution-plane trace: Amdahl decomposition,\n\
-         \x20                    imbalance, stall attribution, bottleneck verdict)\n\
          \x20 sctsim bench-diff OLD NEW [--gate PCT]  (compare two bench result files and\n\
          \x20                                          name the worst-moved cell)\n\
          \x20 sctsim report FILE [--svg FILE]  (render a metrics snapshot as markdown + SVG)\n\
@@ -71,12 +64,56 @@ struct Args {
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 3] = ["profile", "critical-path", "once"];
 
+/// The flags `sctsim <cmd>` accepts; [`Args::parse`] rejects any other.
+fn flags_of(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "run" => &[
+            "config",
+            "system",
+            "policy",
+            "theta",
+            "hours",
+            "warmup",
+            "seed",
+            "shards",
+            "trials",
+            "out",
+            "trace",
+            "metrics",
+            "spans",
+            "profile",
+            "timeseries",
+            "window",
+            "slo",
+        ],
+        "scenario" => &[
+            "config", "system", "policy", "theta", "hours", "warmup", "seed", "shards",
+        ],
+        "erlang" => &["svbr", "view-rate"],
+        "trace" => &["system", "theta", "hours", "seed"],
+        "report" => &["svg"],
+        "spans" => &["critical-path", "perfetto"],
+        "watch" => &["once", "interval-secs"],
+        "diff" => &["tolerance"],
+        "bench-diff" => &["gate"],
+        _ => &[],
+    }
+}
+
 impl Args {
-    fn parse(args: &[String]) -> Args {
+    /// Parses `--flag value` pairs (and the value-less [`BOOL_FLAGS`])
+    /// for `sctsim <cmd>`. A flag that command does not accept is an
+    /// error, not a silent no-op: one line, exit 2.
+    fn parse(cmd: &str, args: &[String]) -> Args {
+        let accepted = flags_of(cmd);
         let mut map = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !accepted.contains(&key) {
+                    eprintln!("unknown flag --{key} for sctsim {cmd}");
+                    exit(2)
+                }
                 if BOOL_FLAGS.contains(&key) {
                     map.push((key.to_string(), "true".to_string()));
                     continue;
@@ -173,50 +210,16 @@ fn build_config(args: &Args) -> SimConfig {
         }
         b
     };
-    // --shards/--threads compose with --config: loop-execution knobs,
-    // not part of the experiment a config file describes. A negative
-    // count saturates to 0, which `try_build` refuses.
+    // --shards composes with --config: a loop-execution knob, not part
+    // of the experiment a config file describes. A negative count
+    // saturates to 0, which `try_build` refuses.
     if let Some(n) = args.get_f64("shards") {
         b = b.shards(n as usize);
-    }
-    if let Some(n) = args.get_f64("threads") {
-        b = b.threads(n as usize);
     }
     b.try_build().unwrap_or_else(|e| {
         eprintln!("invalid configuration: {e}");
         exit(2)
     })
-}
-
-/// Why `--threads > 1` fell back to the classic single-threaded
-/// protocol (mirrors `SimConfig::parallel_eligible` plus the run-time
-/// probe gate).
-fn classic_fallback_reason(cfg: &SimConfig, state_probe: bool) -> String {
-    let mut reasons = Vec::new();
-    if cfg.shards < 2 {
-        reasons.push("the loop has a single shard (use --shards)".to_string());
-    }
-    if cfg.failures.is_some() {
-        reasons.push("failures are configured".to_string());
-    }
-    if cfg.interactivity.is_some() {
-        reasons.push("interactivity is configured".to_string());
-    }
-    if cfg.waitlist.is_some() {
-        reasons.push("a waitlist is configured".to_string());
-    }
-    if cfg.replication.is_some() {
-        reasons.push("replication is configured".to_string());
-    }
-    if state_probe {
-        reasons.push("an attached probe consumes state views (--metrics/--timeseries)".to_string());
-    }
-    if reasons.is_empty() {
-        // Eligible but no epoch ever elected: every run was a plane run.
-        "no worker shard's head ever fell below the plane's".to_string()
-    } else {
-        reasons.join("; ")
-    }
 }
 
 fn cmd_run(args: &Args) {
@@ -227,7 +230,6 @@ fn cmd_run(args: &Args) {
     let metrics_path = args.get("metrics");
     let spans_path = args.get("spans");
     let timeseries_path = args.get("timeseries");
-    let exec_path = args.get("exec-trace");
     let profile = args.has("profile");
     // A trace or span export narrates exactly one trial; silently
     // dropping the other trials would misrepresent what ran.
@@ -238,10 +240,6 @@ fn cmd_run(args: &Args) {
         }
         if spans_path.is_some() {
             eprintln!("--spans exports a single trial; it conflicts with --trials {trials}");
-            exit(2)
-        }
-        if exec_path.is_some() {
-            eprintln!("--exec-trace exports a single trial; it conflicts with --trials {trials}");
             exit(2)
         }
     }
@@ -272,7 +270,6 @@ fn cmd_run(args: &Args) {
         || metrics_path.is_some()
         || spans_path.is_some()
         || timeseries_path.is_some()
-        || exec_path.is_some()
         || profile
     {
         // Probes attached: run the plan's trials sequentially so each trial
@@ -316,10 +313,7 @@ fn cmd_run(args: &Args) {
             if let Some(t) = ts_probe.as_mut() {
                 hub.push(t);
             }
-            let state_probe_attached = hub.iter().any(|p| p.uses_state());
-            let mut exec_rec = exec_path.map(|_| ExecRecorder::new());
-            let (outcome, loop_profile, per_shard, exec_stats) =
-                Simulation::run_instrumented(&cfg, &mut hub, exec_rec.as_mut());
+            let (outcome, loop_profile, per_shard) = Simulation::run_instrumented(&cfg, &mut hub);
             merged_profiles.push(loop_profile);
             if per_shard.len() > 1 {
                 if shard_profiles.is_empty() {
@@ -337,18 +331,6 @@ fn cmd_run(args: &Args) {
                 if per_shard.len() > 1 {
                     for (s, p) in per_shard.iter().enumerate() {
                         eprint!("trial {i} shard {s}: {}", p.to_text());
-                    }
-                }
-                // With worker threads requested, say what the execution
-                // plane actually did — the classic fallback is silent
-                // otherwise.
-                if cfg.threads > 1 {
-                    eprintln!("trial {i}: {}", exec_stats.to_text());
-                    if exec_stats.epochs_run == 0 {
-                        eprintln!(
-                            "trial {i}: parallel epochs never engaged — {}",
-                            classic_fallback_reason(&cfg, state_probe_attached)
-                        );
                     }
                 }
             }
@@ -381,19 +363,6 @@ fn cmd_run(args: &Args) {
                     "wrote {} spans / {} causal edges to {path}",
                     set.spans.len(),
                     set.edges.len()
-                );
-            }
-            if let (Some(path), Some(rec)) = (exec_path, exec_rec) {
-                let trace = rec.finish(&cfg, &loop_profile);
-                std::fs::write(path, trace.to_json()).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    exit(1)
-                });
-                eprintln!(
-                    "wrote execution-plane trace ({} epochs, {} classic runs) to {path} \
-                     (open in ui.perfetto.dev, or run `sctsim exec {path}`)",
-                    trace.epochs_run(),
-                    trace.runs.len()
                 );
             }
         }
@@ -583,18 +552,6 @@ fn cmd_watch(file: &str, args: &Args) {
     }
 }
 
-fn cmd_exec(file: &str) {
-    let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("cannot read {file}: {e}");
-        exit(1)
-    });
-    let trace = ExecTrace::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("{file}: {e}");
-        exit(1)
-    });
-    print!("{}", trace.analyze().to_text());
-}
-
 fn cmd_bench_diff(file_old: &str, file_new: &str, args: &Args) {
     let read = |file: &str| {
         std::fs::read_to_string(file).unwrap_or_else(|e| {
@@ -648,11 +605,20 @@ fn cmd_scenario(args: &Args) {
 }
 
 fn cmd_erlang(args: &Args) {
-    let k = args.get_f64("svbr").unwrap_or_else(|| {
+    let svbr = args.get_f64("svbr").unwrap_or_else(|| {
         eprintln!("--svbr is required");
         usage()
-    }) as usize;
+    });
+    if !(svbr >= 1.0 && svbr.is_finite()) {
+        eprintln!("--svbr expects a number of at least 1, got {svbr}");
+        exit(2)
+    }
+    let k = svbr as usize;
     let view = args.get_f64("view-rate").unwrap_or(3.0);
+    if !(view > 0.0 && view.is_finite()) {
+        eprintln!("--view-rate expects a positive number of Mb/s, got {view}");
+        exit(2)
+    }
     let bw = k as f64 * view;
     println!("SVBR                      {k}");
     println!("server bandwidth          {bw} Mb/s at view rate {view} Mb/s");
@@ -666,7 +632,15 @@ fn cmd_erlang(args: &Args) {
 fn cmd_trace(args: &Args) {
     let system = system_by_name(args.get("system").unwrap_or("small"));
     let theta = args.get_f64("theta").unwrap_or(0.271);
+    if !theta.is_finite() {
+        eprintln!("--theta expects a finite number, got {theta}");
+        exit(2)
+    }
     let hours = args.get_f64("hours").unwrap_or(1.0);
+    if !(hours > 0.0 && hours.is_finite()) {
+        eprintln!("--hours expects a positive number, got {hours}");
+        exit(2)
+    }
     let seed = args.get_f64("seed").unwrap_or(0.0) as u64;
     let mut rng = Rng::new(seed).fork(1);
     let catalog = system.catalog(&mut rng);
@@ -688,7 +662,7 @@ fn main() {
             eprintln!("report needs a snapshot file");
             usage()
         };
-        cmd_report(file, &Args::parse(flags));
+        cmd_report(file, &Args::parse(cmd, flags));
         return;
     }
     if cmd == "spans" {
@@ -696,7 +670,7 @@ fn main() {
             eprintln!("spans needs a span-set file");
             usage()
         };
-        cmd_spans(file, &Args::parse(flags));
+        cmd_spans(file, &Args::parse(cmd, flags));
         return;
     }
     if cmd == "watch" {
@@ -704,7 +678,7 @@ fn main() {
             eprintln!("watch needs a recording file");
             usage()
         };
-        cmd_watch(file, &Args::parse(flags));
+        cmd_watch(file, &Args::parse(cmd, flags));
         return;
     }
     if cmd == "diff" {
@@ -712,15 +686,7 @@ fn main() {
             eprintln!("diff needs two recording files");
             usage()
         }
-        cmd_diff(&rest[0], &rest[1], &Args::parse(&rest[2..]));
-        return;
-    }
-    if cmd == "exec" {
-        let Some((file, _flags)) = rest.split_first() else {
-            eprintln!("exec needs an execution-plane trace file");
-            usage()
-        };
-        cmd_exec(file);
+        cmd_diff(&rest[0], &rest[1], &Args::parse(cmd, &rest[2..]));
         return;
     }
     if cmd == "bench-diff" {
@@ -728,15 +694,14 @@ fn main() {
             eprintln!("bench-diff needs two bench result files");
             usage()
         }
-        cmd_bench_diff(&rest[0], &rest[1], &Args::parse(&rest[2..]));
+        cmd_bench_diff(&rest[0], &rest[1], &Args::parse(cmd, &rest[2..]));
         return;
     }
-    let args = Args::parse(rest);
     match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "scenario" => cmd_scenario(&args),
-        "erlang" => cmd_erlang(&args),
-        "trace" => cmd_trace(&args),
+        "run" => cmd_run(&Args::parse(cmd, rest)),
+        "scenario" => cmd_scenario(&Args::parse(cmd, rest)),
+        "erlang" => cmd_erlang(&Args::parse(cmd, rest)),
+        "trace" => cmd_trace(&Args::parse(cmd, rest)),
         _ => usage(),
     }
 }

@@ -120,11 +120,15 @@ fn bad_usage_exits_nonzero() {
 /// backtrace (exit 101) and never a silent clamp.
 #[test]
 fn invalid_run_knobs_exit_2_with_one_diagnostic() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--theta", "nan"], "theta must be finite"),
         (&["--hours", "-1"], "duration must be positive"),
+        (&["--hours", "nan"], "duration must be positive"),
+        (
+            &["--hours", "1", "--warmup", "nan"],
+            "warm-up must not be negative",
+        ),
         (&["--shards", "0"], "at least one shard"),
-        (&["--threads", "0"], "at least one thread"),
     ];
     for (flags, expected) in cases {
         let mut args = vec!["run", "--system", "tiny"];
@@ -146,8 +150,8 @@ fn invalid_config_file_exits_2_with_one_diagnostic() {
     let out = sctsim(&["scenario", "--system", "tiny"]);
     assert!(out.status.success());
     let good = String::from_utf8(out.stdout).unwrap();
-    let bad = good.replacen("\"threads\": 1", "\"threads\": 0", 1);
-    assert_ne!(bad, good, "scenario output lacks a threads knob");
+    let bad = good.replacen("\"shards\": 1", "\"shards\": 0", 1);
+    assert_ne!(bad, good, "scenario output lacks a shards knob");
     let dir = std::env::temp_dir().join(format!("sctsim-badcfg-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let good_path = dir.join("good.json");
@@ -155,7 +159,7 @@ fn invalid_config_file_exits_2_with_one_diagnostic() {
     std::fs::write(&good_path, &good).unwrap();
     std::fs::write(&bad_path, &bad).unwrap();
     for (path, extra, expected) in [
-        (&bad_path, None, "at least one thread"),
+        (&bad_path, None, "at least one shard"),
         (&good_path, Some("0"), "at least one shard"),
     ] {
         let mut args = vec!["run", "--config", path.to_str().unwrap()];
@@ -169,6 +173,52 @@ fn invalid_config_file_exits_2_with_one_diagnostic() {
         assert!(err.contains(expected), "{args:?}: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag the subcommand does not take is refused, not silently
+/// ignored: one line naming it, exit 2, nothing run.
+#[test]
+fn unknown_flags_exit_2_with_one_line() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["run", "--threads", "2"], "--threads"),
+        (&["run", "--exec-trace", "x.json"], "--exec-trace"),
+        (&["run", "--shard", "4"], "--shard"),
+        (&["run", "--bogus", "3"], "--bogus"),
+        (&["erlang", "--svbr", "33", "--hours", "1"], "--hours"),
+    ];
+    for (args, flag) in cases {
+        let out = sctsim(args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        let expected = format!("unknown flag {flag} for sctsim {}", args[0]);
+        assert!(err.contains(&expected), "{args:?}: {err}");
+    }
+}
+
+/// `erlang` and `trace` check their numbers before computing anything:
+/// one diagnostic line and exit 2, never a panic or an empty result.
+#[test]
+fn erlang_and_trace_reject_bad_numbers() {
+    let cases: [&[&str]; 7] = [
+        &["erlang", "--svbr", "0"],
+        &["erlang", "--svbr", "-3"],
+        &["erlang", "--svbr", "33", "--view-rate", "0"],
+        &["erlang", "--svbr", "33", "--view-rate", "nan"],
+        &["trace", "--system", "tiny", "--hours", "-1"],
+        &["trace", "--system", "tiny", "--hours", "inf"],
+        &["trace", "--system", "tiny", "--theta", "nan"],
+    ];
+    for args in cases {
+        let out = sctsim(args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains(args[args.len() - 2]), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -549,131 +599,33 @@ fn unwritable_metrics_path_fails_with_a_diagnostic() {
     assert!(err.contains("metrics.json"), "{err}");
 }
 
+/// `--profile` prints the merged table and then one table per shard,
+/// each with its own barrier row, without changing the outcome.
 #[test]
-fn run_exec_trace_exports_without_perturbing_the_outcome_and_exec_analyzes_it() {
-    let dir = std::env::temp_dir().join("sctsim-test-exec");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("exec.json");
+fn profile_prints_one_table_per_shard() {
     let base = [
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--trials",
-        "1",
-        "--seed",
-        "5",
-        "--shards",
-        "2",
-        "--threads",
-        "2",
+        "run", "--system", "tiny", "--hours", "1", "--seed", "5", "--shards", "2",
     ];
     let plain = sctsim(&base);
-    let mut traced_args: Vec<&str> = base.to_vec();
-    traced_args.extend(["--exec-trace", trace_path.to_str().unwrap()]);
-    let traced = sctsim(&traced_args);
+    let mut profiled_args: Vec<&str> = base.to_vec();
+    profiled_args.push("--profile");
+    let profiled = sctsim(&profiled_args);
     assert!(
-        plain.status.success() && traced.status.success(),
+        plain.status.success() && profiled.status.success(),
         "{}",
-        String::from_utf8_lossy(&traced.stderr)
+        String::from_utf8_lossy(&profiled.stderr)
     );
-    // The recorder must be invisible: identical outcome JSON on stdout.
-    assert_eq!(plain.stdout, traced.stdout);
-    let stderr = String::from_utf8(traced.stderr).unwrap();
-    assert!(stderr.contains("wrote execution-plane trace"), "{stderr}");
-
-    // The exported document is both a Perfetto trace and analyzer input.
-    let text = std::fs::read_to_string(&trace_path).unwrap();
-    assert!(text.contains("\"traceEvents\""), "not a trace: {text}");
-    let trace = sct_analysis::exec::ExecTrace::from_json(&text).expect("valid exec trace");
-    assert_eq!(trace.shards, 2);
-
-    let out = sctsim(&["exec", trace_path.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    assert_eq!(
+        plain.stdout, profiled.stdout,
+        "profiling changed the outcome"
     );
-    let report = String::from_utf8(out.stdout).unwrap();
-    assert!(report.contains("# Execution-plane analysis"), "{report}");
-    assert!(report.contains("Amdahl decomposition"), "{report}");
-    assert!(report.contains("bottleneck: "), "{report}");
-}
-
-#[test]
-fn exec_trace_flag_conflicts_with_multiple_trials() {
-    let out = sctsim(&[
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--trials",
-        "2",
-        "--exec-trace",
-        "/tmp/x.json",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("--exec-trace") && err.contains("--trials 2"),
-        "{err}"
-    );
-}
-
-#[test]
-fn exec_subcommand_rejects_a_missing_file() {
-    let out = sctsim(&["exec", "/nonexistent/never/exec.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("exec.json"), "{err}");
-}
-
-#[test]
-fn profile_reports_execution_plane_counters_and_fallback_reason() {
-    // Eligible parallel run: the profile must say how bursts dispatched.
-    let engaged = sctsim(&[
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--seed",
-        "5",
-        "--shards",
-        "2",
-        "--threads",
-        "2",
-        "--profile",
-    ]);
-    assert!(
-        engaged.status.success(),
-        "{}",
-        String::from_utf8_lossy(&engaged.stderr)
-    );
-    let err = String::from_utf8(engaged.stderr).unwrap();
-    assert!(err.contains("execution plane:"), "{err}");
-    assert!(err.contains("epochs ("), "{err}");
-
-    // --threads > 1 with a single shard: the parallel path can never
-    // engage, and the profile must say why.
-    let fallback = sctsim(&[
-        "run",
-        "--system",
-        "tiny",
-        "--hours",
-        "1",
-        "--seed",
-        "5",
-        "--threads",
-        "2",
-        "--profile",
-    ]);
-    assert!(fallback.status.success());
-    let err = String::from_utf8(fallback.stderr).unwrap();
-    assert!(err.contains("parallel epochs never engaged"), "{err}");
-    assert!(err.contains("--shards"), "{err}");
+    let err = String::from_utf8(profiled.stderr).unwrap();
+    assert!(err.contains("trial 0: loop profile:"), "{err}");
+    for shard in 0..2 {
+        let table = format!("trial 0 shard {shard}: loop profile:");
+        assert!(err.contains(&table), "missing {table}: {err}");
+    }
+    assert!(err.contains("barrier"), "{err}");
 }
 
 #[test]

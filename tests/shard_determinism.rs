@@ -6,38 +6,63 @@
 //! exactly the merged single-queue order, so the RNG draw sequence, the
 //! event stream, and every outcome float are bit-identical for any
 //! shard count. This test runs the four golden scenarios (the same
-//! configs `golden_outcomes.rs` locks against pre-refactor fixtures)
-//! with `shards ∈ {1, 2, 4}` and asserts identical [`SimOutcome`]s
-//! *and* identical span sets — the strongest observable equality the
-//! probes expose.
+//! configs `golden_outcomes.rs` locks against pre-refactor fixtures),
+//! plus a flash-crowd scenario, with `shards ∈ {1, 2, 4}` and asserts
+//! identical [`SimOutcome`]s *and* identical span sets — the strongest
+//! observable equality the probes expose. Every cell also runs through
+//! `Simulation::run_instrumented`, so the same pass pins the loop
+//! profiler as invisible to the run.
 //!
 //! Combined with `golden_outcomes.rs` (which pins `shards = 1` to the
 //! pre-refactor snapshots), this transitively pins every shard count to
 //! the pre-refactor loop.
 
+use sct_analysis::SpanSet;
 use sct_core::spans::capture;
+use sct_core::SpanProbe;
 use semi_continuous_vod::prelude::*;
 
 const SHARD_MATRIX: [usize; 3] = [1, 2, 4];
 
-/// Runs `build(shards)` for every shard count and asserts outcomes and
-/// span sets match the `shards = 1` baseline bit-for-bit.
+/// Like [`capture`], but through `Simulation::run_instrumented`, with
+/// the loop profilers on. They read the wall clock only, so the outcome
+/// and span set must match a `run_with_probes` run bit for bit, and the
+/// merged profile must count exactly one dispatch window per live event.
+fn capture_instrumented(config: &SimConfig) -> (SimOutcome, SpanSet) {
+    let mut probe = SpanProbe::new();
+    let (outcome, profile, _) = Simulation::run_instrumented(config, &mut [&mut probe]);
+    assert_eq!(
+        profile.dispatch.calls, outcome.events_processed,
+        "profile lost or double-counted dispatch windows"
+    );
+    assert_eq!(profile.events, outcome.events_processed);
+    (outcome, probe.finish(config.duration.as_secs()))
+}
+
+/// Runs `build(shards)` for every shard count, plain and instrumented,
+/// and asserts outcomes and span sets match the plain `shards = 1`
+/// baseline bit-for-bit.
 fn assert_shard_invariant(name: &str, build: impl Fn(usize) -> SimConfig) {
     let (base_outcome, base_spans) = capture(&build(1));
     assert!(
         !base_spans.spans.is_empty(),
         "{name}: scenario produced no spans — matrix would be vacuous"
     );
-    for &shards in &SHARD_MATRIX[1..] {
-        let (outcome, spans) = capture(&build(shards));
-        assert_eq!(
-            outcome, base_outcome,
-            "{name}: SimOutcome diverged at shards = {shards}"
-        );
-        assert_eq!(
-            spans, base_spans,
-            "{name}: span set diverged at shards = {shards}"
-        );
+    for &shards in &SHARD_MATRIX {
+        let cfg = build(shards);
+        for (how, (outcome, spans)) in [
+            ("plain", capture(&cfg)),
+            ("instrumented", capture_instrumented(&cfg)),
+        ] {
+            assert_eq!(
+                outcome, base_outcome,
+                "{name}: {how} SimOutcome diverged at shards = {shards}"
+            );
+            assert_eq!(
+                spans, base_spans,
+                "{name}: {how} span set diverged at shards = {shards}"
+            );
+        }
     }
 }
 
@@ -99,6 +124,27 @@ fn shard_matrix_large_migration_failures() {
     });
 }
 
+/// Flash crowd: heavily skewed demand under a strong diurnal swing, so
+/// arrival bursts pile wakes onto the popular videos' holders and runs
+/// hit their barrier horizons often — where a reordering bug in the
+/// barrier would surface first.
+#[test]
+fn shard_matrix_flash_crowd() {
+    assert_shard_invariant("flash_crowd", |shards| {
+        SimConfig::builder(SystemSpec::small_paper())
+            .theta(-0.5)
+            .migration(MigrationPolicy::single_hop())
+            .diurnal(0.9, 2.0)
+            .sample_interval_secs(600.0)
+            .track_per_video(true)
+            .shards(shards)
+            .seed(2024)
+            .duration_hours(3.0)
+            .warmup_hours(0.5)
+            .build()
+    });
+}
+
 /// Oversharding clamps: more shards than servers behaves like one shard
 /// per server, and outcomes still match.
 #[test]
@@ -124,7 +170,8 @@ fn shard_matrix_overshard_clamps() {
 /// the loop's *execution shape* — run lengths, barrier-horizon slack,
 /// cross-shard edges — which legitimately varies with the shard count
 /// but must still be bit-identical across repeated runs at the same
-/// count (it is derived from virtual time only, never wall clock).
+/// count (it is derived from virtual time only, never wall clock), and
+/// identical with the loop profilers on.
 #[test]
 fn timeseries_recording_is_deterministic_across_the_shard_matrix() {
     let build = |shards: usize| {
@@ -137,12 +184,17 @@ fn timeseries_recording_is_deterministic_across_the_shard_matrix() {
             .warmup_hours(0.5)
             .build()
     };
-    let record = |shards: usize| {
+    let record_with = |shards: usize, profiled: bool| {
         let cfg = build(shards);
         let mut probe = TimeSeriesProbe::new(&cfg, 600.0);
-        Simulation::run_with_probes(&cfg, &mut [&mut probe]);
+        if profiled {
+            Simulation::run_instrumented(&cfg, &mut [&mut probe]);
+        } else {
+            Simulation::run_with_probes(&cfg, &mut [&mut probe]);
+        }
         probe.finish()
     };
+    let record = |shards: usize| record_with(shards, false);
     let base = record(1);
     assert!(!base.windows.is_empty());
     for &shards in &SHARD_MATRIX {
@@ -162,6 +214,11 @@ fn timeseries_recording_is_deterministic_across_the_shard_matrix() {
             again.to_json(),
             rec.to_json(),
             "recording not reproducible at shards = {shards}"
+        );
+        assert_eq!(
+            record_with(shards, true).to_json(),
+            rec.to_json(),
+            "profiling changed the recording at shards = {shards}"
         );
         if shards > 1 {
             assert_eq!(rec.shards.len(), shards, "missing per-shard series");
