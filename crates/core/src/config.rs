@@ -321,26 +321,39 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables the server failure/repair process.
+    /// Enables the server failure/repair process (checked by
+    /// [`SimConfigBuilder::try_build`]).
     pub fn failures(mut self, mtbf_hours: f64, repair_hours: f64) -> Self {
-        self.cfg.failures = Some(FailureSpec::new(mtbf_hours, repair_hours));
+        self.cfg.failures = Some(FailureSpec {
+            mtbf_hours,
+            repair_hours,
+        });
         self
     }
 
-    /// Enables client pause/resume behaviour.
+    /// Enables client pause/resume behaviour (checked by
+    /// [`SimConfigBuilder::try_build`]).
     pub fn interactivity(
         mut self,
         probability: f64,
         min_pause_secs: f64,
         max_pause_secs: f64,
     ) -> Self {
-        self.cfg.interactivity = Some(PauseSpec::new(probability, min_pause_secs, max_pause_secs));
+        self.cfg.interactivity = Some(PauseSpec {
+            probability,
+            min_pause_secs,
+            max_pause_secs,
+        });
         self
     }
 
-    /// Enables diurnal arrival-rate modulation.
+    /// Enables diurnal arrival-rate modulation (checked by
+    /// [`SimConfigBuilder::try_build`]).
     pub fn diurnal(mut self, amplitude: f64, period_hours: f64) -> Self {
-        self.cfg.diurnal = Some(DiurnalSpec::new(amplitude, period_hours));
+        self.cfg.diurnal = Some(DiurnalSpec {
+            amplitude,
+            period_hours,
+        });
         self
     }
 
@@ -351,9 +364,14 @@ impl SimConfigBuilder {
     }
 
     /// Queues rejected requests for up to `max_wait_secs` (capacity
-    /// `max_length`) instead of dropping them.
+    /// `max_length`) instead of dropping them (checked by
+    /// [`SimConfigBuilder::try_build`]).
     pub fn waitlist(mut self, max_wait_secs: f64, max_length: usize) -> Self {
-        self.cfg.waitlist = Some(WaitlistSpec::new(max_wait_secs, max_length));
+        self.cfg.waitlist = Some(WaitlistSpec {
+            max_wait_secs,
+            max_length,
+            multicast_batching: false,
+        });
         self
     }
 
@@ -364,9 +382,9 @@ impl SimConfigBuilder {
     }
 
     /// Samples cluster utilization every `secs` seconds into the outcome's
-    /// time series (used by the smoothing analysis).
+    /// time series (used by the smoothing analysis; checked by
+    /// [`SimConfigBuilder::try_build`]).
     pub fn sample_interval_secs(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0);
         self.cfg.sample_interval_secs = Some(secs);
         self
     }
@@ -408,9 +426,16 @@ impl SimConfigBuilder {
     /// Finalises the config, or says which knob is invalid: θ must be
     /// finite, the duration positive and finite, the warm-up
     /// non-negative and shorter than the run, the receive cap at least
-    /// the view rate, the heterogeneity spread in `[0, 1)`, and at least
-    /// one shard. Front ends that take user input use this and report
-    /// the error instead of panicking.
+    /// the view rate, the staging buffer non-negative, the heterogeneity
+    /// spread in `[0, 1)`, and at least one shard. The optional specs
+    /// follow the rules their constructors assert: positive failure and
+    /// repair means, a pause probability in `[0, 1]` with
+    /// `0 < min ≤ max` pause, a diurnal amplitude in `[0, 1]` with a
+    /// positive period, a positive waitlist patience and length, a
+    /// positive copy rate and copy limit with a non-negative cooldown for
+    /// replication, and a positive sample interval. Front ends that take
+    /// user input (flags or a `--config` file) use this and report the
+    /// error instead of panicking.
     pub fn try_build(mut self) -> Result<SimConfig, ConfigError> {
         let fail = |msg: String| Err(ConfigError(msg));
         if !self.cfg.theta.is_finite() {
@@ -448,9 +473,78 @@ impl SimConfigBuilder {
                 c.system.view_rate_mbps, c.receive_cap_mbps
             ));
         }
+        let staging = match c.staging {
+            StagingSpec::FractionOfAvgVideo(x) | StagingSpec::AbsoluteMb(x) => x,
+            StagingSpec::Unbounded => 0.0,
+        };
+        if staging.is_nan() || staging < 0.0 {
+            return fail(format!("staging must not be negative, got {:?}", c.staging));
+        }
         if let Some((_, spread)) = c.heterogeneity {
             if !(0.0..1.0).contains(&spread) {
                 return fail(format!("spread must be in [0,1), got {spread}"));
+            }
+        }
+        // False for NaN as well as for zero and below.
+        let positive = |x: f64| x > 0.0;
+        if let Some(f) = c.failures {
+            if !(positive(f.mtbf_hours) && positive(f.repair_hours)) {
+                return fail(format!(
+                    "failure and repair means must be positive, got mtbf_hours {} and repair_hours {}",
+                    f.mtbf_hours, f.repair_hours
+                ));
+            }
+        }
+        if let Some(p) = c.interactivity {
+            if !(0.0..=1.0).contains(&p.probability) {
+                return fail(format!(
+                    "pause probability must be in [0,1], got {}",
+                    p.probability
+                ));
+            }
+            if !(positive(p.min_pause_secs) && p.min_pause_secs <= p.max_pause_secs) {
+                return fail(format!(
+                    "pauses must satisfy 0 < min_pause_secs <= max_pause_secs, got {} and {}",
+                    p.min_pause_secs, p.max_pause_secs
+                ));
+            }
+        }
+        if let Some(d) = c.diurnal {
+            if !(0.0..=1.0).contains(&d.amplitude) {
+                return fail(format!(
+                    "diurnal amplitude must be in [0,1], got {}",
+                    d.amplitude
+                ));
+            }
+            if !positive(d.period_hours) {
+                return fail(format!(
+                    "diurnal period must be positive, got {} h",
+                    d.period_hours
+                ));
+            }
+        }
+        if let Some(w) = c.waitlist {
+            if !positive(w.max_wait_secs) {
+                return fail(format!(
+                    "waitlist max_wait_secs must be positive, got {}",
+                    w.max_wait_secs
+                ));
+            }
+            if w.max_length == 0 {
+                return fail("waitlist max_length must be at least 1, got 0".to_string());
+            }
+        }
+        if let Some(r) = c.replication {
+            if !(positive(r.copy_rate_mbps) && r.max_concurrent > 0 && r.cooldown_secs >= 0.0) {
+                return fail(format!(
+                    "replication needs a positive copy_rate_mbps and max_concurrent and a non-negative cooldown_secs, got {}, {} and {}",
+                    r.copy_rate_mbps, r.max_concurrent, r.cooldown_secs
+                ));
+            }
+        }
+        if let Some(secs) = c.sample_interval_secs {
+            if !positive(secs) {
+                return fail(format!("sample_interval_secs must be positive, got {secs}"));
             }
         }
         if c.shards < 1 {
@@ -585,6 +679,36 @@ mod tests {
                 "spread must be in [0,1)",
             ),
             (b().shards(0), "at least one shard"),
+            (
+                b().staging(StagingSpec::AbsoluteMb(f64::NAN)),
+                "staging must not be negative",
+            ),
+            (b().staging_fraction(-0.5), "staging must not be negative"),
+            (b().failures(-1.0, 0.5), "failure and repair means"),
+            (b().failures(48.0, f64::NAN), "failure and repair means"),
+            (b().interactivity(2.0, 60.0, 300.0), "pause probability"),
+            (b().interactivity(0.5, 60.0, 30.0), "min_pause_secs"),
+            (b().interactivity(0.5, 0.0, 30.0), "min_pause_secs"),
+            (b().diurnal(3.0, 24.0), "diurnal amplitude"),
+            (b().diurnal(0.5, 0.0), "diurnal period"),
+            (b().waitlist(-1.0, 10), "max_wait_secs must be positive"),
+            (b().waitlist(60.0, 0), "max_length must be at least 1"),
+            (
+                b().replication(ReplicationSpec {
+                    copy_rate_mbps: 0.0,
+                    ..ReplicationSpec::default_paper_scale()
+                }),
+                "replication needs a positive copy_rate_mbps",
+            ),
+            (
+                b().replication(ReplicationSpec {
+                    cooldown_secs: f64::NAN,
+                    ..ReplicationSpec::default_paper_scale()
+                }),
+                "replication needs a positive copy_rate_mbps",
+            ),
+            (b().sample_interval_secs(0.0), "sample_interval_secs"),
+            (b().sample_interval_secs(f64::NAN), "sample_interval_secs"),
         ];
         for (builder, expected) in cases {
             let err = builder.try_build().unwrap_err().to_string();

@@ -145,129 +145,117 @@ pub fn allocate(
     spare.max(0.0)
 }
 
-/// Reusable scratch for [`allocate_incremental`]: the cached
-/// spare-distribution order from the previous allocation plus
-/// struct-of-arrays columns for the current one.
+/// Reusable scratch for [`allocate_incremental`]: what the minimum-flow
+/// pass gathers for the engine's wake fold, plus the spare-order cutoff
+/// carried over from the previous allocation.
 ///
-/// Each server engine owns one of these. The cached order makes repeated
-/// allocations on a slowly-changing stream population cheap: most events
-/// add, remove, pause, or fill exactly one stream, which perturbs the
-/// EFTF/LFF candidate order by at most one entry — the repair pass
-/// verifies the survivors are still sorted and splices the newcomers in,
-/// falling back to a full sort only when the relative order actually
-/// changed. The SoA columns (`finish`, `candidate`) are gathered in one
-/// linear pass so the ordering checks never chase back into the wide
-/// `Stream` structs.
+/// Each server engine owns one of these. Under EFTF and LFF the greedy
+/// walk stops once the spare runs out, so only a short head of the spare
+/// order decides any rate. The minimum-flow pass, which visits every
+/// stream anyway, collects the candidates whose key falls at or before
+/// the cutoff; those form an exact prefix of the spare order, and sorting
+/// just them orders it. The cutoff tracks how deep the previous walk
+/// went, so the head stays a few dozen entries on a server of a thousand
+/// streams. A walk that outruns the head extends it from the candidates
+/// beyond the cutoff. Any cutoff yields the same rates; it only sets how
+/// much is sorted.
 #[derive(Clone, Debug, Default)]
 pub struct AllocScratch {
-    /// Previous allocation's spare order: `(index, id)` sorted by the
-    /// scheduler key. The id doubles as the validity token — an entry
-    /// counts only while the same stream still sits at the same index.
-    order: Vec<(u32, StreamId)>,
-    /// Order under (re)construction; kept to reuse its allocation.
-    next_order: Vec<(u32, StreamId)>,
-    /// Per-index scheduler key (`projected_finish`) for this call.
-    finish: Vec<SimTime>,
-    /// Per-index candidacy (`!buffer_full`) for this call.
-    candidate: Vec<bool>,
-    /// Per-index marker: already present in the surviving order.
-    in_order: Vec<bool>,
-    /// Candidate index list reused by the waterfill path.
+    /// This call's candidates (`!buffer_full`), by ascending index. Only
+    /// they can receive workahead; every other stream stays at its
+    /// minimum flow.
+    open: Vec<Open>,
+    /// The earliest event among the streams that are not candidates, or
+    /// every stream when the scheduler hands out no workahead: each
+    /// completes at `b_view` or, paused, never, and none has a buffer
+    /// that can grow.
+    settled_wake: Option<SimTime>,
+    /// The head of this call's spare order, `(key, index)`: the
+    /// candidates at or before `cutoff`, sorted.
+    head: Vec<(Key, u32)>,
+    /// Candidates beyond the head, gathered only when the walk outruns it.
+    rest: Vec<(Key, u32)>,
+    /// Spare-order key bounding the head, chosen from the previous walk's
+    /// depth; `None` puts every candidate in the head.
+    cutoff: Option<Key>,
+    /// Candidate indices for the waterfill.
     indices: Vec<usize>,
 }
 
-/// Strict "allocates before" test under `kind`'s spare order. Keys are
-/// unique (the id breaks finish-time ties), so this is a total order.
+/// A candidate for workahead, as the minimum-flow pass found it. Rates do
+/// not move either value, so the wake fold reads them after allocation.
+#[derive(Clone, Copy, Debug)]
+struct Open {
+    /// Index into the stream slice.
+    index: usize,
+    /// Seconds to finish at `b_view` (`remaining / view_rate`). The spare
+    /// order's key is `now` plus this, and a candidate the walk leaves at
+    /// `b_view` completes in exactly this long.
+    finish_in: f64,
+    /// Staging level, `staged_mb(now)`.
+    staged: f64,
+}
+
+impl AllocScratch {
+    /// When the streams the last [`allocate_incremental`] call allocated
+    /// next change state on their own: the earliest completion or buffer
+    /// fill, as [`crate::ServerEngine::next_event_after`] finds it. That
+    /// call folded every stream but the candidates; this visits just
+    /// them. Each time comes from the same operands as the reference
+    /// computes it, and the earliest of a set does not depend on the
+    /// order it is scanned in, so the result is bit-identical.
+    pub(crate) fn next_wake(&self, now: SimTime, streams: &[Stream]) -> Option<SimTime> {
+        let mut wake = self.settled_wake;
+        let mut consider = |dt: Option<f64>| {
+            if let Some(dt) = dt {
+                let t = now + dt;
+                if wake.is_none_or(|w| t < w) {
+                    wake = Some(t);
+                }
+            }
+        };
+        for c in &self.open {
+            let s = &streams[c.index];
+            // A candidate the walk left at `b_view` completes in
+            // `remaining / b_view`, the quotient the allocator took.
+            consider(if s.rate() == s.view_rate {
+                Some(c.finish_in)
+            } else {
+                s.time_to_completion()
+            });
+            consider(s.time_to_fill(|| c.staged));
+        }
+        wake
+    }
+}
+
+/// A stream's place in the spare order: its projected finish, ties broken
+/// by id, so keys are unique.
+type Key = (SimTime, StreamId);
+
+/// How many spare-order entries the head keeps beyond twice the previous
+/// walk's depth, so the next walk, usually about as deep, stays inside it.
+const HEAD_SLACK: usize = 4;
+
+/// `kind`'s spare order on keys: EFTF ascending, LFF descending — the
+/// order [`allocate`] sorts its candidates into.
 #[inline]
-fn key_less(kind: SchedulerKind, a: (SimTime, StreamId), b: (SimTime, StreamId)) -> bool {
+fn spare_order(kind: SchedulerKind, a: &Key, b: &Key) -> Ordering {
     let ord = a.0.cmp(&b.0).then(a.1.cmp(&b.1));
     match kind {
-        SchedulerKind::Eftf => ord == Ordering::Less,
-        SchedulerKind::LatestFinishFirst => ord == Ordering::Greater,
-        _ => unreachable!("only the ordered schedulers maintain a spare order"),
+        SchedulerKind::Eftf => ord,
+        SchedulerKind::LatestFinishFirst => ord.reverse(),
+        _ => unreachable!("only the ordered schedulers walk a spare order"),
     }
 }
 
-/// Rebuilds `scratch.order` to the sorted candidate list for this call,
-/// reusing the previous order when its relative ordering still holds.
-fn repair_order(kind: SchedulerKind, now: SimTime, streams: &[Stream], scratch: &mut AllocScratch) {
-    let n = streams.len();
-    let AllocScratch {
-        order,
-        next_order,
-        finish,
-        candidate,
-        in_order,
-        ..
-    } = scratch;
-    finish.clear();
-    candidate.clear();
-    in_order.clear();
-    for s in streams {
-        finish.push(s.projected_finish(now));
-        candidate.push(!s.buffer_full(now));
-        in_order.push(false);
-    }
-    // Filter the cached order down to entries that still name the same
-    // live stream and are still candidates, verifying the survivors
-    // remain sorted under the fresh keys.
-    next_order.clear();
-    let mut survivors_sorted = true;
-    for &(iu, id) in order.iter() {
-        let i = iu as usize;
-        if i >= n || streams[i].id != id || !candidate[i] {
-            continue;
-        }
-        if let Some(&(last, last_id)) = next_order.last() {
-            if !key_less(kind, (finish[last as usize], last_id), (finish[i], id)) {
-                survivors_sorted = false;
-                break;
-            }
-        }
-        next_order.push((iu, id));
-        in_order[i] = true;
-    }
-    if survivors_sorted {
-        // Splice in streams missing from the cached order: new arrivals,
-        // index moves from swap_remove, buffers that drained back below
-        // full. Usually zero or one per event.
-        for i in 0..n {
-            if candidate[i] && !in_order[i] {
-                let k = (finish[i], streams[i].id);
-                let pos = next_order
-                    .partition_point(|&(j, jid)| key_less(kind, (finish[j as usize], jid), k));
-                next_order.insert(pos, (i as u32, streams[i].id));
-            }
-        }
-    } else {
-        // The surviving candidates' relative order changed — the one case
-        // where incremental repair must fall back to a full sort.
-        next_order.clear();
-        next_order.extend(
-            (0..n)
-                .filter(|&i| candidate[i])
-                .map(|i| (i as u32, streams[i].id)),
-        );
-        next_order.sort_unstable_by(|&(a, aid), &(b, bid)| {
-            let ord = finish[a as usize]
-                .cmp(&finish[b as usize])
-                .then(aid.cmp(&bid));
-            if kind == SchedulerKind::LatestFinishFirst {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-    }
-    std::mem::swap(order, next_order);
-}
-
-/// [`allocate`], but with incremental repair of the spare-distribution
-/// order across calls via `scratch`. Produces **bit-identical** rates to
-/// the full allocator: phase 1 is the same arithmetic in the same
-/// iteration order, and phase 2 walks the same uniquely-sorted candidate
-/// sequence — the only thing cached is *how that sequence is obtained*.
-/// Debug builds cross-check every call against [`allocate`] on a clone.
+/// [`allocate`], reusing `scratch` across calls. Produces
+/// **bit-identical** rates to the full allocator: phase 1 is the same
+/// arithmetic in the same iteration order, and phase 2 walks the same
+/// uniquely-sorted candidate sequence as far as the spare lasts — only
+/// the part of it the walk reaches is ever sorted. Leaves in `scratch`
+/// what the engine's wake fold needs. Debug builds cross-check every call
+/// against [`allocate`] on a clone.
 pub fn allocate_incremental(
     kind: SchedulerKind,
     capacity_mbps: f64,
@@ -282,12 +270,12 @@ pub fn allocate_incremental(
         let idle_full = allocate(kind, capacity_mbps, now, &mut full);
         debug_assert!(
             idle.to_bits() == idle_full.to_bits(),
-            "incremental repair diverged from the full allocator: idle {idle} vs {idle_full}"
+            "incremental allocation diverged from the full allocator: idle {idle} vs {idle_full}"
         );
         for (inc, reference) in streams.iter().zip(&full) {
             debug_assert!(
                 inc.rate().to_bits() == reference.rate().to_bits(),
-                "incremental repair diverged from the full allocator on stream {:?}: {} vs {}",
+                "incremental allocation diverged from the full allocator on stream {:?}: {} vs {}",
                 inc.id,
                 inc.rate(),
                 reference.rate()
@@ -304,51 +292,117 @@ fn allocate_incremental_inner(
     streams: &mut [Stream],
     scratch: &mut AllocScratch,
 ) -> f64 {
-    // Phase 1: minimum flow — identical to `allocate`.
+    let AllocScratch {
+        open,
+        settled_wake,
+        head,
+        rest,
+        cutoff,
+        indices,
+    } = scratch;
+    // Without workahead no stream is a candidate, so staging levels are
+    // never needed.
+    let gather = kind != SchedulerKind::NoWorkahead;
+    let ordered = matches!(kind, SchedulerKind::Eftf | SchedulerKind::LatestFinishFirst);
+    let in_head = |k: &Key| cutoff.is_none_or(|c| spare_order(kind, k, &c).is_le());
+    open.clear();
+    head.clear();
+    // Phase 1: minimum flow — identical to `allocate` — fused with the
+    // gather of the candidates (and, for the ordered schedulers, of the
+    // spare order's head) and with the wake fold over everyone else.
+    let mut settled: Option<SimTime> = None;
     let mut used = 0.0;
-    for s in streams.iter_mut() {
+    for (i, s) in streams.iter_mut().enumerate() {
         debug_assert!(!s.is_finished(), "finished streams must be reaped first");
         let min = if s.is_paused() { 0.0 } else { s.view_rate };
         s.set_rate(min);
         used += min;
+        // `Stream::projected_finish` is `now` plus this quotient, and
+        // `Stream::time_to_completion` is this quotient at `b_view`.
+        let finish_in = s.remaining_mb() / s.view_rate;
+        let staged = if gather { s.staged_mb(now) } else { 0.0 };
+        if gather && !s.is_full_at(staged) {
+            open.push(Open {
+                index: i,
+                finish_in,
+                staged,
+            });
+            if ordered {
+                let k = (now + finish_in, s.id);
+                if in_head(&k) {
+                    head.push((k, i as u32));
+                }
+            }
+        } else if !s.is_paused() {
+            // Stays at `b_view`, where its buffer cannot grow: its only
+            // event is completion. (A paused one stays at zero and has
+            // none.)
+            let t = now + finish_in;
+            if settled.is_none_or(|w| t < w) {
+                settled = Some(t);
+            }
+        }
     }
+    *settled_wake = settled;
     let mut spare = capacity_mbps - used;
     debug_assert!(
         spare >= -EPS_MB,
         "admission let through too many streams: used {used} of {capacity_mbps}"
     );
     if spare <= EPS_MB {
-        // The cached order may be stale now, but it is self-validating
-        // (id check + sorted check), so leaving it is safe.
         return spare.max(0.0);
     }
 
     match kind {
         SchedulerKind::NoWorkahead => {}
         SchedulerKind::Eftf | SchedulerKind::LatestFinishFirst => {
-            repair_order(kind, now, streams, scratch);
-            for &(i, _) in &scratch.order {
-                if spare <= EPS_MB {
+            let ord = |a: &(Key, u32), b: &(Key, u32)| spare_order(kind, &a.0, &b.0);
+            // The candidates up to the cutoff are a prefix of the spare
+            // order, so sorting just them orders that prefix exactly.
+            head.sort_unstable_by(ord);
+            let mut walked = 0;
+            loop {
+                while walked < head.len() && spare > EPS_MB {
+                    let s = &mut streams[head[walked].1 as usize];
+                    let headroom = s.client.receive_cap_mbps - s.rate();
+                    let give = spare.min(headroom).max(0.0);
+                    s.set_rate(s.rate() + give);
+                    spare -= give;
+                    walked += 1;
+                }
+                if spare <= EPS_MB || walked == open.len() {
                     break;
                 }
-                let s = &mut streams[i as usize];
-                let headroom = s.client.receive_cap_mbps - s.rate();
-                let give = spare.min(headroom).max(0.0);
-                s.set_rate(s.rate() + give);
-                spare -= give;
+                // The walk outran the head: extend it with the next
+                // stretch of the spare order, from beyond its last key.
+                if rest.is_empty() {
+                    let last = head.last().map(|e| e.0);
+                    rest.extend(open.iter().filter_map(|c| {
+                        let k = (now + c.finish_in, streams[c.index].id);
+                        last.is_none_or(|l| spare_order(kind, &k, &l).is_gt())
+                            .then_some((k, c.index as u32))
+                    }));
+                }
+                let take = (2 * walked + HEAD_SLACK).min(rest.len());
+                if take < rest.len() {
+                    rest.select_nth_unstable_by(take, ord);
+                }
+                rest[..take].sort_unstable_by(ord);
+                head.extend(rest.drain(..take));
             }
+            rest.clear();
+            // The next head: twice this walk's depth, plus slack.
+            *cutoff = head
+                .get((2 * walked + HEAD_SLACK).min(head.len().saturating_sub(1)))
+                .map(|e| e.0);
         }
         SchedulerKind::ProportionalShare => {
             // The waterfill sorts internally by (headroom, index) — its
             // result is independent of candidate input order, so index
-            // order (what `allocate` passes) needs no repair machinery.
-            scratch.indices.clear();
-            for (i, s) in streams.iter().enumerate() {
-                if !s.buffer_full(now) {
-                    scratch.indices.push(i);
-                }
-            }
-            spare -= waterfill(spare, now, streams, &scratch.indices);
+            // order (what `allocate` passes) needs no ordering machinery.
+            indices.clear();
+            indices.extend(open.iter().map(|c| c.index));
+            spare -= waterfill(spare, now, streams, indices);
         }
     }
     spare.max(0.0)

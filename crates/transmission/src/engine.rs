@@ -278,10 +278,12 @@ impl ServerEngine {
                 i += 1;
             }
         }
-        if self.streams.is_empty() {
-            self.committed_mbps = 0.0; // absorb float drift at idle
+        if !finished.is_empty() {
+            if self.streams.is_empty() {
+                self.committed_mbps = 0.0; // absorb float drift at idle
+            }
+            self.refresh_allocated();
         }
-        self.refresh_allocated();
         finished
     }
 
@@ -307,12 +309,13 @@ impl ServerEngine {
         self.advance_to(now);
         match self.streams.iter_mut().find(|s| s.id == id) {
             Some(s) => {
+                // Pausing moves no rate, so the allocated-rate aggregate
+                // stands until the caller's reschedule.
                 if paused {
                     s.pause(now);
                 } else {
                     s.resume(now);
                 }
-                self.refresh_allocated();
                 true
             }
             None => false,
@@ -322,6 +325,13 @@ impl ServerEngine {
     /// Re-runs the allocator at `now`, bumps the wake generation, and
     /// returns the time of the next intrinsic event (stream completion or
     /// buffer fill), if any.
+    ///
+    /// Two walks over the streams: the allocator's minimum-flow pass,
+    /// which also folds the next event of every stream that cannot take
+    /// workahead, and the in-order sum of the rates. Only the candidates
+    /// for workahead are visited again, to finish the wake fold. Both
+    /// results are bit-identical to [`ServerEngine::next_event_after`]
+    /// and the in-order sum; debug builds assert the wake.
     pub fn reschedule(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(
             (now - self.clock).abs() <= EPS_SECS,
@@ -336,7 +346,13 @@ impl ServerEngine {
             &mut self.scratch,
         );
         self.refresh_allocated();
-        self.last_wake = self.next_event_after(now).map(|(t, _)| t);
+        self.last_wake = self.scratch.next_wake(now, &self.streams);
+        debug_assert_eq!(
+            self.last_wake,
+            self.next_event_after(now).map(|(t, _)| t),
+            "fused wake fold diverged on {}",
+            self.id
+        );
         self.last_wake
     }
 

@@ -72,6 +72,9 @@ pub struct Stream {
     paused: bool,
     /// Playback stream or background replica copy.
     pub kind: StreamKind,
+    /// Playback length in seconds, `size_mb / view_rate`, divided once at
+    /// construction: every advance and staging probe reads it.
+    length_secs: f64,
 }
 
 impl Stream {
@@ -105,6 +108,7 @@ impl Stream {
             played_secs: 0.0,
             paused: false,
             kind: StreamKind::Playback,
+            length_secs: size_mb / view_rate,
         }
     }
 
@@ -143,7 +147,7 @@ impl Stream {
     /// Playback length in seconds.
     #[inline]
     pub fn length_secs(&self) -> f64 {
-        self.size_mb / self.view_rate
+        self.length_secs
     }
 
     /// Megabits transmitted so far (up to the last `advance_to`).
@@ -213,7 +217,13 @@ impl Stream {
     /// `true` if the staging buffer has no room for workahead at `now`.
     #[inline]
     pub fn buffer_full(&self, now: SimTime) -> bool {
-        self.staged_mb(now) >= self.client.staging_capacity_mb - EPS_MB
+        self.is_full_at(self.staged_mb(now))
+    }
+
+    /// [`Stream::buffer_full`] for a staging level already read.
+    #[inline]
+    pub(crate) fn is_full_at(&self, staged_mb: f64) -> bool {
+        staged_mb >= self.client.staging_capacity_mb - EPS_MB
     }
 
     /// The paper's *projected finishing time*: when transmission would end
@@ -314,6 +324,13 @@ impl Stream {
     /// rate, or `None` if it never will (rate ≤ consumption, or unbounded
     /// buffer). Completion may occur first; the engine takes the minimum.
     pub fn time_to_buffer_full(&self, now: SimTime) -> Option<f64> {
+        self.time_to_fill(|| self.staged_mb(now))
+    }
+
+    /// [`Stream::time_to_buffer_full`], taking the staging level from
+    /// `staged_mb`, which runs only when the buffer can fill at all.
+    #[inline]
+    pub(crate) fn time_to_fill(&self, staged_mb: impl FnOnce() -> f64) -> Option<f64> {
         if self.client.is_unbounded_staging() {
             return None;
         }
@@ -326,7 +343,7 @@ impl Stream {
         if growth <= 0.0 {
             return None;
         }
-        let headroom = (self.client.staging_capacity_mb - self.staged_mb(now)).max(0.0);
+        let headroom = (self.client.staging_capacity_mb - staged_mb()).max(0.0);
         Some(headroom / growth)
     }
 
@@ -340,6 +357,14 @@ impl Stream {
     /// violation. Debug/test aid.
     pub fn check_invariants(&self, now: SimTime) {
         assert!(self.sent_mb >= -EPS_MB && self.sent_mb <= self.size_mb + EPS_MB);
+        assert!(
+            self.length_secs.to_bits() == (self.size_mb / self.view_rate).to_bits(),
+            "cached length {} no longer matches size {} / view rate {} (stream {})",
+            self.length_secs,
+            self.size_mb,
+            self.view_rate,
+            self.id
+        );
         let staged = self.sent_mb - self.viewed_mb(now);
         assert!(
             staged >= -EPS_MB,

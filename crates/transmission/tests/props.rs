@@ -71,6 +71,30 @@ fn build_streams(specs: &[StreamSpec], at: SimTime) -> Vec<Stream> {
     streams
 }
 
+/// Checks what a `reschedule(now)` returned, and the aggregate it left,
+/// against the references: `next_event_after` and a fresh in-order sum.
+fn check_against_references(engine: &ServerEngine, now: SimTime, wake: Option<SimTime>) {
+    let reference = engine.next_event_after(now).map(|(t, _)| t);
+    prop_assert_eq!(
+        wake,
+        reference,
+        "{:?}: wake {:?} vs next_event_after {:?}",
+        engine.id(),
+        wake,
+        reference
+    );
+    prop_assert_eq!(engine.last_wake(), wake);
+    let sum: f64 = engine.streams().iter().map(|s| s.rate()).sum();
+    prop_assert_eq!(
+        engine.allocated_mbps().to_bits(),
+        sum.to_bits(),
+        "allocated {} vs in-order sum {}",
+        engine.allocated_mbps(),
+        sum
+    );
+    engine.check_invariants();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -299,6 +323,88 @@ proptest! {
                         reference.rate()
                     );
                 }
+            }
+        }
+    }
+
+    /// The engine's two-pass `reschedule` against the references it
+    /// stands in for, checked with `prop_assert` so release builds (no
+    /// debug asserts) check it too. A random walk per scheduler admits
+    /// streams with zero, bounded and unbounded staging and one replica
+    /// copy, pauses, resumes and migrates them out, and drains the
+    /// engine's own wakes. After every `reschedule(now)`, including the
+    /// one inside `admit`, the wake must equal `next_event_after(now)`'s
+    /// time and the allocated-rate aggregate must equal the in-order sum
+    /// of the rates bit for bit: -0.0 on an empty server, as
+    /// `Iterator::sum` gives.
+    #[test]
+    fn reschedule_matches_its_references(seed in any::<u64>(), slots in 2usize..24) {
+        let mut rng = Rng::new(seed);
+        for kind in SchedulerKind::ALL {
+            let spare = rng.range_f64(0.0, 3.0) * VIEW;
+            let mut engine = ServerEngine::new(ServerId(0), slots as f64 * VIEW + spare, kind);
+            let mut clock = SimTime::ZERO;
+            let wake = engine.reschedule(clock);
+            prop_assert_eq!(wake, None);
+            prop_assert_eq!(engine.allocated_mbps().to_bits(), (-0.0f64).to_bits());
+            let copy_at = rng.below(40);
+            let mut next_id = 0u64;
+            for step in 0..60 {
+                let target = clock + rng.range_f64(0.0, 90.0);
+                // Drain the engine's own wakes up to the next action.
+                while let Some(when) = engine.last_wake().filter(|&w| w <= target) {
+                    engine.advance_to(when);
+                    engine.reap_finished(when);
+                    let wake = engine.reschedule(when);
+                    check_against_references(&engine, when, wake);
+                }
+                engine.advance_to(target);
+                engine.reap_finished(target);
+                clock = target;
+                let n = engine.active_count();
+                let wake = match rng.below(5) {
+                    0 | 1 if step == copy_at && engine.can_admit(2.0 * VIEW) => {
+                        let copy = Stream::replica_copy(
+                            StreamId(next_id),
+                            VideoId(next_id as u32),
+                            rng.range_f64(30.0, 600.0),
+                            2.0 * VIEW,
+                            clock,
+                        );
+                        next_id += 1;
+                        engine.admit(copy, clock)
+                    }
+                    0 | 1 if engine.can_admit(VIEW) => {
+                        let staging = match rng.below(3) {
+                            0 => 0.0,
+                            1 => rng.range_f64(1.0, 500.0),
+                            _ => f64::INFINITY,
+                        };
+                        let stream = Stream::new(
+                            StreamId(next_id),
+                            VideoId(next_id as u32),
+                            rng.range_f64(30.0, 600.0),
+                            VIEW,
+                            ClientProfile::new(staging, rng.range_f64(VIEW, 10.0 * VIEW)),
+                            clock,
+                        );
+                        next_id += 1;
+                        engine.admit(stream, clock)
+                    }
+                    2 if n > 0 => {
+                        let s = &engine.streams()[rng.below(n)];
+                        let (id, paused) = (s.id, s.is_paused());
+                        prop_assert!(engine.set_paused(id, !paused, clock));
+                        engine.reschedule(clock)
+                    }
+                    3 if n > 0 => {
+                        let id = engine.streams()[rng.below(n)].id;
+                        prop_assert!(engine.remove_stream(id, clock).is_some());
+                        engine.reschedule(clock)
+                    }
+                    _ => engine.reschedule(clock),
+                };
+                check_against_references(&engine, clock, wake);
             }
         }
     }

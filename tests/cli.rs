@@ -175,6 +175,76 @@ fn invalid_config_file_exits_2_with_one_diagnostic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The optional specs a `--config` file carries are checked like the
+/// flags are: each bad one gives one `invalid configuration:` line and
+/// exit 2. Before, some panicked, `sample_interval_secs: 0` never
+/// terminated, and a bad pause model or waitlist ran to an outcome.
+#[test]
+fn invalid_nested_specs_in_a_config_file_exit_2_with_one_line() {
+    let out = sctsim(&["scenario", "--system", "tiny", "--hours", "1"]);
+    assert!(out.status.success());
+    let good = String::from_utf8(out.stdout).unwrap();
+    let staging = "\"staging\": {\n    \"FractionOfAvgVideo\": 0.2\n  }";
+    let cases = [
+        (
+            "\"failures\": null",
+            "\"failures\": {\"mtbf_hours\": -1, \"repair_hours\": 1}",
+            "failure and repair means must be positive",
+        ),
+        (
+            "\"interactivity\": null",
+            "\"interactivity\": {\"probability\": 2, \"min_pause_secs\": 60, \"max_pause_secs\": 30}",
+            "pause probability must be in [0,1]",
+        ),
+        (
+            "\"diurnal\": null",
+            "\"diurnal\": {\"amplitude\": 3, \"period_hours\": 24}",
+            "diurnal amplitude must be in [0,1]",
+        ),
+        (
+            "\"waitlist\": null",
+            "\"waitlist\": {\"max_wait_secs\": -1, \"max_length\": 10, \"multicast_batching\": false}",
+            "waitlist max_wait_secs must be positive",
+        ),
+        (
+            staging,
+            "\"staging\": {\"FractionOfAvgVideo\": -0.5}",
+            "staging must not be negative",
+        ),
+        (
+            "\"replication\": null",
+            "\"replication\": {\"copy_rate_mbps\": 0, \"max_concurrent\": 2, \"cooldown_secs\": 600, \"source\": \"Tertiary\"}",
+            "replication needs a positive copy_rate_mbps",
+        ),
+        (
+            "\"sample_interval_secs\": null",
+            "\"sample_interval_secs\": -5",
+            "sample_interval_secs must be positive",
+        ),
+        (
+            "\"sample_interval_secs\": null",
+            "\"sample_interval_secs\": 0",
+            "sample_interval_secs must be positive",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("sctsim-badspec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (field, bad_field, expected)) in cases.into_iter().enumerate() {
+        let bad = good.replacen(field, bad_field, 1);
+        assert_ne!(bad, good, "scenario output lacks {field}");
+        let path = dir.join(format!("bad{i}.json"));
+        std::fs::write(&path, &bad).unwrap();
+        let out = sctsim(&["run", "--config", path.to_str().unwrap()]);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad_field}: {err}");
+        assert!(out.stdout.is_empty(), "{bad_field} still ran");
+        assert_eq!(err.lines().count(), 1, "{bad_field}: {err}");
+        assert!(err.starts_with("invalid configuration: "), "{err}");
+        assert!(err.contains(expected), "{bad_field}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A flag the subcommand does not take is refused, not silently
 /// ignored: one line naming it, exit 2, nothing run.
 #[test]
