@@ -358,6 +358,13 @@ impl Controller {
     /// third server `t2`, freeing t1 for v1 and `from` for the arrival.
     /// Both victims must satisfy the hop and staging feasibility rules.
     /// First feasible chain in deterministic scan order wins.
+    ///
+    /// The inner search (the first evictable `v2` on `t1` with a target
+    /// outside `{t1, from}`) depends only on `(from, t1)`, never on `v1`,
+    /// and a hit ends the whole search. So each `t1` is searched at most
+    /// once per `from`: one that came up empty is remembered and skipped
+    /// for every later `v1`. The plan is the one the naive three-loop
+    /// scan (`find_chain2_reference`) returns.
     fn find_chain2(
         &self,
         holders: &[ServerId],
@@ -365,13 +372,80 @@ impl Controller {
         map: &ReplicaMap,
         now: SimTime,
     ) -> Option<ChainPlan> {
+        // `searched[t1]`: t1 already had no inner victim for this `from`.
+        let mut searched = vec![false; engines.len()];
         for &from in holders {
+            searched.fill(false);
             // All holders of v1 candidates must be advanced for staging
             // reads; `admit` advanced the request's holders, but t1
             // candidates may be other servers. Use conservative feasibility
             // on un-advanced engines: staged_mb only grows between the
             // engine clock and `now` under minimum flow, so a stale read
             // can under-approximate, never over-approximate feasibility.
+            for v1 in engines[from.index()].streams() {
+                if v1.is_copy() || v1.is_finished() || !self.migration.allows_another_hop(v1.hops) {
+                    continue;
+                }
+                let need1 = self.migration.required_staging_mb(v1.view_rate);
+                if v1.staged_mb(now.max(engines[from.index()].clock())) + EPS_MB < need1 {
+                    continue;
+                }
+                for &t1 in map.holders(v1.video) {
+                    if t1 == from || searched[t1.index()] {
+                        continue;
+                    }
+                    if let Some(second) = self.chain2_inner(from, t1, engines, map, now) {
+                        return Some((from, (v1.id, t1), second));
+                    }
+                    searched[t1.index()] = true;
+                }
+            }
+        }
+        None
+    }
+
+    /// The second hop of a chain that frees `t1` for a victim from
+    /// `from`: the first stream on `t1` that may hop and has staged
+    /// enough, with its least-loaded target outside `{t1, from}`.
+    fn chain2_inner(
+        &self,
+        from: ServerId,
+        t1: ServerId,
+        engines: &[ServerEngine],
+        map: &ReplicaMap,
+        now: SimTime,
+    ) -> Option<(StreamId, ServerId)> {
+        let staged_at = now.max(engines[t1.index()].clock());
+        engines[t1.index()].streams().iter().find_map(|v2| {
+            if v2.is_copy() || v2.is_finished() || !self.migration.allows_another_hop(v2.hops) {
+                return None;
+            }
+            let need2 = self.migration.required_staging_mb(v2.view_rate);
+            if v2.staged_mb(staged_at) + EPS_MB < need2 {
+                return None;
+            }
+            map.holders(v2.video)
+                .iter()
+                .copied()
+                .filter(|&t| t != t1 && t != from && engines[t.index()].can_admit(v2.view_rate))
+                .min_by_key(|t| (engines[t.index()].active_count(), *t))
+                .map(|t2| (v2.id, t2))
+        })
+    }
+
+    /// The depth-2 chain search without the memo: for every `v1`, every
+    /// `t1` is rescanned from scratch. It is the reference `find_chain2`
+    /// is tested against, and the plan the differential oracle expects
+    /// (`chain2_plan`).
+    #[cfg(any(test, feature = "differential"))]
+    fn find_chain2_reference(
+        &self,
+        holders: &[ServerId],
+        engines: &[ServerEngine],
+        map: &ReplicaMap,
+        now: SimTime,
+    ) -> Option<ChainPlan> {
+        for &from in holders {
             for v1 in engines[from.index()].streams() {
                 if v1.is_copy() || v1.is_finished() || !self.migration.allows_another_hop(v1.hops) {
                     continue;
@@ -535,10 +609,12 @@ impl Controller {
     }
 
     /// Differential-testing hook: the two-step chain the deterministic
-    /// depth-2 search would commit to for `video` right now, if any.
-    /// Computed on the same observable state `admit` would see, so the
-    /// oracle asserts a `WithChain` outcome equals this plan exactly and
-    /// that a rejection under a chain-2 policy implies no plan existed.
+    /// depth-2 search should commit to for `video` right now, if any.
+    /// Computed by the naive reference scan, not the memoized search
+    /// `admit` runs, on the same observable state `admit` would see, so
+    /// the oracle asserts a `WithChain` outcome equals this plan exactly
+    /// and that a rejection under a chain-2 policy implies no plan
+    /// existed.
     #[cfg(feature = "differential")]
     pub fn chain2_plan(
         &self,
@@ -547,7 +623,7 @@ impl Controller {
         map: &ReplicaMap,
         now: SimTime,
     ) -> Option<ChainPlan> {
-        self.find_chain2(map.holders(video), engines, map, now)
+        self.find_chain2_reference(map.holders(video), engines, map, now)
     }
 
     /// Applies the assignment policy to the eligible holder set (the
@@ -1212,6 +1288,107 @@ mod tests {
             Admission::Rejected,
             "spent hop budgets must block chains"
         );
+    }
+
+    /// A random saturated cluster: 3–7 servers of 2–5 view slots, videos
+    /// on 1–3 holders each, most servers full and the rest with free
+    /// slots. Streams have 0 or 1 prior hops and no, some or ample
+    /// staging room, and one server may carry a replica copy. Only some
+    /// engines are advanced to the returned `now`.
+    fn random_saturated_cluster(rng: &mut Rng) -> (Vec<ServerEngine>, ReplicaMap, SimTime) {
+        let n = rng.range_usize(3, 8);
+        let mut engines: Vec<ServerEngine> = (0..n)
+            .map(|i| {
+                let slots = rng.range_usize(2, 6) as f64;
+                ServerEngine::new(ServerId(i as u16), slots * VIEW, SchedulerKind::Eftf)
+            })
+            .collect();
+        let n_videos = rng.range_usize(3, 9);
+        let mut holders: Vec<Vec<ServerId>> = (0..n_videos)
+            .map(|_| {
+                let copies = rng.range_usize(1, 4);
+                let picked = rng.sample_indices(n, copies);
+                picked.into_iter().map(|i| ServerId(i as u16)).collect()
+            })
+            .collect();
+        for i in 0..n {
+            let s = ServerId(i as u16);
+            if !holders.iter().any(|hs| hs.contains(&s)) {
+                holders[rng.below(n_videos)].push(s);
+            }
+        }
+        let map = ReplicaMap::from_holders(n, holders);
+        let copy_on = rng.below(n + 2);
+        let mut next_id = 0u64;
+        let mut latest = SimTime::ZERO;
+        for (i, e) in engines.iter_mut().enumerate() {
+            let videos = map.videos_on(ServerId(i as u16));
+            let slots = (e.capacity_mbps() / VIEW) as usize;
+            let fill = if rng.chance(0.7) {
+                slots
+            } else {
+                rng.below(slots)
+            };
+            let mut t = SimTime::ZERO;
+            if i == copy_on && e.can_admit(2.0 * VIEW) {
+                let video = videos[rng.below(videos.len())];
+                e.admit(
+                    Stream::replica_copy(StreamId(next_id), video, 600.0, 2.0 * VIEW, t),
+                    t,
+                );
+                next_id += 1;
+            }
+            while e.active_count() < fill && e.can_admit(VIEW) {
+                t += rng.range_f64(0.0, 20.0);
+                e.advance_to(t);
+                e.reap_finished(t);
+                e.reschedule(t);
+                let staging = [0.0, rng.range_f64(1.0, 10.0), 1e6][rng.below(3)];
+                let video = videos[rng.below(videos.len())];
+                let size = rng.range_f64(300.0, 3000.0);
+                let mut s = mk_stream(next_id, video.0, size, staging, t);
+                next_id += 1;
+                if rng.chance(0.3) {
+                    s.record_hop();
+                }
+                e.admit(s, t);
+            }
+            latest = latest.max(t);
+        }
+        let now = latest + rng.range_f64(0.0, 30.0);
+        for e in engines.iter_mut() {
+            if rng.chance(0.5) {
+                e.advance_to(now);
+                e.reap_finished(now);
+                e.reschedule(now);
+            }
+        }
+        (engines, map, now)
+    }
+
+    proptest::proptest! {
+        /// The memoized chain-2 search returns the naive scan's plan,
+        /// `None` included, for every video's holder set.
+        #[test]
+        fn chain2_memo_matches_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Rng::new(seed);
+            let (engines, map, now) = random_saturated_cluster(&mut rng);
+            let c = Controller::new(
+                AssignmentPolicy::LeastLoaded,
+                MigrationPolicy {
+                    handoff_latency_secs: [0.0, 1.0, 4.0][rng.below(3)],
+                    max_hops_per_request: [Some(1), Some(2), None][rng.below(3)],
+                    ..MigrationPolicy::chain2()
+                },
+            );
+            for v in 0..map.num_videos() {
+                let holders = map.holders(VideoId(v as u32));
+                proptest::prop_assert_eq!(
+                    c.find_chain2(holders, &engines, &map, now),
+                    c.find_chain2_reference(holders, &engines, &map, now)
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! cargo run --release -p sct-bench --bin figures -- fig7 --paper   # 5 × 1000 h
 //! ```
 //!
-//! Experiments: fig3 fig4 fig5 fig6 fig7 svbr het partial sweep ablation
-//! faults pauses.
+//! Experiments, in the order `all` runs them: fig3 fig4 fig5 fig6 fig7
+//! svbr het partial sweep ablation faults pauses repl smoothing
+//! rejections waitlist chains diurnal. `render` re-renders the SVGs of
+//! every saved series in `--out` without simulating.
+//!
+//! Every argument is checked before anything runs. The fidelity preset
+//! (`--quick`, `--standard`, `--paper`) applies first and `--trials` and
+//! `--hours` override it, wherever they stand on the command line. An
+//! experiment named twice runs once. A bad argument prints one
+//! `figures: …` line and exits 2.
 
 use sct_bench::{save_series, sparkline};
 use sct_core::experiments::{self, ExpOptions};
@@ -16,81 +24,136 @@ use sct_workload::{HeterogeneityKind, SystemSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = ExpOptions::standard();
-    let mut fidelity = "standard";
-    let mut wanted: Vec<String> = Vec::new();
+/// The experiments `all` stands for, in the order it runs them.
+const ALL: [&str; 18] = [
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "svbr",
+    "het",
+    "partial",
+    "sweep",
+    "ablation",
+    "faults",
+    "pauses",
+    "repl",
+    "smoothing",
+    "rejections",
+    "waitlist",
+    "chains",
+    "diurnal",
+];
+
+/// A checked command line.
+struct Args {
+    opts: ExpOptions,
+    fidelity: &'static str,
+    wanted: Vec<&'static str>,
+    out_dir: PathBuf,
+}
+
+/// Parses the whole command line, or says what is wrong with it.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut preset: (&'static str, fn() -> ExpOptions) = ("standard", ExpOptions::standard);
+    let mut trials: Option<u32> = None;
+    let mut hours: Option<f64> = None;
+    let mut wanted: Vec<&'static str> = Vec::new();
     let mut out_dir = PathBuf::from("results");
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(a) = iter.next() {
+        let mut value = || iter.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--quick" => {
-                opts = ExpOptions::quick();
-                fidelity = "quick";
-            }
-            "--standard" => {
-                opts = ExpOptions::standard();
-                fidelity = "standard";
-            }
-            "--paper" => {
-                opts = ExpOptions::paper();
-                fidelity = "paper";
-            }
-            "--out" => {
-                out_dir = PathBuf::from(iter.next().expect("--out needs a path"));
-            }
+            "--quick" => preset = ("quick", ExpOptions::quick),
+            "--standard" => preset = ("standard", ExpOptions::standard),
+            "--paper" => preset = ("paper", ExpOptions::paper),
+            "--out" => out_dir = PathBuf::from(value()?),
             "--trials" => {
-                opts.trials = iter
-                    .next()
-                    .expect("--trials needs a count")
-                    .parse()
-                    .expect("--trials must be an integer");
+                let v = value()?;
+                match v.parse::<u32>() {
+                    Ok(n) if n >= 1 => trials = Some(n),
+                    _ => {
+                        return Err(format!(
+                            "--trials must be a whole number of at least 1, got {v:?}"
+                        ))
+                    }
+                }
             }
             "--hours" => {
-                opts.duration_hours = iter
-                    .next()
-                    .expect("--hours needs a number")
-                    .parse()
-                    .expect("--hours must be a number");
+                let v = value()?;
+                let h = v
+                    .parse::<f64>()
+                    .map_err(|_| format!("--hours must be a number, got {v:?}"))?;
+                hours = Some(h);
             }
-            "all" => wanted.extend(
-                [
-                    "fig3",
-                    "fig4",
-                    "fig5",
-                    "fig6",
-                    "fig7",
-                    "svbr",
-                    "het",
-                    "partial",
-                    "sweep",
-                    "ablation",
-                    "faults",
-                    "pauses",
-                    "repl",
-                    "smoothing",
-                    "rejections",
-                    "waitlist",
-                    "chains",
-                    "diurnal",
-                ]
-                .iter()
-                .map(|s| s.to_string()),
-            ),
-            other if other.starts_with('-') => panic!("unknown flag {other}"),
-            other => wanted.push(other.to_string()),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            other => {
+                let names: &[&'static str] = match other {
+                    "all" => &ALL,
+                    "render" => &["render"],
+                    _ => match ALL.iter().position(|&n| n == other) {
+                        Some(i) => &ALL[i..=i],
+                        None => return Err(format!("unknown experiment {other}")),
+                    },
+                };
+                for &name in names {
+                    if !wanted.contains(&name) {
+                        wanted.push(name);
+                    }
+                }
+            }
         }
     }
+    let (fidelity, preset) = preset;
+    let mut opts = preset();
+    if let Some(n) = trials {
+        opts.trials = n;
+    }
+    if let Some(h) = hours {
+        if !h.is_finite() || h <= opts.warmup_hours {
+            return Err(format!(
+                "--hours must be finite and exceed the {fidelity} warm-up of {} h, got {h}",
+                opts.warmup_hours
+            ));
+        }
+        opts.duration_hours = h;
+    }
+    let window_hours = experiments::SMOOTHING_WINDOW_SECS / 3600.0;
+    if wanted.contains(&"smoothing") && opts.duration_hours - opts.warmup_hours < window_hours {
+        return Err(format!(
+            "smoothing needs --hours of at least {} (one {} s window after the {fidelity} warm-up)",
+            opts.warmup_hours + window_hours,
+            experiments::SMOOTHING_WINDOW_SECS
+        ));
+    }
+    Ok(Args {
+        opts,
+        fidelity,
+        wanted,
+        out_dir,
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        opts,
+        fidelity,
+        wanted,
+        out_dir,
+    } = parse(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}");
+        std::process::exit(2);
+    });
     if wanted.is_empty() {
         eprintln!(
             "usage: figures [all|fig3|fig4|fig5|fig6|fig7|svbr|het|partial|sweep|ablation]... \
              [--quick|--standard|--paper] [--trials N] [--hours H] [--out DIR]\n\
-             (also: faults pauses repl smoothing rejections waitlist chains diurnal)"
+             (also: faults pauses repl smoothing rejections waitlist chains diurnal render)"
         );
         std::process::exit(2);
     }
-    wanted.dedup();
 
     println!(
         "# Semi-continuous transmission — figure regeneration ({fidelity}: {} trials × {} h)\n",
@@ -99,9 +162,9 @@ fn main() {
     let small = SystemSpec::small_paper();
     let large = SystemSpec::large_paper();
 
-    for exp in &wanted {
+    for exp in wanted {
         let t0 = Instant::now();
-        match exp.as_str() {
+        match exp {
             "fig3" => {
                 let t = experiments::fig3_table();
                 std::fs::create_dir_all(&out_dir).unwrap();
@@ -263,7 +326,7 @@ fn main() {
                     println!("{}", sparkline(&s, 0.5, 1.0));
                 }
             }
-            other => eprintln!("skipping unknown experiment: {other}"),
+            other => unreachable!("parse admits no experiment {other}"),
         }
         eprintln!("[{exp} done in {:.1?}]", t0.elapsed());
     }

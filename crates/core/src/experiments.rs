@@ -569,6 +569,10 @@ pub fn replication_vs_drm(system: &SystemSpec, opts: &ExpOptions) -> Series {
     series
 }
 
+/// The utilization window [`smoothing`] samples. Its runs need at least
+/// one whole window after the warm-up.
+pub const SMOOTHING_WINDOW_SECS: f64 = 900.0;
+
 /// **E12 / time-domain smoothing** (analysis of the §3 mechanism) —
 /// quantiles of the windowed (15 min) cluster utilization versus staging
 /// fraction. Workahead lifts the whole distribution: dips are filled by
@@ -597,7 +601,7 @@ pub fn smoothing(system: &SystemSpec, opts: &ExpOptions) -> Series {
             .placement(PlacementStrategy::even_paper())
             .migration(MigrationPolicy::disabled())
             .staging_fraction(f)
-            .sample_interval_secs(900.0)
+            .sample_interval_secs(SMOOTHING_WINDOW_SECS)
             .build();
         let outcomes = run_trials(&cfg, TrialPlan::new(opts.trials, opts.base_seed));
         let mut per_trial = (Vec::new(), Vec::new(), Vec::new(), Vec::new());

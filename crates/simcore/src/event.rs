@@ -241,7 +241,21 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<EventEntry<T>> {
+        self.pop_before(None)
+    }
+
+    /// Removes and returns the earliest event if its `(time, seq)` key is
+    /// strictly below `bound` (`None`: no bound). Otherwise, or when the
+    /// queue is empty, returns `None` and leaves the queue as it was. One
+    /// `locate` scan either way, where a `peek_key` then `pop` pays two.
+    pub fn pop_before(&mut self, bound: Option<(SimTime, u64)>) -> Option<EventEntry<T>> {
         let (bucket, pos, slot, swept) = self.locate()?;
+        if let Some(bound) = bound {
+            let head = &self.buckets[bucket][pos];
+            if (head.time, head.seq) >= bound {
+                return None;
+            }
+        }
         self.cursor_slot = slot;
         let entry = self.buckets[bucket].swap_remove(pos);
         self.len -= 1;
@@ -405,6 +419,26 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
+    }
+
+    /// `pop_before` pops only a head strictly below its bound and leaves
+    /// the queue untouched otherwise.
+    #[test]
+    fn pop_before_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(1.0), "a");
+        q.push(SimTime::from_secs(2.0), "b");
+        let head = (SimTime::from_secs(1.0), 0);
+        assert!(q.pop_before(Some(head)).is_none(), "the bound is exclusive");
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.pop_before(Some((SimTime::from_secs(1.0), 1)))
+                .unwrap()
+                .payload,
+            "a"
+        );
+        assert_eq!(q.pop_before(None).unwrap().payload, "b");
+        assert!(q.pop_before(None).is_none());
     }
 
     #[test]

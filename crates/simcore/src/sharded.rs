@@ -161,16 +161,9 @@ impl<T> ShardedQueue<T> {
     /// misuse.
     pub fn pop_run(&mut self, token: &RunToken) -> Option<EventEntry<T>> {
         debug_assert_eq!(self.active, Some(token.shard), "stale run token");
-        let key = self.shards[token.shard].peek_key()?;
-        if let Some(h) = self.horizon {
-            if key >= h {
-                return None;
-            }
-        }
-        let entry = self.shards[token.shard].pop();
-        debug_assert!(entry.is_some());
+        let entry = self.shards[token.shard].pop_before(self.horizon)?;
         self.len -= 1;
-        entry
+        Some(entry)
     }
 
     /// Ends the run, consuming its token.
@@ -308,6 +301,53 @@ mod tests {
                 assert_eq!(got, expect, "times {times:?} mask {mask:06b}");
             }
         }
+    }
+
+    /// A run pop locates the head once. Draining one push sequence
+    /// (follow-up pushes included) through a one-shard queue scans
+    /// exactly the entries the plain queue's pops scan, plus the entries
+    /// the elections peek at.
+    #[test]
+    fn pop_run_locates_each_head_once() {
+        let mut rng = Rng::new(0x10CA7E);
+        let mut plain = EventQueue::with_capacity(64);
+        let mut sharded = ShardedQueue::new(1, 64);
+        for i in 0..300u64 {
+            let t = SimTime::from_secs((rng.range_f64(0.0, 60.0) * 4.0).floor() / 4.0);
+            plain.push(t, i);
+            sharded.push(0, t, i);
+        }
+        // Every third event schedules one more, as a handler would.
+        let follow_up = |e: &EventEntry<u64>| e.payload.is_multiple_of(3).then(|| e.time + 0.75);
+        let mut expect = Vec::new();
+        while let Some(e) = plain.pop() {
+            if let Some(t) = follow_up(&e) {
+                plain.push(t, e.payload + 1000);
+            }
+            expect.push((e.time, e.seq, e.payload));
+        }
+        let mut got = Vec::new();
+        let mut peeked = 0;
+        loop {
+            let before = sharded.counters().scanned;
+            let token = sharded.begin_run();
+            peeked += sharded.counters().scanned - before;
+            let Some(token) = token else { break };
+            while let Some(e) = sharded.pop_run(&token) {
+                if let Some(t) = follow_up(&e) {
+                    sharded.push(0, t, e.payload + 1000);
+                }
+                got.push((e.time, e.seq, e.payload));
+            }
+            sharded.end_run(token);
+        }
+        assert_eq!(got, expect);
+        assert!(peeked > 0);
+        assert_eq!(
+            sharded.counters().scanned,
+            plain.counters().scanned + peeked,
+            "a run pop scanned more than one locate"
+        );
     }
 
     /// A run must stop at causality it creates: pushing an earlier
