@@ -4,11 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// Counters maintained by the [`crate::Controller`] over one trial.
 ///
-/// `Serialize`/`Deserialize` are hand-written below rather than derived:
-/// the vendored minimal serde has no `#[serde(default)]`, and golden
-/// `SimOutcome` fixtures written before `restarted_on_failure` existed
-/// must keep deserializing (the missing counter defaults to 0).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// `Deserialize` is hand-written below rather than derived: the vendored
+/// minimal serde has no `#[serde(default)]`, and golden `SimOutcome`
+/// fixtures written before `restarted_on_failure` existed must keep
+/// deserializing (the missing counter defaults to 0).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct AdmissionStats {
     /// Requests that arrived.
     pub arrivals: u64,
@@ -36,41 +36,6 @@ pub struct AdmissionStats {
     /// Streams lost because no replica holder could absorb them when their
     /// server failed.
     pub dropped_on_failure: u64,
-}
-
-impl Serialize for AdmissionStats {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("arrivals".to_string(), self.arrivals.to_value()),
-            (
-                "accepted_direct".to_string(),
-                self.accepted_direct.to_value(),
-            ),
-            (
-                "accepted_via_migration".to_string(),
-                self.accepted_via_migration.to_value(),
-            ),
-            (
-                "chain2_migrations".to_string(),
-                self.chain2_migrations.to_value(),
-            ),
-            ("rejected".to_string(), self.rejected.to_value()),
-            ("requested_mb".to_string(), self.requested_mb.to_value()),
-            ("accepted_mb".to_string(), self.accepted_mb.to_value()),
-            (
-                "relocated_on_failure".to_string(),
-                self.relocated_on_failure.to_value(),
-            ),
-            (
-                "restarted_on_failure".to_string(),
-                self.restarted_on_failure.to_value(),
-            ),
-            (
-                "dropped_on_failure".to_string(),
-                self.dropped_on_failure.to_value(),
-            ),
-        ])
-    }
 }
 
 impl Deserialize for AdmissionStats {

@@ -25,6 +25,7 @@
 //!   by construction.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// What kind of stream a span narrates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -426,16 +427,14 @@ impl SpanSet {
     /// are clamped to the horizon.
     pub fn to_perfetto(&self) -> String {
         let us = |secs: f64| secs * 1e6;
-        let mut events: Vec<String> = Vec::new();
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"requests\"}}"
-                .to_string(),
-        );
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"servers\"}}"
-                .to_string(),
+        // Events are written straight into the output, each after a ",\n"
+        // separator; the two process-name records come first.
+        let mut out = String::from(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"requests\"}},\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+             \"args\":{\"name\":\"servers\"}}",
         );
         for span in &self.spans {
             let kind = match span.kind {
@@ -449,8 +448,9 @@ impl SpanSet {
                 Some(AdmitVia::Waitlist) => "Waitlist",
                 None => "-",
             };
-            events.push(format!(
-                "{{\"name\":\"{kind} {} (video {})\",\"cat\":\"{kind}\",\"ph\":\"X\",\
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{kind} {} (video {})\",\"cat\":\"{kind}\",\"ph\":\"X\",\
                  \"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
                  \"args\":{{\"outcome\":\"{:?}\",\"admit_via\":\"{via}\",\"hops\":{}}}}}",
                 span.stream,
@@ -460,24 +460,27 @@ impl SpanSet {
                 us(span.duration_secs(self.horizon_secs)),
                 span.outcome,
                 span.hops,
-            ));
+            );
             for seg in &span.segments {
-                let (name, cat) = match (seg.kind, seg.server) {
-                    (SegmentKind::Wait, _) => ("wait".to_string(), "wait"),
-                    (SegmentKind::Serve, s) => {
-                        (format!("serve@s{}", s.unwrap_or(u16::MAX)), "serve")
-                    }
-                    (SegmentKind::Pause, s) => {
-                        (format!("pause@s{}", s.unwrap_or(u16::MAX)), "pause")
-                    }
+                // A segment's name is its category, plus its server when
+                // it holds one.
+                let cat = match seg.kind {
+                    SegmentKind::Wait => "wait",
+                    SegmentKind::Serve => "serve",
+                    SegmentKind::Pause => "pause",
                 };
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\
+                let _ = write!(out, ",\n{{\"name\":\"{cat}");
+                if !matches!(seg.kind, SegmentKind::Wait) {
+                    let _ = write!(out, "@s{}", seg.server.unwrap_or(u16::MAX));
+                }
+                let _ = write!(
+                    out,
+                    "\",\"cat\":\"{cat}\",\"ph\":\"X\",\
                      \"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
                     span.stream,
                     us(seg.start_secs),
                     us(seg.duration_secs(self.horizon_secs)),
-                ));
+                );
             }
         }
         for (i, edge) in self.edges.iter().enumerate() {
@@ -493,33 +496,34 @@ impl SpanSet {
             };
             let (cpid, ctid) = anchor(&edge.cause);
             let (epid, etid) = anchor(&edge.effect);
-            events.push(format!(
-                "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{i},\
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{i},\
                  \"pid\":{cpid},\"tid\":{ctid},\"ts\":{}}}",
                 us(edge.at_secs),
-            ));
-            events.push(format!(
-                "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
+            );
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
                  \"id\":{i},\"pid\":{epid},\"tid\":{etid},\"ts\":{}}}",
                 us(edge.at_secs),
-            ));
+            );
         }
         for mark in &self.marks {
             let name = if mark.down { "ServerDown" } else { "ServerUp" };
-            events.push(format!(
-                "{{\"name\":\"{name}\",\"cat\":\"availability\",\"ph\":\"i\",\"s\":\"t\",\
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{name}\",\"cat\":\"availability\",\"ph\":\"i\",\"s\":\"t\",\
                  \"pid\":2,\"tid\":{},\"ts\":{},\
                  \"args\":{{\"relocated\":{},\"dropped\":{}}}}}",
                 mark.server,
                 us(mark.at_secs),
                 mark.relocated,
                 mark.dropped,
-            ));
+            );
         }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-            events.join(",\n")
-        )
+        out.push_str("\n]}\n");
+        out
     }
 }
 
