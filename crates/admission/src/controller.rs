@@ -60,95 +60,6 @@ impl Admission {
     pub fn accepted(&self) -> bool {
         !matches!(self, Admission::Rejected)
     }
-
-    /// The server the new stream was admitted on (`None` when rejected).
-    /// The sharded loop routes the stream's later pause/resume events to
-    /// this server's shard.
-    pub fn server(&self) -> Option<ServerId> {
-        match *self {
-            Admission::Direct { server }
-            | Admission::WithMigration { server, .. }
-            | Admission::WithChain { server, .. } => Some(server),
-            Admission::Rejected => None,
-        }
-    }
-
-    /// The stream moves this decision caused, in execution order. This is
-    /// the controller's half of the cross-shard channel: the sharded event
-    /// loop filters these through the `ShardMap` and forwards the ones
-    /// whose endpoints live on different shards.
-    pub fn relocations(&self) -> Vec<Relocation> {
-        match *self {
-            Admission::Direct { .. } | Admission::Rejected => Vec::new(),
-            Admission::WithMigration { server, victim, to } => vec![Relocation {
-                stream: victim,
-                from: server,
-                to,
-                kind: RelocationKind::Displacement,
-            }],
-            Admission::WithChain {
-                server,
-                first: (v1, t1),
-                second: (v2, t2),
-            } => vec![
-                // The inner victim moves first (it opens t1's slot).
-                Relocation {
-                    stream: v2,
-                    from: t1,
-                    to: t2,
-                    kind: RelocationKind::ChainInnerHop,
-                },
-                Relocation {
-                    stream: v1,
-                    from: server,
-                    to: t1,
-                    kind: RelocationKind::Displacement,
-                },
-            ],
-        }
-    }
-}
-
-/// Why a stream (or copy) crossed between servers — the four causal-edge
-/// interactions the sharded loop synchronizes on. The taxonomy matches
-/// the span layer's dependency edges one-for-one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RelocationKind {
-    /// A DRM victim displaced at admission time to free a slot.
-    Displacement,
-    /// The inner (second) hop of a two-step migration chain.
-    ChainInnerHop,
-    /// A cluster-sourced replication copy streaming to its target.
-    ReplicationCopy,
-    /// A stream rescued (relocated or restarted) off a failed server.
-    EvacuationRescue,
-}
-
-impl RelocationKind {
-    /// The wire/display tag for the kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            RelocationKind::Displacement => "displacement",
-            RelocationKind::ChainInnerHop => "chain_inner_hop",
-            RelocationKind::ReplicationCopy => "replication_copy",
-            RelocationKind::EvacuationRescue => "evacuation_rescue",
-        }
-    }
-}
-
-/// One stream moving `from → to` as a side effect of a controller
-/// decision. When `from` and `to` live on different shards this is a
-/// cross-shard event the loop must surface on its explicit channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Relocation {
-    /// The moving stream (or copy stream).
-    pub stream: StreamId,
-    /// The server the stream left.
-    pub from: ServerId,
-    /// The server the stream now runs on (or copies toward).
-    pub to: ServerId,
-    /// Which causal edge this move is.
-    pub kind: RelocationKind,
 }
 
 /// The servers one admission decision re-scheduled, in first-touch
@@ -204,25 +115,6 @@ pub struct Evacuation {
     pub restarted: Vec<(StreamId, ServerId)>,
     /// Streams whose viewers lost service, in evacuation order.
     pub dropped: Vec<StreamId>,
-}
-
-impl Evacuation {
-    /// The stream moves this evacuation performed (relocated first, then
-    /// restarted, each in evacuation order), all tagged
-    /// [`RelocationKind::EvacuationRescue`] and leaving `from` — the
-    /// failed server. Feeds the sharded loop's cross-shard channel.
-    pub fn relocations(&self, from: ServerId) -> Vec<Relocation> {
-        self.relocated
-            .iter()
-            .chain(self.restarted.iter())
-            .map(|&(stream, to)| Relocation {
-                stream,
-                from,
-                to,
-                kind: RelocationKind::EvacuationRescue,
-            })
-            .collect()
-    }
 }
 
 /// The admission-control half of the distribution controller. Owns the

@@ -35,9 +35,7 @@ pub mod replication;
 pub mod stats;
 pub mod waitlist;
 
-pub use controller::{
-    Admission, ChainPlan, Controller, Evacuation, Relocation, RelocationKind, TouchedServers,
-};
+pub use controller::{Admission, ChainPlan, Controller, Evacuation, TouchedServers};
 pub use policy::{AssignmentPolicy, EvacuationPolicy, MigrationPolicy, VictimSelection};
 pub use replication::{
     CopyLaunch, CopySource, ReplicationManager, ReplicationSpec, ReplicationStats,

@@ -114,21 +114,6 @@ pub struct PendingCopy {
     pub size_mb: f64,
 }
 
-impl PendingCopy {
-    /// The source→target move this copy represents, as a
-    /// [`crate::controller::Relocation`] for the sharded loop's
-    /// cross-shard channel. `None` for tertiary-sourced copies — tertiary
-    /// storage sits outside the cluster, so no shard boundary is crossed.
-    pub fn relocation(&self) -> Option<crate::controller::Relocation> {
-        Some(crate::controller::Relocation {
-            stream: self.stream,
-            from: self.source?,
-            to: self.target,
-            kind: crate::controller::RelocationKind::ReplicationCopy,
-        })
-    }
-}
-
 /// Counters for replication activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationStats {

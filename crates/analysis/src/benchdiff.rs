@@ -8,9 +8,8 @@
 //!
 //! The comparator is schema-free: both files are flattened to
 //! `path → number` leaves. Array elements that carry identifying
-//! fields (`scheduler`/`migration` for the grid, `shards` for the
-//! huge rows) are labelled by those ids rather than by index,
-//! so a reordered array still lines up. Each leaf is classified by its
+//! fields (`scheduler`/`migration` for the grid) are labelled by those
+//! ids rather than by index, so a reordered array still lines up. Each leaf is classified by its
 //! name — throughput-like leaves (`events_per_sec`, `speedup`,
 //! `floor`) regress when they *drop*, cost-like leaves (`wall_secs`,
 //! `overhead_pct`) regress when they *rise*, anything else is
@@ -95,9 +94,6 @@ fn element_label(v: &Value, index: usize) -> String {
         };
         if let (Some(s), Some(m)) = (get("scheduler"), get("migration")) {
             return format!("[{s},{m}]");
-        }
-        if let Some(s) = get("shards") {
-            return format!("[{s}s]");
         }
     }
     format!("[{index}]")
@@ -261,10 +257,7 @@ mod tests {
         {"scheduler": "eftf", "migration": "single_hop", "events_per_sec": 1000.0, "events": 500},
         {"scheduler": "fcfs", "migration": "none", "events_per_sec": 900.0, "events": 500}
       ],
-      "huge": [
-        {"shards": 1, "events_per_sec": 50000.0, "wall_secs": 3.0},
-        {"shards": 4, "events_per_sec": 61845.1, "wall_secs": 2.0}
-      ],
+      "huge": {"events_per_sec": 61845.1, "wall_secs": 2.0},
       "probe_overhead": {"overhead_pct": 3.26},
       "floor": 883006.0
     }"#;
@@ -274,10 +267,7 @@ mod tests {
         {"scheduler": "fcfs", "migration": "none", "events_per_sec": 950.0, "events": 500},
         {"scheduler": "eftf", "migration": "single_hop", "events_per_sec": 800.0, "events": 500}
       ],
-      "huge": [
-        {"shards": 4, "events_per_sec": 70000.0, "wall_secs": 1.8},
-        {"shards": 1, "events_per_sec": 50000.0, "wall_secs": 3.0}
-      ],
+      "huge": {"events_per_sec": 70000.0, "wall_secs": 1.8},
       "probe_overhead": {"overhead_pct": 4.0},
       "floor": 883006.0,
       "trace_overhead": {"overhead_pct": 1.1}
@@ -297,29 +287,20 @@ mod tests {
         let huge = d
             .cells
             .iter()
-            .find(|c| c.path == "huge[4s].events_per_sec")
-            .expect("labelled by shards despite reorder");
+            .find(|c| c.path == "huge.events_per_sec")
+            .expect("nested map leaves are paths");
         assert!(
             huge.regression_pct < 0.0,
             "improvement is negative regression"
         );
-        let mono = d
-            .cells
-            .iter()
-            .find(|c| c.path == "huge[1s].events_per_sec")
-            .expect("each shard count gets its own label");
-        assert_eq!((mono.old, mono.new), (50000.0, 50000.0));
     }
 
     #[test]
     fn directions_classify_throughput_cost_and_info() {
         let d = diff(OLD, NEW).unwrap();
         let by = |p: &str| d.cells.iter().find(|c| c.path == p).unwrap();
-        assert_eq!(
-            by("huge[4s].events_per_sec").direction,
-            Direction::HigherBetter
-        );
-        assert_eq!(by("huge[4s].wall_secs").direction, Direction::LowerBetter);
+        assert_eq!(by("huge.events_per_sec").direction, Direction::HigherBetter);
+        assert_eq!(by("huge.wall_secs").direction, Direction::LowerBetter);
         assert_eq!(
             by("probe_overhead.overhead_pct").direction,
             Direction::LowerBetter
@@ -327,7 +308,7 @@ mod tests {
         assert_eq!(by("floor").direction, Direction::HigherBetter);
         assert_eq!(by("grid[fcfs,none].events").direction, Direction::Info);
         // wall_secs dropped 10%: an improvement for a lower-better leaf.
-        assert!(by("huge[4s].wall_secs").regression_pct < 0.0);
+        assert!(by("huge.wall_secs").regression_pct < 0.0);
     }
 
     #[test]

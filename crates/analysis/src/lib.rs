@@ -28,8 +28,8 @@
 //!   harness emits viewable figures, not just tables.
 //! * [`timeseries`] — the flight-recorder schema (`sctsim run
 //!   --timeseries`): fixed-width virtual-time windows of counters and
-//!   gauge means, per-shard barrier series, trial merging, recording
-//!   diff, and the `sctsim watch` terminal dashboard.
+//!   gauge means, trial merging, recording diff, and the `sctsim watch`
+//!   terminal dashboard.
 //! * [`trace`] — reader for the JSONL event traces the simulator exports
 //!   (`sctsim --trace`), parsing the wire format generically so analyses
 //!   can count, filter, and reconcile events without depending on the
@@ -66,6 +66,6 @@ pub use spans::{
 };
 pub use svg::{render_series, SvgOptions};
 pub use timeseries::{
-    diff, render_dashboard, DiffPoint, RecordingDiff, ShardSeries, TimeSeriesRecording, WindowRow,
+    diff, render_dashboard, DiffPoint, RecordingDiff, TimeSeriesRecording, WindowRow,
 };
 pub use trace::{Trace, TraceEvent};

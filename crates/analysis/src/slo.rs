@@ -16,7 +16,7 @@
 //!
 //! Evaluation is pure arithmetic over the rows, so alerts are exactly as
 //! deterministic as the recording itself: same windows in, same alerts
-//! out, independent of wall clock or shard count. Threshold and
+//! out, independent of wall clock. Threshold and
 //! burn-rate rules fire once on *entering* violation and re-arm when the
 //! condition clears; rate-of-change fires per offending window.
 
@@ -535,7 +535,6 @@ mod tests {
             duration_secs: 0.0,
             n_servers: 2,
             windows: Vec::new(),
-            shards: Vec::new(),
             alerts: Vec::new(),
         };
         assert!(recording.windows.is_empty());

@@ -93,7 +93,7 @@ impl HistogramSnapshot {
 /// One timed phase of the event loop's self-profile.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfilePhase {
-    /// Phase name (`dispatch`, `alloc`, `wake`, `probe`, `barrier`).
+    /// Phase name (`dispatch`, `alloc`, `wake`, `probe`).
     pub name: String,
     /// Wall seconds attributed to the phase.
     pub secs: f64,
@@ -114,15 +114,14 @@ pub struct ProfileSnapshot {
     pub phases: Vec<ProfilePhase>,
 }
 
-/// Loop self-profiles attached to a metrics export: the cross-shard
-/// merge plus the per-shard breakdown (only populated when `shards > 1`;
-/// the monolithic loop has exactly one profile, already the merge).
+/// The loop self-profile attached to a metrics export. (Snapshots
+/// written while the loop could be sharded also carry a `per_shard`
+/// array; the reader ignores it.)
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LoopProfilesSnapshot {
-    /// All shards merged: phase seconds summed, wall = max across shards.
+    /// The exported trials' profiles summed: phase seconds, calls and
+    /// wall seconds add.
     pub merged: ProfileSnapshot,
-    /// One profile per shard, in shard order (empty when `shards = 1`).
-    pub per_shard: Vec<ProfileSnapshot>,
 }
 
 /// A complete exported telemetry snapshot: one trial, or several trials
@@ -140,8 +139,8 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// Named histograms, in name order.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Event-loop self-profiles (merged + per-shard), when the exporter
-    /// captured them. Serialised as `null` otherwise.
+    /// The event loop's self-profile, when the exporter captured it.
+    /// Serialised as `null` otherwise.
     pub profile: Option<LoopProfilesSnapshot>,
 }
 
@@ -236,43 +235,22 @@ impl MetricsSnapshot {
         }
         if let Some(profile) = &self.profile {
             out.push_str("## Loop profile\n\n");
+            let p = &profile.merged;
             let mut t = Table::new(vec!["profile", "wall (s)", "events", "events/s"]);
-            let mut rows: Vec<(String, &ProfileSnapshot)> =
-                vec![("merged".to_string(), &profile.merged)];
-            for (i, p) in profile.per_shard.iter().enumerate() {
-                rows.push((format!("shard {i}"), p));
-            }
-            for (label, p) in &rows {
-                t.push_row(vec![
-                    label.clone(),
-                    format!("{:.4}", p.wall_secs),
-                    p.events.to_string(),
-                    format!("{:.0}", p.events_per_sec),
-                ]);
-            }
+            t.push_row(vec![
+                "merged".to_string(),
+                format!("{:.4}", p.wall_secs),
+                p.events.to_string(),
+                format!("{:.0}", p.events_per_sec),
+            ]);
             out.push_str(&t.to_markdown());
             out.push('\n');
             let mut t = Table::new(vec!["phase (s)", "merged"]);
-            for i in 0..profile.per_shard.len() {
-                // Table wants String columns; build headers dynamically.
-                t.headers.push(format!("shard {i}"));
-            }
-            for (pi, phase) in profile.merged.phases.iter().enumerate() {
-                let mut row = vec![phase.name.clone(), format!("{:.4}", phase.secs)];
-                for p in &profile.per_shard {
-                    row.push(format!("{:.4}", p.phases[pi].secs));
-                }
-                t.push_row(row);
+            for phase in &p.phases {
+                t.push_row(vec![phase.name.clone(), format!("{:.4}", phase.secs)]);
             }
             out.push_str(&t.to_markdown());
             out.push('\n');
-            if !profile.per_shard.is_empty() {
-                out.push_str(
-                    "Phase seconds sum across shards; wall time is the max across \
-                     shards (they multiplex one thread), so merged wall is not the \
-                     per-shard total.\n\n",
-                );
-            }
         }
         out
     }
@@ -402,7 +380,7 @@ mod tests {
 
     fn sample_profile() -> LoopProfilesSnapshot {
         let phases = |scale: f64| {
-            ["dispatch", "alloc", "wake", "probe", "barrier"]
+            ["dispatch", "alloc", "wake", "probe"]
                 .iter()
                 .enumerate()
                 .map(|(i, name)| ProfilePhase {
@@ -419,20 +397,6 @@ mod tests {
                 events_per_sec: 500.0,
                 phases: phases(0.2),
             },
-            per_shard: vec![
-                ProfileSnapshot {
-                    wall_secs: 2.0,
-                    events: 600,
-                    events_per_sec: 300.0,
-                    phases: phases(0.12),
-                },
-                ProfileSnapshot {
-                    wall_secs: 1.5,
-                    events: 400,
-                    events_per_sec: 267.0,
-                    phases: phases(0.08),
-                },
-            ],
         }
     }
 
@@ -476,33 +440,16 @@ mod tests {
     }
 
     #[test]
-    fn markdown_profile_section_lists_merged_and_per_shard() {
+    fn markdown_profile_section_lists_the_phases() {
         let mut snap = sample();
         snap.profile = Some(sample_profile());
         let md = snap.to_markdown();
         assert!(md.contains("## Loop profile"));
         assert!(md.contains("| merged |"));
-        assert!(md.contains("| shard 0 |"));
-        assert!(md.contains("| shard 1 |"));
-        assert!(md.contains("| barrier |"));
-        assert!(
-            md.contains("wall time is the max across"),
-            "merged-vs-per-shard wall note missing:\n{md}"
-        );
+        assert!(md.contains("| wake |"));
+        assert!(!md.contains("shard"), "{md}");
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap, "profile must survive the JSON round trip");
-    }
-
-    #[test]
-    fn markdown_profile_section_without_shards_omits_the_wall_note() {
-        let mut snap = sample();
-        let mut profile = sample_profile();
-        profile.per_shard.clear();
-        snap.profile = Some(profile);
-        let md = snap.to_markdown();
-        assert!(md.contains("## Loop profile"));
-        assert!(!md.contains("| shard 0 |"));
-        assert!(!md.contains("wall time is the max across"));
     }
 
     #[test]

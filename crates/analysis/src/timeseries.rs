@@ -3,20 +3,11 @@
 //! A [`TimeSeriesRecording`] is what `sctsim run --timeseries FILE`
 //! exports: the event stream and state-view boundary publications folded
 //! into fixed-width windows of virtual time ([`WindowRow`]), plus the
-//! sharded loop's barrier accounting ([`ShardSeries`]) and the alerts an
-//! online [`crate::slo`] policy fired while the windows closed.
-//!
-//! Two determinism invariants shape the schema:
-//!
-//! 1. The `windows` and `alerts` sections are a pure fold of the event
-//!    stream and state views, which the conservative barrier makes
-//!    *identical for every shard count* — so those sections are
-//!    bit-identical across `--shards` values.
-//! 2. The `shards` section describes the barrier protocol itself (runs,
-//!    horizon slack, stalls, cross-shard edges). It is empty on the
-//!    monolithic loop and varies *by shard count*, but is a pure
-//!    function of virtual time, hence bit-identical across repeated
-//!    runs at any fixed shard count.
+//! alerts an online [`crate::slo`] policy fired while the windows closed.
+//! Both are a pure fold of the event stream and state views, hence
+//! bit-identical across repeated runs of one configuration. (Recordings
+//! written while the loop could be sharded also carry a `shards` array;
+//! the reader ignores it.)
 //!
 //! [`TimeSeriesRecording::merge`] folds trials together the way
 //! `MetricsSnapshot` does (counters add, means average), [`diff`] aligns
@@ -222,46 +213,7 @@ impl WindowRow {
     }
 }
 
-/// Per-window barrier accounting for one shard of the sharded loop.
-/// Every vector is indexed by window; a run is attributed to the window
-/// containing its election time. Virtual-time-only quantities, so the
-/// series is deterministic per shard count.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ShardSeries {
-    /// The shard index.
-    pub shard: u32,
-    /// Barrier-to-barrier runs this shard won.
-    pub runs: Vec<u64>,
-    /// Runs that ended with work still pending (stalled at the horizon).
-    pub stalled_runs: Vec<u64>,
-    /// Runs whose horizon was bounded by foreign work.
-    pub bounded_runs: Vec<u64>,
-    /// Summed election slack (horizon − head, virtual seconds) over the
-    /// bounded runs; mean slack = `slack_secs / bounded_runs`.
-    pub slack_secs: Vec<f64>,
-    /// Events dispatched by this shard's runs.
-    pub events: Vec<u64>,
-    /// `CrossShard` channel records leaving this shard.
-    pub cross_edges_out: Vec<u64>,
-}
-
-impl ShardSeries {
-    /// An all-zero series for `shard` over `n_windows` windows.
-    pub fn empty(shard: u32, n_windows: usize) -> ShardSeries {
-        ShardSeries {
-            shard,
-            runs: vec![0; n_windows],
-            stalled_runs: vec![0; n_windows],
-            bounded_runs: vec![0; n_windows],
-            slack_secs: vec![0.0; n_windows],
-            events: vec![0; n_windows],
-            cross_edges_out: vec![0; n_windows],
-        }
-    }
-}
-
-/// A complete flight-recorder export. See the module docs for the two
-/// determinism invariants splitting `windows`/`alerts` from `shards`.
+/// A complete flight-recorder export (see the module docs).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeriesRecording {
     /// Schema version (1).
@@ -276,11 +228,8 @@ pub struct TimeSeriesRecording {
     pub duration_secs: f64,
     /// Servers in the cluster.
     pub n_servers: u32,
-    /// The shard-invariant windowed series, in window order.
+    /// The windowed series, in window order.
     pub windows: Vec<WindowRow>,
-    /// Barrier accounting per shard (empty on the monolithic loop;
-    /// counts summed across merged trials).
-    pub shards: Vec<ShardSeries>,
     /// Alerts the online SLO policy fired, in window order (then trial
     /// order after a merge).
     pub alerts: Vec<SloAlert>,
@@ -306,7 +255,7 @@ impl TimeSeriesRecording {
     }
 
     /// Merges another trial of the *same configuration* into this
-    /// recording: counters (and shard counts) add, gauge means average
+    /// recording: counters add, gauge means average
     /// weighted by trial count, alerts concatenate. Errs when the window
     /// grids or cluster shapes disagree.
     pub fn merge(&mut self, other: &TimeSeriesRecording) -> Result<(), String> {
@@ -324,13 +273,6 @@ impl TimeSeriesRecording {
                 other.windows.len(),
                 other.window_secs,
                 other.n_servers,
-            ));
-        }
-        if self.shards.len() != other.shards.len() {
-            return Err(format!(
-                "incompatible recordings: {} shards vs {}",
-                self.shards.len(),
-                other.shards.len()
             ));
         }
         let (wa, wb) = (self.trials as f64, other.trials as f64);
@@ -360,16 +302,6 @@ impl TimeSeriesRecording {
             w.utilization = avg(w.utilization, o.utilization);
             for (s, os) in w.server_utilization.iter_mut().zip(&o.server_utilization) {
                 *s = avg(*s, *os);
-            }
-        }
-        for (s, o) in self.shards.iter_mut().zip(&other.shards) {
-            for i in 0..s.runs.len() {
-                s.runs[i] += o.runs[i];
-                s.stalled_runs[i] += o.stalled_runs[i];
-                s.bounded_runs[i] += o.bounded_runs[i];
-                s.slack_secs[i] += o.slack_secs[i];
-                s.events[i] += o.events[i];
-                s.cross_edges_out[i] += o.cross_edges_out[i];
             }
         }
         self.alerts.extend(other.alerts.iter().cloned());
@@ -436,9 +368,8 @@ impl RecordingDiff {
 }
 
 /// Aligns two recordings window-by-window and reports where they
-/// diverge: every [`WindowRow::METRICS`] entry, per-server utilization,
-/// and (when both runs were sharded alike) the per-shard barrier series.
-/// Floats compare with absolute tolerance `tol`. Errs when the window
+/// diverge: every [`WindowRow::METRICS`] entry and per-server
+/// utilization. Floats compare with absolute tolerance `tol`. Errs when the window
 /// grids are incomparable.
 pub fn diff(
     a: &TimeSeriesRecording,
@@ -486,54 +417,6 @@ pub fn diff(
             }
         }
     }
-    // Barrier series are comparable only for equal shard counts; when
-    // they differ the main series already tell the divergence story.
-    if a.shards.len() == b.shards.len() {
-        for (sa, sb) in a.shards.iter().zip(&b.shards) {
-            let series: [(&str, Vec<f64>, Vec<f64>); 6] = [
-                ("runs", to_f64(&sa.runs), to_f64(&sb.runs)),
-                (
-                    "stalled_runs",
-                    to_f64(&sa.stalled_runs),
-                    to_f64(&sb.stalled_runs),
-                ),
-                (
-                    "bounded_runs",
-                    to_f64(&sa.bounded_runs),
-                    to_f64(&sb.bounded_runs),
-                ),
-                ("slack_secs", sa.slack_secs.clone(), sb.slack_secs.clone()),
-                ("events", to_f64(&sa.events), to_f64(&sb.events)),
-                (
-                    "cross_edges_out",
-                    to_f64(&sa.cross_edges_out),
-                    to_f64(&sb.cross_edges_out),
-                ),
-            ];
-            for (name, va, vb) in &series {
-                let full = format!("shard{}/{name}", sa.shard);
-                let mut n = 0u32;
-                for (w, (x, y)) in va.iter().zip(vb).enumerate() {
-                    if (x - y).abs() > tol {
-                        n += 1;
-                        if first.is_none() {
-                            first = Some(DiffPoint {
-                                window: w as u32,
-                                start_secs: a.windows[w].start_secs,
-                                metric: full.clone(),
-                                a: *x,
-                                b: *y,
-                            });
-                        }
-                    }
-                }
-                if n > 0 {
-                    metrics.push(full);
-                    counts.push(n);
-                }
-            }
-        }
-    }
     let per_metric = metrics
         .into_iter()
         .zip(counts)
@@ -544,10 +427,6 @@ pub fn diff(
         first,
         per_metric,
     })
-}
-
-fn to_f64(v: &[u64]) -> Vec<f64> {
-    v.iter().map(|&x| x as f64).collect()
 }
 
 /// Scales a series onto the eight-level block ramp, `cols` characters
@@ -585,20 +464,17 @@ fn sparkline(values: &[f64], cols: usize) -> String {
 }
 
 /// Renders the terminal dashboard `sctsim watch` shows: a header, a
-/// sparkline per headline metric, per-shard barrier rows when the run
-/// was sharded, and the alert tail. Pure text, deterministic.
+/// sparkline per headline metric and the alert tail. Pure text,
+/// deterministic.
 pub fn render_dashboard(rec: &TimeSeriesRecording, cols: usize) -> String {
     let cols = cols.clamp(10, 200);
-    let n_shards = rec.shards.len().max(1);
     let mut out = format!(
-        "Time-series recording: {} windows x {:.0}s, {} trial{}, {} servers, {} shard{}\n\n",
+        "Time-series recording: {} windows x {:.0}s, {} trial{}, {} servers\n\n",
         rec.windows.len(),
         rec.window_secs,
         rec.trials,
         if rec.trials == 1 { "" } else { "s" },
         rec.n_servers,
-        n_shards,
-        if n_shards == 1 { "" } else { "s" },
     );
     let rows: [(&str, &str); 7] = [
         ("utilization", "utilization"),
@@ -625,28 +501,6 @@ pub fn render_dashboard(rec: &TimeSeriesRecording, cols: usize) -> String {
             "{label:>16}  last {last:>9.3}  mean {mean:>9.3}  {}\n",
             sparkline(&series, cols)
         ));
-    }
-    if !rec.shards.is_empty() {
-        out.push('\n');
-        for s in &rec.shards {
-            let runs: u64 = s.runs.iter().sum();
-            let stalled: u64 = s.stalled_runs.iter().sum();
-            let bounded: u64 = s.bounded_runs.iter().sum();
-            let slack: f64 = s.slack_secs.iter().sum();
-            let events: u64 = s.events.iter().sum();
-            let cross: u64 = s.cross_edges_out.iter().sum();
-            let mean_slack = if bounded == 0 {
-                0.0
-            } else {
-                slack / bounded as f64
-            };
-            out.push_str(&format!(
-                "shard {}: {runs} runs ({stalled} stalled), mean slack {mean_slack:.3}s, \
-                 {events} events, {cross} cross-shard edges out  {}\n",
-                s.shard,
-                sparkline(&to_f64(&s.events), cols)
-            ));
-        }
     }
     out.push('\n');
     if rec.alerts.is_empty() {
@@ -686,7 +540,6 @@ mod tests {
             duration_secs: 400.0,
             n_servers: 2,
             windows,
-            shards: vec![ShardSeries::empty(0, 4), ShardSeries::empty(1, 4)],
             alerts: vec![SloAlert {
                 trial: 0,
                 window: 2,
@@ -742,9 +595,6 @@ mod tests {
         let mut b = recording(0);
         b.window_secs = 50.0;
         assert!(a.merge(&b).is_err());
-        let mut c = recording(0);
-        c.shards.pop();
-        assert!(a.merge(&c).is_err());
     }
 
     #[test]
@@ -779,31 +629,17 @@ mod tests {
     }
 
     #[test]
-    fn diff_sees_barrier_series() {
-        let a = recording(0);
-        let mut b = recording(0);
-        b.shards[1].stalled_runs[3] = 5;
-        let d = diff(&a, &b, 1e-9).unwrap();
-        let first = d.first.unwrap();
-        assert_eq!(first.metric, "shard1/stalled_runs");
-        assert_eq!(first.window, 3);
-    }
-
-    #[test]
-    fn dashboard_renders_headlines_shards_and_alerts() {
+    fn dashboard_renders_headlines_and_alerts() {
         let text = render_dashboard(&recording(0), 60);
         assert!(text.contains("4 windows x 100s"));
         assert!(text.contains("utilization"));
         assert!(text.contains("arrivals/s"));
-        assert!(text.contains("shard 0:"));
         assert!(text.contains("alerts (1):"));
         assert!(text.contains('▁'), "sparkline missing:\n{text}");
         let mut quiet = recording(0);
         quiet.alerts.clear();
-        quiet.shards.clear();
         let text = render_dashboard(&quiet, 60);
         assert!(text.contains("alerts: none"));
-        assert!(!text.contains("shard 0:"));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! migration setting on the small paper system, measured by the loop's
 //! own [`sct_core::LoopProfiler`], plus the `SpanProbe` attachment cost.
 //!
-//! The run records the full grid and the probe overhead into
-//! `results/BENCH_sim.json`; CI fails if any cell stops producing
-//! events or if span collection costs more than 5 % of a bare trial
-//! (see .github/workflows). This is the production-loop counterpart to
+//! The run records the full grid, the million-slot `huge` trial and the
+//! probe overhead into `results/BENCH_sim.json`; CI fails if any cell
+//! stops producing events, if a throughput ratchet is missed, or if
+//! span collection costs more than 5 % of a bare trial (see
+//! .github/workflows). This is the production-loop counterpart to
 //! `bench_oracle.rs`'s reference-stepper gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -37,20 +38,14 @@ struct GridRow {
 }
 
 #[derive(Serialize)]
-struct HugeRow {
-    shards: usize,
-    events: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-}
-
-#[derive(Serialize)]
 struct HugeReport {
     simulated_hours: f64,
     theta: f64,
     seed: u64,
     concurrent_slots: usize,
-    rows: Vec<HugeRow>,
+    events: u64,
+    wall_secs: f64,
+    events_per_sec: f64,
 }
 
 #[derive(Serialize)]
@@ -80,9 +75,9 @@ struct Report {
     /// regressions cannot land silently; the floor only ever rises.
     floor_events_per_sec: f64,
     /// Ratchet for the Huge (million-slot) scenario, maintained the same
-    /// way over the minimum events/s across its shard-count rows. Huge
-    /// trials run seconds, not milliseconds, so its rows are single runs
-    /// and the CI allowance (see the workflow) absorbs the extra jitter.
+    /// way over its events/s. Huge trials run seconds, not milliseconds,
+    /// so it takes the better of two runs and the CI allowance (see the
+    /// workflow) absorbs the extra jitter.
     huge_floor_events_per_sec: f64,
 }
 
@@ -95,10 +90,6 @@ const SEED: u64 = 5;
 /// of wall time. Keep the simulated span short so the whole bench stays
 /// affordable.
 const HUGE_SIM_HOURS: f64 = 0.05;
-/// Shard counts for the Huge rows: the monolithic baseline and the
-/// sharded loop. Determinism makes both rows' event counts identical,
-/// so the pair doubles as an end-to-end invariance check at scale.
-const HUGE_SHARDS: [usize; 2] = [1, 4];
 const RESULT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_sim.json");
 
 /// Fraction of the measured minimum used when advancing the floor: a
@@ -131,13 +122,12 @@ fn prior_huge_floor() -> Option<f64> {
     Some(prior.huge_floor_events_per_sec)
 }
 
-fn huge_config(shards: usize) -> SimConfig {
+fn huge_config() -> SimConfig {
     SimConfig::builder(SystemSpec::huge())
         .theta(THETA)
         .duration_hours(HUGE_SIM_HOURS)
         .warmup_hours(0.0)
         .seed(SEED)
-        .shards(shards)
         .build()
 }
 
@@ -161,7 +151,7 @@ fn measure(cfg: &SimConfig, n: usize) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..n {
-        let (_, profile, _) = Simulation::run_instrumented(black_box(cfg), &mut []);
+        let (_, profile) = Simulation::run_instrumented(black_box(cfg), &mut []);
         best = best.min(profile.wall_secs);
         events = profile.events;
     }
@@ -208,26 +198,15 @@ fn bench_simloop(c: &mut Criterion) {
         }
     }
 
-    // The million-slot Huge scenario, monolithic and sharded. Each trial
-    // costs seconds, so every row takes the better of two runs — enough
-    // to shed the worst host-jitter outliers without doubling the bench;
-    // determinism makes the event count identical across the rows.
-    let mut huge_rows = Vec::new();
-    for shards in HUGE_SHARDS {
-        let cfg = huge_config(shards);
-        let (wall_secs, events) = measure(&cfg, 2);
-        println!(
-            "simloop: huge shards={shards} {events:>8} events  \
-             {wall_secs:.4} s  ({:.0} events/s)",
-            events as f64 / wall_secs
-        );
-        huge_rows.push(HugeRow {
-            shards,
-            events,
-            wall_secs,
-            events_per_sec: events as f64 / wall_secs,
-        });
-    }
+    // The million-slot Huge scenario. A trial costs seconds, so it takes
+    // the better of two runs — enough to shed the worst host-jitter
+    // outliers without doubling the bench.
+    let (huge_wall_secs, huge_events) = measure(&huge_config(), 2);
+    let huge_eps = huge_events as f64 / huge_wall_secs;
+    println!(
+        "simloop: huge {huge_events:>8} events  {huge_wall_secs:.4} s  \
+         ({huge_eps:.0} events/s)"
+    );
 
     // SpanProbe attachment cost on the busiest cell (EFTF + migration,
     // the paper's own configuration). Trials run a few milliseconds, so
@@ -241,14 +220,14 @@ fn bench_simloop(c: &mut Criterion) {
     let mut n_spans = 0;
     let mut n_windows = 0;
     for _ in 0..31 {
-        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut []);
+        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut []);
         bare_wall_secs = bare_wall_secs.min(profile.wall_secs);
         let mut probe = SpanProbe::new();
-        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe]);
+        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe]);
         spans_wall_secs = spans_wall_secs.min(profile.wall_secs);
         n_spans = probe.finish(cfg.duration.as_secs()).spans.len();
         let mut ts_probe = TimeSeriesProbe::new(&cfg, 900.0);
-        let (_, profile, _) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe]);
+        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe]);
         timeseries_wall_secs = timeseries_wall_secs.min(profile.wall_secs);
         n_windows = ts_probe.finish().windows.len();
     }
@@ -272,17 +251,10 @@ fn bench_simloop(c: &mut Criterion) {
         "simloop: grid floor {min_eps:.0} events/s, ratchet {floor_events_per_sec:.0} events/s"
     );
 
-    let huge_min_eps = huge_rows
-        .iter()
-        .map(|row| row.events_per_sec)
-        .fold(f64::INFINITY, f64::min);
     let huge_floor_events_per_sec = prior_huge_floor()
         .unwrap_or(0.0)
-        .max(RATCHET_FRACTION * huge_min_eps);
-    println!(
-        "simloop: huge floor {huge_min_eps:.0} events/s, ratchet \
-         {huge_floor_events_per_sec:.0} events/s"
-    );
+        .max(RATCHET_FRACTION * huge_eps);
+    println!("simloop: huge ratchet {huge_floor_events_per_sec:.0} events/s");
 
     let report = Report {
         scenario: ScenarioInfo {
@@ -300,7 +272,9 @@ fn bench_simloop(c: &mut Criterion) {
                 let spec = SystemSpec::huge();
                 spec.n_servers * spec.svbr()
             },
-            rows: huge_rows,
+            events: huge_events,
+            wall_secs: huge_wall_secs,
+            events_per_sec: huge_eps,
         },
         probe_overhead: ProbeOverhead {
             bare_wall_secs,

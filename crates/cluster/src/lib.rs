@@ -16,8 +16,6 @@
 //!   (popularity-oblivious), *predictive* (popularity-proportional), and
 //!   *partial-predictive* (even plus a few extra copies of the head), all
 //!   producing a validated [`placement::ReplicaMap`].
-//! * [`shard`] — the static server-to-shard partition ([`ShardMap`]) the
-//!   sharded event loop uses to split work and detect cross-shard edges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,9 +23,7 @@
 pub mod cluster;
 pub mod placement;
 pub mod server;
-pub mod shard;
 
 pub use cluster::ClusterSpec;
 pub use placement::{PlacementStrategy, ReplicaMap};
 pub use server::{ServerId, ServerSpec};
-pub use shard::ShardMap;

@@ -167,10 +167,6 @@ pub struct SimConfig {
     pub sample_interval_secs: Option<f64>,
     /// Track per-video arrival/rejection counts (small extra memory).
     pub track_per_video: bool,
-    /// Event-loop shards the cluster is partitioned into (1 = the
-    /// monolithic loop). Outcomes are identical for every value; shards
-    /// change batching and accounting, never behaviour.
-    pub shards: usize,
     /// Root seed for all randomness in the trial.
     pub seed: u64,
     /// Run (expensive) invariant checks while simulating.
@@ -233,7 +229,6 @@ impl SimConfigBuilder {
                 waitlist: None,
                 sample_interval_secs: None,
                 track_per_video: false,
-                shards: 1,
                 seed: 0,
                 check_invariants: false,
             },
@@ -395,14 +390,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Partitions the event loop into `n` shards (1 = monolithic). The
-    /// shard map clamps `n` to the server count; outcomes do not depend
-    /// on it.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
     /// Sets the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -427,7 +414,7 @@ impl SimConfigBuilder {
     /// finite, the duration positive and finite, the warm-up
     /// non-negative and shorter than the run, the receive cap at least
     /// the view rate, the staging buffer non-negative, the heterogeneity
-    /// spread in `[0, 1)`, and at least one shard. The optional specs
+    /// spread in `[0, 1)`. The optional specs
     /// follow the rules their constructors assert: positive failure and
     /// repair means, a pause probability in `[0, 1]` with
     /// `0 < min ≤ max` pause, a diurnal amplitude in `[0, 1]` with a
@@ -546,9 +533,6 @@ impl SimConfigBuilder {
             if !positive(secs) {
                 return fail(format!("sample_interval_secs must be positive, got {secs}"));
             }
-        }
-        if c.shards < 1 {
-            return fail("at least one shard is required, got 0".to_string());
         }
         Ok(self.cfg)
     }
@@ -678,7 +662,6 @@ mod tests {
                 b().heterogeneity(HeterogeneityKind::Bandwidth, 1.5),
                 "spread must be in [0,1)",
             ),
-            (b().shards(0), "at least one shard"),
             (
                 b().staging(StagingSpec::AbsoluteMb(f64::NAN)),
                 "staging must not be negative",
@@ -717,8 +700,11 @@ mod tests {
         let ok = b().seed(3).try_build().expect("defaults are valid");
         assert_eq!(ok, b().seed(3).build());
         // A config read back from a file round-trips through the builder.
-        let again = SimConfigBuilder::from(ok.clone()).shards(2).try_build();
-        assert_eq!(again.map(|c| c.shards), Ok(2));
-        assert!(SimConfigBuilder::from(ok).shards(0).try_build().is_err());
+        let again = SimConfigBuilder::from(ok.clone()).seed(9).try_build();
+        assert_eq!(again.map(|c| c.seed), Ok(9));
+        assert!(SimConfigBuilder::from(ok)
+            .theta(f64::NAN)
+            .try_build()
+            .is_err());
     }
 }

@@ -150,52 +150,6 @@ pub enum SimEvent {
         /// Utilization of the window just closed.
         utilization: f64,
     },
-    /// A causal-edge interaction crossed a shard boundary (sharded loop
-    /// only, `shards > 1`): the explicit cross-shard channel record.
-    /// Never emitted by the monolithic loop, and ignored by the metrics
-    /// and span probes, so outcomes and span sets are identical for
-    /// every shard count.
-    CrossShard {
-        /// The moving (or copying) stream.
-        stream: u64,
-        /// Server the stream left (or copies from).
-        from: u16,
-        /// Server the stream moved to (or copies toward).
-        to: u16,
-        /// Shard owning `from`.
-        from_shard: u16,
-        /// Shard owning `to`.
-        to_shard: u16,
-        /// Which causal edge crossed.
-        edge: CrossShardEdge,
-    },
-}
-
-/// The four causal-edge interactions a [`SimEvent::CrossShard`] record
-/// can carry — exactly the edges the span layer's dependency graph
-/// tracks, which is why they are the only places shards must
-/// synchronize.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CrossShardEdge {
-    /// A DRM victim displaced at admission time.
-    Displacement,
-    /// The inner (second) hop of a two-step migration chain.
-    ChainInnerHop,
-    /// A cluster-sourced replication copy toward its target.
-    ReplicationCopy,
-    /// A stream rescued (relocated or restarted) off a failed server.
-    EvacuationRescue,
-}
-
-impl From<sct_admission::RelocationKind> for CrossShardEdge {
-    fn from(kind: sct_admission::RelocationKind) -> Self {
-        match kind {
-            sct_admission::RelocationKind::Displacement => CrossShardEdge::Displacement,
-            sct_admission::RelocationKind::ChainInnerHop => CrossShardEdge::ChainInnerHop,
-            sct_admission::RelocationKind::ReplicationCopy => CrossShardEdge::ReplicationCopy,
-            sct_admission::RelocationKind::EvacuationRescue => CrossShardEdge::EvacuationRescue,
-        }
-    }
 }
 
 impl SimEvent {
@@ -203,7 +157,7 @@ impl SimEvent {
     /// [`SimEvent::kind`] so both fail to compile when a variant is
     /// added without updating them; `tests/probe_coverage.rs` asserts
     /// every probe accounts for every entry.
-    pub const KINDS: [&'static str; 15] = [
+    pub const KINDS: [&'static str; 14] = [
         "Admitted",
         "Rejected",
         "Completed",
@@ -218,7 +172,6 @@ impl SimEvent {
         "WaitlistServed",
         "WaitlistExpired",
         "WindowSample",
-        "CrossShard",
     ];
 
     /// The variant name as it appears on the wire (the JSONL tag).
@@ -238,37 +191,8 @@ impl SimEvent {
             SimEvent::WaitlistServed { .. } => "WaitlistServed",
             SimEvent::WaitlistExpired { .. } => "WaitlistExpired",
             SimEvent::WindowSample { .. } => "WindowSample",
-            SimEvent::CrossShard { .. } => "CrossShard",
         }
     }
-}
-
-/// One barrier-to-barrier run of the sharded event loop, summarized for
-/// observability probes.
-///
-/// Emitted by the loop *only* when `shards > 1` (the monolithic loop has
-/// no barrier), after the run's last event and before the next barrier
-/// election. Every field is a pure function of virtual time and the
-/// deterministic queue protocol — no wall-clock quantities — so the
-/// summary stream is bit-identical across repeated runs of the same
-/// config at the same shard count.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunSummary {
-    /// The shard this run drained.
-    pub shard: u16,
-    /// Total shard count of the loop (constant per simulation).
-    pub n_shards: u16,
-    /// Virtual time of the run's first event (the elected head).
-    pub start: SimTime,
-    /// Barrier-horizon slack at election: how far (virtual seconds) the
-    /// earliest foreign work lay ahead of the elected head. `None` when
-    /// the run was unbounded (every other shard was empty).
-    pub slack_secs: Option<f64>,
-    /// Events dispatched during the run (stale wake-ups excluded).
-    pub events: u64,
-    /// `true` when the shard still held work at run end — it stalled at
-    /// the barrier horizon instead of draining.
-    pub stalled: bool,
 }
 
 /// An observer of the simulation's event stream.
@@ -285,12 +209,6 @@ pub trait Probe {
     /// need no state).
     fn on_state(&mut self, _now: SimTime, _view: &crate::metrics::StateView) {}
 
-    /// Called after each barrier-to-barrier run of the sharded loop
-    /// (`shards > 1` only) with that run's [`RunSummary`]. Default:
-    /// ignore — outcome-bearing probes must not depend on it, since the
-    /// monolithic loop never calls it.
-    fn on_run(&mut self, _summary: &RunSummary) {}
-
     /// Whether this probe consumes [`Probe::on_state`] views. Purely
     /// descriptive: the loop no longer reads it, and publishes state to
     /// every probe after every event either way. Defaults to `true`;
@@ -304,13 +222,6 @@ pub trait Probe {
 pub(crate) fn emit(probes: &mut [&mut dyn Probe], now: SimTime, event: &SimEvent) {
     for p in probes.iter_mut() {
         p.on_event(now, event);
-    }
-}
-
-/// Fans one run summary out to every attached probe, in order.
-pub(crate) fn emit_run(probes: &mut [&mut dyn Probe], summary: &RunSummary) {
-    for p in probes.iter_mut() {
-        p.on_run(summary);
     }
 }
 
@@ -379,53 +290,6 @@ impl Probe for MetricsProbe {
                 self.window_utilization.push(utilization);
             }
             _ => {}
-        }
-    }
-
-    fn uses_state(&self) -> bool {
-        false
-    }
-}
-
-/// Opt-in shard-locality counter: folds [`SimEvent::CrossShard`] channel
-/// records — and *only* those — into per-edge totals, quantifying how
-/// often a scenario's causality crosses shard boundaries.
-///
-/// The outcome-bearing probes deliberately ignore `CrossShard` (it only
-/// exists when `shards > 1`, and outcomes must be shard-invariant);
-/// attach this probe explicitly when locality is the question. On the
-/// monolithic loop every count stays zero.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CrossShardCounter {
-    /// All cross-shard edges observed.
-    pub total: u64,
-    /// DRM victims displaced across a boundary at admission time.
-    pub displacements: u64,
-    /// Inner hops of two-step migration chains.
-    pub chain_inner_hops: u64,
-    /// Cluster-sourced replication copies toward a foreign shard.
-    pub replication_copies: u64,
-    /// Streams rescued off a failed server onto a foreign shard.
-    pub evacuation_rescues: u64,
-}
-
-impl CrossShardCounter {
-    /// A fresh all-zero counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Probe for CrossShardCounter {
-    fn on_event(&mut self, _now: SimTime, event: &SimEvent) {
-        if let SimEvent::CrossShard { edge, .. } = event {
-            self.total += 1;
-            match edge {
-                CrossShardEdge::Displacement => self.displacements += 1,
-                CrossShardEdge::ChainInnerHop => self.chain_inner_hops += 1,
-                CrossShardEdge::ReplicationCopy => self.replication_copies += 1,
-                CrossShardEdge::EvacuationRescue => self.evacuation_rescues += 1,
-            }
         }
     }
 

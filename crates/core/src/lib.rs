@@ -22,12 +22,12 @@
 //!   causal edges (why *this* stream migrated), exported through
 //!   `sct_analysis::spans`.
 //! * [`profile`] — the on-request [`profile::LoopProfiler`]: the loop's
-//!   one wall-clock layer, phase timers per event-loop shard (dispatch /
-//!   allocator / wake scheduling / probe emission / barrier), enabled by
+//!   one wall-clock layer, phase timers (dispatch / allocator / wake
+//!   scheduling / probe emission), enabled by
 //!   `Simulation::run_instrumented` and disabled — zero clock reads per
 //!   event — on `Simulation::run` and `run_with_probes`.
 //! * [`timeseries`] — the flight recorder: [`timeseries::TimeSeriesProbe`]
-//!   folds the event stream, state views, and barrier run summaries into
+//!   folds the event stream and state views into
 //!   fixed-width virtual-time windows with online SLO evaluation,
 //!   exported through `sct_analysis::timeseries`.
 //! * [`runner`] — deterministic parallel multi-trial execution.
@@ -51,10 +51,7 @@ pub mod spans;
 pub mod timeseries;
 
 pub use config::{ConfigError, SimConfig, SimConfigBuilder, StagingSpec};
-pub use events::{
-    AdmitPath, CrossShardCounter, CrossShardEdge, JsonlTraceProbe, MetricsProbe, Probe, RunSummary,
-    SimEvent,
-};
+pub use events::{AdmitPath, JsonlTraceProbe, MetricsProbe, Probe, SimEvent};
 pub use metrics::{Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge};
 pub use policies::Policy;
 pub use profile::{LoopProfile, LoopProfiler, PhaseStat};

@@ -2,7 +2,7 @@
 //!
 //! The production [`crate::simulation::Simulation`] is *event-driven*:
 //! engines integrate piecewise-linear stream state exactly between
-//! predicted events, and a generation counter filters stale wakes. That
+//! predicted events, and each server keeps one re-armable wake slot. That
 //! machinery is efficient but subtle — an allocator bug, a mis-predicted
 //! wake, or a commitment-ledger drift silently corrupts results without
 //! tripping any single assertion.

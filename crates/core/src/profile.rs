@@ -7,16 +7,15 @@
 //!   and the state publication (everything below nests inside it);
 //! * **alloc** — allocator recompute: engine integration
 //!   (`advance_to`) plus schedule recomputation (`reschedule`);
-//! * **wake** — wake-event queue pushes from the re-arm site;
+//! * **wake** — arming a server's wake slot in the event queue;
 //! * **probe** — the per-event [`crate::metrics::StateView`]
 //!   publication (the `SimEvent` fan-out rides inside dispatch: timing
 //!   each emission cost more than the fan-out itself).
 //!
 //! Profiling runs on request. `Simulation::run_instrumented` (behind
 //! `sctsim run --profile` and `--metrics`, and the `bench_simloop`
-//! bench) builds enabled profilers, one per event-loop shard;
-//! `Simulation::run` and `run_with_probes` build
-//! [`LoopProfiler::disabled`] ones, whose [`LoopProfiler::stamp`] is
+//! bench) builds an enabled profiler; `Simulation::run` and
+//! `run_with_probes` build a [`LoopProfiler::disabled`] one, whose [`LoopProfiler::stamp`] is
 //! `None` and whose [`LoopProfiler::add`] /
 //! [`LoopProfiler::add_between`] do nothing. The loop takes every
 //! timestamp through [`LoopProfiler::stamp`], so the default path reads
@@ -34,12 +33,7 @@
 //! wall time only and feeds nothing back: simulated outcomes are
 //! bit-identical whether it is enabled or not.
 //!
-//! This is the loop's only wall-clock layer. Every shard's profiler
-//! charges its own runs and the barriers that elect them, so the
-//! per-shard tables of `sctsim run --profile --shards N` show where the
-//! sharded loop spends its time, barrier work included.
-//!
-//! Surfaced as `sctsim run --profile` and recorded per scheduler ×
+//! This is the loop's only wall-clock layer. Surfaced as `sctsim run --profile` and recorded per scheduler ×
 //! migration by the `bench_simloop` bench into `results/BENCH_sim.json`.
 
 use serde::{Deserialize, Serialize};
@@ -53,17 +47,13 @@ pub enum Phase {
     Dispatch,
     /// Engine integration + schedule recompute.
     Alloc,
-    /// Wake-queue pushes from the re-arm site.
+    /// Wake-slot arms from the re-arm site.
     Wake,
     /// Per-event state publication to the attached probes.
     Probe,
-    /// Sharded loop only: barrier work between runs — electing the next
-    /// shard and recomputing the cross-shard horizon. Zero on the
-    /// monolithic (`shards = 1`) fast path.
-    Barrier,
 }
 
-const N_PHASES: usize = 5;
+const N_PHASES: usize = 4;
 
 #[derive(Default)]
 struct PhaseCell {
@@ -170,7 +160,6 @@ impl LoopProfiler {
             alloc: stat(Phase::Alloc),
             wake: stat(Phase::Wake),
             probe: stat(Phase::Probe),
-            barrier: stat(Phase::Barrier),
         }
     }
 }
@@ -197,34 +186,28 @@ pub struct LoopProfile {
     pub dispatch: PhaseStat,
     /// Engine integration + schedule recompute.
     pub alloc: PhaseStat,
-    /// Wake-queue pushes.
+    /// Wake-slot arms.
     pub wake: PhaseStat,
     /// Per-event state publication to the attached probes.
     pub probe: PhaseStat,
-    /// Sharded-loop barrier work (shard election + horizon recompute);
-    /// zero when `shards = 1`.
-    pub barrier: PhaseStat,
 }
 
 impl LoopProfile {
     /// Handler time not explained by the instrumented sub-phases: pure
     /// dispatch logic (event decode, counters, branch selection).
-    /// Barrier time sits *between* dispatch windows and is excluded.
     pub fn self_secs(&self) -> f64 {
         (self.dispatch.secs - self.alloc.secs - self.wake.secs - self.probe.secs).max(0.0)
     }
 
-    /// Reduces per-shard profiles to one trial-wide profile: phase times
-    /// and counts sum (the shards multiplex one thread, so their busy
-    /// times are disjoint) while the wall clock — every shard profiler
-    /// spans the whole loop — is the maximum.
-    pub fn merge(shards: &[LoopProfile]) -> LoopProfile {
+    /// The profile of trials run one after another: phase seconds,
+    /// calls, events and wall seconds add.
+    pub fn total(trials: &[LoopProfile]) -> LoopProfile {
         let add = |f: fn(&LoopProfile) -> PhaseStat| PhaseStat {
-            secs: shards.iter().map(|p| f(p).secs).sum(),
-            calls: shards.iter().map(|p| f(p).calls).sum(),
+            secs: trials.iter().map(|p| f(p).secs).sum(),
+            calls: trials.iter().map(|p| f(p).calls).sum(),
         };
-        let wall_secs = shards.iter().map(|p| p.wall_secs).fold(0.0, f64::max);
-        let events: u64 = shards.iter().map(|p| p.events).sum();
+        let wall_secs: f64 = trials.iter().map(|p| p.wall_secs).sum();
+        let events: u64 = trials.iter().map(|p| p.events).sum();
         LoopProfile {
             wall_secs,
             events,
@@ -237,7 +220,6 @@ impl LoopProfile {
             alloc: add(|p| p.alloc),
             wake: add(|p| p.wake),
             probe: add(|p| p.probe),
-            barrier: add(|p| p.barrier),
         }
     }
 
@@ -258,7 +240,6 @@ impl LoopProfile {
                 phase("alloc", &self.alloc),
                 phase("wake", &self.wake),
                 phase("probe", &self.probe),
-                phase("barrier", &self.barrier),
             ],
         }
     }
@@ -276,9 +257,6 @@ impl LoopProfile {
         out.push_str(&row("alloc", &self.alloc));
         out.push_str(&row("wake", &self.wake));
         out.push_str(&row("probe", &self.probe));
-        if self.barrier.calls > 0 {
-            out.push_str(&row("barrier", &self.barrier));
-        }
         out.push_str(&format!("  {:<10} {:>10.6} s\n", "self", self.self_secs()));
         out
     }
@@ -323,13 +301,7 @@ mod tests {
         assert_eq!(report.wall_secs, 0.0);
         assert_eq!(report.events, 0);
         assert_eq!(report.events_per_sec, 0.0);
-        for s in [
-            report.dispatch,
-            report.alloc,
-            report.wake,
-            report.probe,
-            report.barrier,
-        ] {
+        for s in [report.dispatch, report.alloc, report.wake, report.probe] {
             assert_eq!(s.calls, 0);
             assert_eq!(s.secs, 0.0);
         }
@@ -357,16 +329,12 @@ mod tests {
                 secs: 0.0,
                 calls: 0,
             },
-            barrier: PhaseStat {
-                secs: 0.0,
-                calls: 0,
-            },
         };
         assert_eq!(profile.self_secs(), 0.0);
     }
 
     #[test]
-    fn merge_sums_phases_and_keeps_max_wall() {
+    fn total_adds_trials_run_one_after_another() {
         let stat = |secs: f64, calls: u64| PhaseStat { secs, calls };
         let a = LoopProfile {
             wall_secs: 2.0,
@@ -376,7 +344,6 @@ mod tests {
             alloc: stat(0.2, 10),
             wake: stat(0.1, 10),
             probe: stat(0.05, 10),
-            barrier: stat(0.01, 4),
         };
         let b = LoopProfile {
             wall_secs: 1.5,
@@ -386,48 +353,19 @@ mod tests {
             alloc: stat(0.1, 6),
             wake: stat(0.05, 6),
             probe: stat(0.02, 6),
-            barrier: stat(0.02, 3),
         };
-        let m = LoopProfile::merge(&[a, b]);
-        assert_eq!(m.wall_secs, 2.0);
-        assert_eq!(m.events, 16);
-        assert_eq!(m.events_per_sec, 8.0);
-        assert_eq!(m.dispatch.calls, 16);
-        assert!((m.dispatch.secs - 0.75).abs() < 1e-12);
-        assert_eq!(m.barrier.calls, 7);
-        assert!((m.barrier.secs - 0.03).abs() < 1e-12);
-        let text = m.to_text();
-        assert!(text.contains("barrier"), "{text}");
-    }
-
-    #[test]
-    fn merge_of_empty_slice_is_all_zeros() {
-        let m = LoopProfile::merge(&[]);
-        assert_eq!(m.wall_secs, 0.0);
-        assert_eq!(m.events, 0);
-        assert_eq!(m.events_per_sec, 0.0);
-        for s in [m.dispatch, m.alloc, m.wake, m.probe, m.barrier] {
-            assert_eq!(s.secs, 0.0);
-            assert_eq!(s.calls, 0);
-        }
-    }
-
-    #[test]
-    fn merge_of_singleton_is_identity() {
-        let stat = |secs: f64, calls: u64| PhaseStat { secs, calls };
-        let a = LoopProfile {
-            wall_secs: 2.0,
-            events: 10,
-            events_per_sec: 5.0,
-            dispatch: stat(0.5, 10),
-            alloc: stat(0.2, 10),
-            wake: stat(0.1, 10),
-            probe: stat(0.05, 10),
-            barrier: stat(0.0, 0),
-        };
-        // events_per_sec is recomputed from consistent inputs, so a
-        // singleton merge reproduces the profile exactly.
-        assert_eq!(LoopProfile::merge(&[a]), a);
+        let t = LoopProfile::total(&[a, b]);
+        assert_eq!(t.wall_secs, 3.5);
+        assert_eq!(t.events, 16);
+        assert_eq!(t.events_per_sec, 16.0 / 3.5);
+        assert_eq!(t.dispatch.calls, 16);
+        assert!((t.dispatch.secs - 0.75).abs() < 1e-12);
+        assert_eq!(LoopProfile::total(&[a]), a, "one trial is its own total");
+        let none = LoopProfile::total(&[]);
+        assert_eq!(
+            (none.wall_secs, none.events, none.events_per_sec),
+            (0.0, 0, 0.0)
+        );
     }
 
     #[test]
@@ -441,14 +379,13 @@ mod tests {
             alloc: stat(0.3, 4),
             wake: stat(0.2, 4),
             probe: stat(0.1, 4),
-            barrier: stat(0.05, 2),
         };
         let snap = p.snapshot();
         assert_eq!(snap.wall_secs, 1.0);
         assert_eq!(snap.events, 4);
         let names: Vec<&str> = snap.phases.iter().map(|ph| ph.name.as_str()).collect();
-        assert_eq!(names, ["dispatch", "alloc", "wake", "probe", "barrier"]);
-        assert_eq!(snap.phases[4].calls, 2);
+        assert_eq!(names, ["dispatch", "alloc", "wake", "probe"]);
+        assert_eq!(snap.phases[3].calls, 4);
         assert_eq!(snap.phases[0].secs, 0.4);
     }
 

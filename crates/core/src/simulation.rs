@@ -17,62 +17,43 @@
 //! (utilization, goodput) are computed by the epilogue from the engines
 //! themselves.
 //!
-//! Two event kinds dominate the queue:
+//! Two kinds of entry dominate the queue:
 //!
 //! * **Arrival** — the next Poisson request. Handling it may admit a
 //!   stream (possibly migrating a victim), then schedules the following
 //!   arrival.
-//! * **Wake { server, generation }** — the time at which a server's state
-//!   changes on its own: a stream completes or a staging buffer fills.
-//!   Each server keeps a generation counter; wakes scheduled before the
-//!   server's last reallocation are stale and ignored, so the queue never
-//!   needs deletions. The `WakeScheduler` owns this idiom — it is the
-//!   only place a wake is ever (re-)armed.
+//! * **Wake** — the time at which a server's state changes on its own: a
+//!   stream completes or a staging buffer fills. A wake is not an
+//!   `Event` but a slot of the [`EventQueue`], one per server: every
+//!   reallocation re-arms the server's slot, or clears it when the server
+//!   has nothing left to wake for before the horizon, so every wake the
+//!   queue pops is live. The `WakeScheduler` owns this idiom — it is the
+//!   only place a slot is ever armed or cleared.
 //!
 //! Between events every stream's `sent` grows linearly at its allocated
 //! rate, so engines integrate state exactly (no time-stepping error).
-//!
-//! # Sharded loop
-//!
-//! With `SimConfig::shards > 1` the queue is partitioned by a
-//! [`ShardMap`]: server-owned events (wakes, failures, repairs) live on
-//! the shard owning their server, pause/resume events on the shard of
-//! the admitting server, and controller-plane events (arrivals, samples,
-//! waitlist expiries, tertiary copy completions) on shard 0. Shards
-//! advance under the conservative barrier of
-//! [`sct_simcore::ShardedQueue`]; because the merged pop order equals
-//! the single-queue order, outcomes are identical for every shard count
-//! (and `shards = 1` is the exact pre-sharding loop). Shards multiplex
-//! one thread: the barrier changes batching and accounting, never the
-//! order events run in. The four causal-edge interactions that
-//! *span* shards — DRM displacement, chain-2 inner hops, cluster-sourced
-//! replication copies, evacuation rescues — are surfaced on the explicit
-//! cross-shard channel as [`SimEvent::CrossShard`] records; probe output
-//! needs no reordering at barriers since events are already globally
-//! ordered.
 
 use crate::config::SimConfig;
 use crate::events::{AdmitPath, MetricsProbe, Probe, SimEvent};
 use crate::profile::{LoopProfile, LoopProfiler, Phase};
 use sct_admission::{
-    Admission, AdmissionStats, Controller, CopyLaunch, Relocation, ReplicationManager,
-    ReplicationStats, Waitlist, WaitlistStats,
+    Admission, AdmissionStats, Controller, CopyLaunch, ReplicationManager, ReplicationStats,
+    Waitlist, WaitlistStats,
 };
-use sct_cluster::{ClusterSpec, ReplicaMap, ServerId, ShardMap};
+use sct_cluster::{ClusterSpec, ReplicaMap, ServerId};
 use sct_media::{Catalog, ClientProfile};
-use sct_simcore::{Exponential, Rng, ShardedQueue, SimTime, ZipfLike};
+use sct_simcore::{EventQueue, Exponential, Popped, Rng, SimTime, ZipfLike};
 use sct_transmission::{ServerEngine, Stream, StreamId};
 use sct_workload::{calibrated_rate, RequestGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Event payloads for the global queue.
+/// Event payloads for the global queue. Server wakes live in the queue's
+/// wake slots instead (see the module docs).
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// The generator's next request arrives.
     Arrival,
-    /// A server predicted a state change (completion / buffer-full).
-    Wake { server: u16, generation: u64 },
     /// A server fails (fault-tolerance extension).
     ServerDown(u16),
     /// A failed server comes back online.
@@ -101,7 +82,7 @@ pub struct SimOutcome {
     pub stats: AdmissionStats,
     /// Streams that finished transmission.
     pub completions: u64,
-    /// Total events processed (arrivals + live wakes).
+    /// Total events processed (arrivals, wakes and the rest).
     pub events_processed: u64,
     /// Length of the measurement window, hours.
     pub measured_hours: f64,
@@ -138,89 +119,59 @@ impl SimOutcome {
     }
 }
 
-/// The one place wake events are armed. Owns the sharded queue, the
-/// shard map, and the horizon, and encapsulates the
-/// advance/reschedule/generation/push idiom that every handler needs
-/// after touching an engine's schedule.
+/// The one place wake slots are armed and cleared. Owns the event queue
+/// and the horizon, and encapsulates the reschedule-then-arm idiom that
+/// every handler needs after touching an engine's schedule. A server
+/// left without a wake before the horizon gets its slot cleared, so a
+/// wake its engine no longer predicts can never pop.
 struct WakeScheduler {
-    queue: ShardedQueue<Event>,
-    /// Static server→shard partition (single-shard when `shards = 1`).
-    map: ShardMap,
+    queue: EventQueue<Event>,
     end: SimTime,
 }
 
 impl WakeScheduler {
-    /// The shard an event is dispatched on: server-owned events go to
-    /// their server's shard, everything else to the controller plane
-    /// (shard 0). Pause/resume are routed explicitly by the caller via
-    /// [`WakeScheduler::push_at_on`] — they follow the admitting server.
-    fn shard_for(&self, ev: &Event) -> usize {
-        match *ev {
-            Event::Wake { server, .. } | Event::ServerDown(server) | Event::ServerUp(server) => {
-                self.map.shard_of(ServerId(server))
-            }
-            _ => 0,
-        }
-    }
-
     /// Enqueues `ev` at `t` unless it falls past the horizon.
     fn push_at(&mut self, t: SimTime, ev: Event) {
         if t <= self.end {
-            let shard = self.shard_for(&ev);
-            self.queue.push(shard, t, ev);
+            self.queue.push(t, ev);
         }
     }
 
-    /// Enqueues on an explicit shard (pause/resume events follow their
-    /// stream's admitting server, which only the caller knows).
-    fn push_at_on(&mut self, shard: usize, t: SimTime, ev: Event) {
-        if t <= self.end {
-            self.queue.push(shard, t, ev);
-        }
+    /// `wake` if it falls within the horizon.
+    fn in_horizon(&self, wake: Option<SimTime>) -> Option<SimTime> {
+        wake.filter(|&t| t <= self.end)
     }
 
-    /// Re-arms `engine`'s wake after its schedule changed: optionally
-    /// integrate to `now` first, recompute the next self-transition, and
-    /// enqueue a generation-stamped wake for it. `check` runs the
-    /// engine's invariant audit afterwards (debug configs). The
-    /// integrate/recompute work is charged to the profiler's alloc
-    /// phase, the queue push to its wake phase.
-    fn rearm(
-        &mut self,
-        engine: &mut ServerEngine,
-        now: SimTime,
-        advance: bool,
-        check: bool,
-        prof: &LoopProfiler,
-    ) {
+    /// Re-arms `engine`'s wake after its schedule changed: recompute the
+    /// next self-transition and point the server's slot at it (or clear
+    /// the slot). `check` runs the engine's invariant audit afterwards
+    /// (debug configs). The recompute is charged to the profiler's alloc
+    /// phase, the arm to its wake phase.
+    fn rearm(&mut self, engine: &mut ServerEngine, now: SimTime, check: bool, prof: &LoopProfiler) {
         let t0 = prof.stamp();
-        if advance {
-            engine.advance_to(now);
-        }
         let wake = engine.reschedule(now);
-        if let Some(wake) = wake {
-            if wake <= self.end {
-                // Alloc and wake-push windows share the boundary read.
+        match self.in_horizon(wake) {
+            Some(wake) => {
+                // Alloc and wake-arm windows share the boundary read.
                 let t1 = prof.stamp();
                 prof.add_between(Phase::Alloc, t0, t1);
-                self.queue.push(
-                    self.map.shard_of(engine.id()),
-                    wake,
-                    Event::Wake {
-                        server: engine.id().0,
-                        generation: engine.generation(),
-                    },
-                );
+                self.queue.arm(engine.id().index(), wake);
                 prof.add(Phase::Wake, t1);
-            } else {
+            }
+            None => {
+                self.queue.disarm(engine.id().index());
                 prof.add(Phase::Alloc, t0);
             }
-        } else {
-            prof.add(Phase::Alloc, t0);
         }
         if check {
             engine.check_invariants();
         }
+    }
+
+    /// Clears a failed server's slot: it holds no streams, so it has
+    /// nothing to wake for until it admits again.
+    fn disarm(&mut self, server: ServerId) {
+        self.queue.disarm(server.index());
     }
 
     /// Arms the next wake for an engine whose schedule is already current
@@ -237,19 +188,13 @@ impl WakeScheduler {
             "arm() without a fresh reschedule on {}",
             engine.id()
         );
-        if let Some(wake) = engine.last_wake() {
-            if wake <= self.end {
+        match self.in_horizon(engine.last_wake()) {
+            Some(wake) => {
                 let t1 = prof.stamp();
-                self.queue.push(
-                    self.map.shard_of(engine.id()),
-                    wake,
-                    Event::Wake {
-                        server: engine.id().0,
-                        generation: engine.generation(),
-                    },
-                );
+                self.queue.arm(engine.id().index(), wake);
                 prof.add(Phase::Wake, t1);
             }
+            None => self.queue.disarm(engine.id().index()),
         }
         if check {
             engine.check_invariants();
@@ -289,18 +234,19 @@ struct SimWorld<'a> {
     last_time: SimTime,
     last_sample_mb: f64,
     sample_index: u32,
-    /// Wall-clock phase timers, one per shard (a single entry on the
-    /// monolithic loop), all enabled or all disabled; handlers charge
-    /// `profs[cur_shard]`. See [`crate::profile`].
-    profs: Vec<LoopProfiler>,
-    /// The shard whose run is currently executing events.
-    cur_shard: usize,
+    /// Wall-clock phase timers, enabled or disabled as a whole; see
+    /// [`crate::profile`].
+    prof: LoopProfiler,
+    /// Entries the loop popped (test builds only): the work gate that
+    /// every pop is a live event.
+    #[cfg(test)]
+    pops: u64,
 }
 
 impl<'a> SimWorld<'a> {
     /// Builds the world: catalog, cluster, placement, engines, policies,
     /// and the initial event queue (first arrival, failure phases, first
-    /// sample tick). `profile` enables the loop's wall-clock profilers.
+    /// sample tick). `profile` enables the loop's wall-clock profiler.
     fn new(config: &'a SimConfig, profile: bool) -> Self {
         // Independent randomness streams so that, e.g., changing the
         // placement cannot perturb the arrival sequence.
@@ -355,11 +301,8 @@ impl<'a> SimWorld<'a> {
         let mut controller = Controller::new(config.assignment, config.migration);
         controller.evacuation = config.evacuation;
 
-        let shard_map = ShardMap::new(engines.len(), config.shards);
-        let n_shards = shard_map.n_shards();
         let mut sched = WakeScheduler {
-            queue: ShardedQueue::new(n_shards, 1024),
-            map: shard_map,
+            queue: EventQueue::with_wake_slots(engines.len()),
             end: config.duration,
         };
         sched.push_at(generator.peek_time(), Event::Arrival);
@@ -416,64 +359,41 @@ impl<'a> SimWorld<'a> {
             last_time: SimTime::ZERO,
             last_sample_mb: 0.0,
             sample_index: 0,
-            profs: (0..n_shards)
-                .map(|_| {
-                    if profile {
-                        LoopProfiler::new()
-                    } else {
-                        LoopProfiler::disabled()
-                    }
-                })
-                .collect(),
-            cur_shard: 0,
+            prof: if profile {
+                LoopProfiler::new()
+            } else {
+                LoopProfiler::disabled()
+            },
+            #[cfg(test)]
+            pops: 0,
         }
     }
 
-    /// Pops and dispatches events until every shard drains. Execution
-    /// alternates barriers (shard election + horizon, charged to
-    /// [`Phase::Barrier`] on the elected shard) and runs that drain the
-    /// elected shard up to its cross-shard horizon; with one shard the
-    /// barrier is vacuous and a single run drains the whole queue.
-    /// Staleness of wakes is decided here, before the event counts as
-    /// processed.
+    /// Pops and dispatches entries until the queue drains. Every popped
+    /// wake is live (the wake slots never hold a superseded one), so
+    /// every pop is an event.
     fn run_loop(&mut self, probes: &mut [&mut dyn Probe]) {
-        let multi = self.sched.queue.n_shards() > 1;
-        loop {
-            // The shard is not elected yet, but every shard's profiler
-            // shares one setting, so shard 0's stamps for it.
-            let tb = if multi { self.profs[0].stamp() } else { None };
-            let Some(token) = self.sched.queue.begin_run() else {
-                break;
-            };
-            let shard = token.shard();
-            self.cur_shard = shard;
-            // Election snapshot for the run summary (virtual time only,
-            // so the summary stream stays deterministic). `multi` only:
-            // the monolithic loop has no barrier to observe.
-            let election = if multi {
-                self.sched.queue.run_head().map(|(head, _)| {
-                    let slack = self.sched.queue.run_horizon().map(|(h, _)| h - head);
-                    (head, slack)
-                })
-            } else {
-                None
-            };
-            self.profs[shard].add(Phase::Barrier, tb);
-            let events_before = self.events_processed;
-            while let Some(entry) = self.sched.queue.pop_run(&token) {
-                let now = entry.time;
-                debug_assert!(now >= self.last_time, "event order violated");
-                self.last_time = now;
-                if let Event::Wake { server, generation } = entry.payload {
-                    if generation != self.engines[server as usize].generation() {
-                        continue; // superseded by a later reallocation
-                    }
+        while let Some(entry) = self.sched.queue.pop_next() {
+            #[cfg(test)]
+            {
+                self.pops += 1;
+            }
+            let now = entry.time;
+            debug_assert!(now >= self.last_time, "event order violated");
+            self.last_time = now;
+            self.events_processed += 1;
+            let t0 = self.prof.stamp();
+            match entry.payload {
+                Popped::Wake(server) => {
+                    debug_assert_eq!(
+                        self.engines[server].last_wake(),
+                        Some(now),
+                        "a superseded wake popped on server {server}"
+                    );
+                    self.on_wake(now, server as u16, probes)
                 }
-                self.events_processed += 1;
-                let t0 = self.profs[shard].stamp();
-                match entry.payload {
+                Popped::Event(ev) => match ev {
                     Event::Arrival => self.on_arrival(now, probes),
-                    Event::Wake { server, .. } => self.on_wake(now, server, probes),
                     Event::ServerDown(server) => self.on_server_down(now, server, probes),
                     Event::ServerUp(server) => self.on_server_up(now, server, probes),
                     Event::CopyDone(id) => self.on_copy_done(now, id, probes),
@@ -481,60 +401,16 @@ impl<'a> SimWorld<'a> {
                     Event::Sample => self.on_sample(now, probes),
                     Event::PauseStream(id) => self.on_pause_resume(now, id, true, probes),
                     Event::ResumeStream(id) => self.on_pause_resume(now, id, false, probes),
-                }
-                // The publish window ends where the dispatch window does,
-                // so the two phases share the closing timestamp (one
-                // clock read saved per event).
-                let t1 = self.profs[shard].stamp();
-                self.publish_state(now, probes);
-                let t2 = self.profs[shard].stamp();
-                self.profs[shard].add_between(Phase::Probe, t1, t2);
-                self.profs[shard].add_between(Phase::Dispatch, t0, t2);
-            }
-            if let Some((start, slack)) = election {
-                let summary = crate::events::RunSummary {
-                    shard: shard as u16,
-                    n_shards: self.sched.queue.n_shards() as u16,
-                    start,
-                    slack_secs: slack,
-                    events: self.events_processed - events_before,
-                    stalled: self.sched.queue.shard_len(shard) > 0,
-                };
-                let ts = self.profs[shard].stamp();
-                crate::events::emit_run(probes, &summary);
-                self.profs[shard].add(Phase::Barrier, ts);
-            }
-            self.sched.queue.end_run(token);
-        }
-    }
-
-    /// Surfaces the cross-shard slice of `relocs` on the explicit
-    /// channel: one [`SimEvent::CrossShard`] per relocation whose
-    /// endpoints live on different shards. A no-op on the monolithic
-    /// loop, so `shards = 1` traces are bit-identical to the
-    /// pre-sharding ones.
-    fn emit_cross_shard(&self, relocs: &[Relocation], now: SimTime, probes: &mut [&mut dyn Probe]) {
-        if self.sched.queue.n_shards() <= 1 {
-            return;
-        }
-        for r in relocs {
-            let from_shard = self.sched.map.shard_of(r.from);
-            let to_shard = self.sched.map.shard_of(r.to);
-            if from_shard == to_shard {
-                continue;
-            }
-            crate::events::emit(
-                probes,
-                now,
-                &SimEvent::CrossShard {
-                    stream: r.stream.0,
-                    from: r.from.0,
-                    to: r.to.0,
-                    from_shard: from_shard as u16,
-                    to_shard: to_shard as u16,
-                    edge: r.kind.into(),
                 },
-            );
+            }
+            // The publish window ends where the dispatch window does,
+            // so the two phases share the closing timestamp (one
+            // clock read saved per event).
+            let t1 = self.prof.stamp();
+            self.publish_state(now, probes);
+            let t2 = self.prof.stamp();
+            self.prof.add_between(Phase::Probe, t1, t2);
+            self.prof.add_between(Phase::Dispatch, t0, t2);
         }
     }
 
@@ -676,7 +552,6 @@ impl<'a> SimWorld<'a> {
                 );
             }
         }
-        self.emit_cross_shard(&admission.relocations(), now, probes);
         if !admission.accepted() {
             if let Some(wl) = self.waitlist.as_mut() {
                 if let Some(expires) = wl.enqueue(
@@ -698,7 +573,6 @@ impl<'a> SimWorld<'a> {
                     );
                 }
             }
-            let mut copy_reloc: Option<Relocation> = None;
             if let Some(mgr) = self.replication.as_mut() {
                 match mgr.maybe_replicate(
                     req.video,
@@ -710,17 +584,8 @@ impl<'a> SimWorld<'a> {
                     now,
                 ) {
                     Some(CopyLaunch::FromServer { source, stream }) => {
-                        copy_reloc = mgr
-                            .in_flight()
-                            .iter()
-                            .find(|p| p.stream == stream)
-                            .and_then(|p| p.relocation());
-                        self.sched.arm(
-                            &self.engines[source.index()],
-                            now,
-                            false,
-                            &self.profs[self.cur_shard],
-                        );
+                        self.sched
+                            .arm(&self.engines[source.index()], now, false, &self.prof);
                         crate::events::emit(
                             probes,
                             now,
@@ -752,11 +617,8 @@ impl<'a> SimWorld<'a> {
                     None => {}
                 }
             }
-            if let Some(r) = copy_reloc {
-                self.emit_cross_shard(&[r], now, probes);
-            }
         }
-        if let Some(admit_server) = admission.server() {
+        if admission.accepted() {
             if let Some(ps) = self.config.interactivity {
                 if self.pause_rng.chance(ps.probability) {
                     let at = now + self.pause_rng.range_f64(0.0, length_secs);
@@ -764,14 +626,8 @@ impl<'a> SimWorld<'a> {
                         .pause_rng
                         .range_f64(ps.min_pause_secs, ps.max_pause_secs);
                     if at <= self.sched.end {
-                        // Pause/resume follow the admitting server's
-                        // shard; the handler's scan fallback still covers
-                        // streams that migrated after admission.
-                        let shard = self.sched.map.shard_of(admit_server);
-                        self.sched
-                            .push_at_on(shard, at, Event::PauseStream(stream_id));
-                        self.sched
-                            .push_at_on(shard, at + dur, Event::ResumeStream(stream_id));
+                        self.sched.push_at(at, Event::PauseStream(stream_id));
+                        self.sched.push_at(at + dur, Event::ResumeStream(stream_id));
                     }
                 }
             }
@@ -781,7 +637,7 @@ impl<'a> SimWorld<'a> {
                 &self.engines[sid.index()],
                 now,
                 self.config.check_invariants,
-                &self.profs[self.cur_shard],
+                &self.prof,
             );
         }
         self.sched
@@ -791,10 +647,10 @@ impl<'a> SimWorld<'a> {
     /// A live wake: integrate the server, reap finished streams, feed the
     /// waitlist with any freed slots, and re-arm.
     fn on_wake(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
-        let t0 = self.profs[self.cur_shard].stamp();
+        let t0 = self.prof.stamp();
         let e = &mut self.engines[server as usize];
         e.advance_to(now);
-        self.profs[self.cur_shard].add(Phase::Alloc, t0);
+        self.prof.add(Phase::Alloc, t0);
         let e = &mut self.engines[server as usize];
         let mut slots_freed = false;
         for done in e.reap_finished(now) {
@@ -831,9 +687,8 @@ impl<'a> SimWorld<'a> {
         self.sched.rearm(
             &mut self.engines[server as usize],
             now,
-            false,
             self.config.check_invariants,
-            &self.profs[self.cur_shard],
+            &self.prof,
         );
     }
 
@@ -869,12 +724,8 @@ impl<'a> SimWorld<'a> {
             );
         }
         for sid in outcome.touched {
-            self.sched.arm(
-                &self.engines[sid.index()],
-                now,
-                false,
-                &self.profs[self.cur_shard],
-            );
+            self.sched
+                .arm(&self.engines[sid.index()], now, false, &self.prof);
         }
     }
 
@@ -882,6 +733,7 @@ impl<'a> SimWorld<'a> {
     /// the rest, and schedule the repair.
     fn on_server_down(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         let taken = self.engines[server as usize].fail(now);
+        self.sched.disarm(ServerId(server));
         if let Some(mgr) = self.replication.as_mut() {
             mgr.on_server_failed(ServerId(server));
         }
@@ -916,7 +768,6 @@ impl<'a> SimWorld<'a> {
                 },
             );
         }
-        self.emit_cross_shard(&evac.relocations(ServerId(server)), now, probes);
         for stream in &evac.dropped {
             self.loc_hint.remove(&stream.0);
         }
@@ -925,7 +776,7 @@ impl<'a> SimWorld<'a> {
                 &self.engines[sid.index()],
                 now,
                 self.config.check_invariants,
-                &self.profs[self.cur_shard],
+                &self.prof,
             );
         }
         let repair = self
@@ -993,11 +844,11 @@ impl<'a> SimWorld<'a> {
             .config
             .sample_interval_secs
             .expect("sample event without sampling enabled");
-        let t0 = self.profs[self.cur_shard].stamp();
+        let t0 = self.prof.stamp();
         for e in self.engines.iter_mut() {
             e.advance_to(now);
         }
-        self.profs[self.cur_shard].add(Phase::Alloc, t0);
+        self.prof.add(Phase::Alloc, t0);
         let total: f64 = self.engines.iter().map(|e| e.measured_mb()).sum();
         let utilization =
             (total - self.last_sample_mb) / (self.cluster.total_bandwidth_mbps() * dt);
@@ -1053,9 +904,8 @@ impl<'a> SimWorld<'a> {
             self.sched.rearm(
                 &mut self.engines[server as usize],
                 now,
-                false,
                 self.config.check_invariants,
-                &self.profs[self.cur_shard],
+                &self.prof,
             );
         } else {
             // Stream finished (or was dropped) before the pause point — a
@@ -1172,22 +1022,19 @@ impl Simulation {
     }
 
     /// Like [`Simulation::run_with_probes`], but with the event loop's
-    /// wall-clock profilers enabled (see [`crate::profile`]). Returns
-    /// the outcome, the merged loop profile, and the per-shard profiles
-    /// it was reduced from (one per event-loop shard, in shard order).
-    /// The profilers are wall-clock-only, so the outcome — and every
-    /// probe's output — is bit-identical to
-    /// [`Simulation::run_with_probes`] (`tests/shard_determinism.rs`
-    /// enforces this across the golden scenarios and the shard matrix).
+    /// wall-clock profiler enabled (see [`crate::profile`]). Returns the
+    /// outcome and the loop profile. The profiler is wall-clock-only, so
+    /// the outcome — and every probe's output — is bit-identical to
+    /// [`Simulation::run_with_probes`] (`tests/parallel_determinism.rs`
+    /// enforces this across the golden scenarios).
     pub fn run_instrumented(
         config: &SimConfig,
         extra: &mut [&mut dyn Probe],
-    ) -> (SimOutcome, LoopProfile, Vec<LoopProfile>) {
+    ) -> (SimOutcome, LoopProfile) {
         let mut world = SimWorld::new(config, true);
         let metrics = world.run_probed(extra);
-        let per_shard: Vec<LoopProfile> = world.profs.iter().map(LoopProfiler::report).collect();
-        let profile = LoopProfile::merge(&per_shard);
-        (world.finish(metrics), profile, per_shard)
+        let profile = world.prof.report();
+        (world.finish(metrics), profile)
     }
 }
 
@@ -1266,9 +1113,8 @@ mod tests {
     #[test]
     fn profile_reconciles_with_the_event_count() {
         let cfg = quick_config(42);
-        let (out, profile, per_shard) = Simulation::run_instrumented(&cfg, &mut []);
+        let (out, profile) = Simulation::run_instrumented(&cfg, &mut []);
         assert_eq!(out, Simulation::run(&cfg), "profiling must not perturb");
-        assert_eq!(per_shard.len(), 1);
         assert_eq!(profile.events, out.events_processed);
         assert_eq!(profile.dispatch.calls, out.events_processed);
         assert!(profile.wall_secs > 0.0);
@@ -1281,36 +1127,40 @@ mod tests {
         assert!(profile.probe.calls > 0, "every event is published");
     }
 
-    /// The default entry points run the loop with disabled profilers on
-    /// both paths — monolithic and sharded — so no phase is ever charged
-    /// and no event reads the clock for them.
+    /// The default entry points run the loop with a disabled profiler,
+    /// so no phase is ever charged and no event reads the clock for it.
     #[test]
     fn default_path_never_profiles() {
-        let sharded = SimConfig::builder(SystemSpec::tiny_test())
-            .duration_hours(3.0)
-            .warmup_hours(0.25)
-            .seed(42)
-            .shards(3)
-            .build();
-        for cfg in [quick_config(42), sharded] {
-            let mut world = SimWorld::new(&cfg, false);
-            world.run_probed(&mut []);
-            assert!(world.events_processed > 0);
-            for prof in &world.profs {
-                assert!(!prof.enabled());
-                let report = prof.report();
-                assert_eq!(report.wall_secs, 0.0);
-                for s in [
-                    report.dispatch,
-                    report.alloc,
-                    report.wake,
-                    report.probe,
-                    report.barrier,
-                ] {
-                    assert_eq!(s.calls, 0, "a disabled profiler was charged");
-                }
-            }
+        let cfg = quick_config(42);
+        let mut world = SimWorld::new(&cfg, false);
+        world.run_probed(&mut []);
+        assert!(world.events_processed > 0);
+        assert!(!world.prof.enabled());
+        let report = world.prof.report();
+        assert_eq!(report.wall_secs, 0.0);
+        for s in [report.dispatch, report.alloc, report.wake, report.probe] {
+            assert_eq!(s.calls, 0, "a disabled profiler was charged");
         }
+    }
+
+    /// Work gate, exact rather than timed: on a seed-fixed Small trial
+    /// the loop pops exactly as many entries as it dispatches events. A
+    /// reschedule overwrites its server's one wake slot, so no
+    /// superseded wake is ever popped and thrown away. (A queue that
+    /// kept superseded wakes and filtered them at dispatch popped 10 649
+    /// entries for this trial's 7 659 events.)
+    #[test]
+    fn every_pop_is_a_live_event() {
+        let cfg = SimConfig::builder(SystemSpec::small_paper())
+            .policy(Policy::P4)
+            .duration_hours(6.0)
+            .warmup_hours(1.0)
+            .seed(5)
+            .build();
+        let mut world = SimWorld::new(&cfg, false);
+        world.run_probed(&mut []);
+        assert!(world.events_processed > 5_000, "{}", world.events_processed);
+        assert_eq!(world.pops, world.events_processed);
     }
 
     #[test]

@@ -561,11 +561,6 @@ impl Probe for SpanProbe {
                 }
             }
             SimEvent::WindowSample { .. } => {}
-            // Cross-shard channel records are loop plumbing, not request
-            // lifecycle: the underlying Migrated/CopyStarted events carry
-            // the causal edges, so ignoring these keeps span sets
-            // identical across shard counts.
-            SimEvent::CrossShard { .. } => {}
         }
     }
 

@@ -2,7 +2,7 @@
 //! windows, online.
 //!
 //! [`TimeSeriesProbe`] is a pure observer (attach it and outcomes stay
-//! bit-identical — the golden snapshots prove it) that accumulates three
+//! bit-identical — the golden snapshots prove it) that accumulates two
 //! kinds of series while the simulation runs:
 //!
 //! * **Event counters** per window — arrivals, admissions by path,
@@ -23,11 +23,6 @@
 //!   every stream, so the recorder samples it once per window (at the
 //!   window's first state view) instead of integrating it per event,
 //!   keeping the per-event cost O(servers).
-//! * **Barrier accounting** per shard per window, from the sharded
-//!   loop's [`crate::events::RunSummary`] hook — runs, stalls at the
-//!   horizon, election slack, events, plus `CrossShard` channel edges.
-//!   Virtual-time-only, hence deterministic; absent on the monolithic
-//!   loop by construction.
 //!
 //! As each window closes, an [`SloEvaluator`] judges it against the
 //! declarative policy and any alerts are appended to the recording —
@@ -38,10 +33,10 @@
 //! and events at `duration` land in the last window.
 
 use crate::config::SimConfig;
-use crate::events::{AdmitPath, Probe, RunSummary, SimEvent};
+use crate::events::{AdmitPath, Probe, SimEvent};
 use crate::metrics::StateView;
 use sct_analysis::slo::{SloAlert, SloEvaluator, SloPolicy};
-use sct_analysis::timeseries::{ShardSeries, TimeSeriesRecording, WindowRow};
+use sct_analysis::timeseries::{TimeSeriesRecording, WindowRow};
 use sct_simcore::SimTime;
 
 /// Per-window event counts (the counter half of a [`WindowRow`]).
@@ -77,17 +72,6 @@ struct Cur {
     active: f64,
 }
 
-/// Per-shard barrier accumulators (vectors indexed by window).
-#[derive(Clone, Default)]
-struct ShardAccum {
-    runs: Vec<u64>,
-    stalled_runs: Vec<u64>,
-    bounded_runs: Vec<u64>,
-    slack_secs: Vec<f64>,
-    events: Vec<u64>,
-    cross_edges_out: Vec<u64>,
-}
-
 /// The flight-recorder probe. Build with [`TimeSeriesProbe::new`] (or
 /// [`TimeSeriesProbe::with_policy`] for a custom SLO policy), attach via
 /// `Simulation::run_with_probes`, then call
@@ -114,8 +98,6 @@ pub struct TimeSeriesProbe {
     /// `true` until the current window takes its staged sample.
     staged_pending: bool,
     last_staged: f64,
-    shards: Vec<ShardAccum>,
-    n_shards: usize,
     /// Rows closed so far, in order; the SLO evaluator has seen each.
     rows: Vec<WindowRow>,
     evaluator: SloEvaluator,
@@ -160,8 +142,6 @@ impl TimeSeriesProbe {
             staged_sample: vec![0.0; n_windows],
             staged_pending: true,
             last_staged: 0.0,
-            shards: Vec::new(),
-            n_shards: 0,
             rows: Vec::new(),
             evaluator: SloEvaluator::new(policy),
             alerts: Vec::new(),
@@ -262,27 +242,6 @@ impl TimeSeriesProbe {
         self.rows.push(row);
     }
 
-    /// Grows the shard accumulators to `n` shards.
-    fn ensure_shards(&mut self, n: usize) {
-        while self.shards.len() < n {
-            self.shards.push(ShardAccum {
-                runs: vec![0; self.n_windows],
-                stalled_runs: vec![0; self.n_windows],
-                bounded_runs: vec![0; self.n_windows],
-                slack_secs: vec![0.0; self.n_windows],
-                events: vec![0; self.n_windows],
-                cross_edges_out: vec![0; self.n_windows],
-            });
-        }
-        self.n_shards = self.n_shards.max(n);
-    }
-
-    /// The window containing virtual second `t` (events at the horizon
-    /// land in the last window).
-    fn window_of(&self, t: f64) -> usize {
-        (((t / self.width).floor()) as usize).min(self.n_windows - 1)
-    }
-
     /// Finalizes the fold: integrates to the horizon, closes the
     /// remaining windows (feeding each to the SLO evaluator), and
     /// assembles the recording.
@@ -291,20 +250,6 @@ impl TimeSeriesProbe {
         for w in self.rows.len()..self.n_windows {
             self.close_window(w);
         }
-        let shards = self
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| ShardSeries {
-                shard: i as u32,
-                runs: s.runs,
-                stalled_runs: s.stalled_runs,
-                bounded_runs: s.bounded_runs,
-                slack_secs: s.slack_secs,
-                events: s.events,
-                cross_edges_out: s.cross_edges_out,
-            })
-            .collect();
         TimeSeriesRecording {
             version: 1,
             trials: 1,
@@ -313,7 +258,6 @@ impl TimeSeriesProbe {
             duration_secs: self.end_secs,
             n_servers: self.n_servers as u32,
             windows: self.rows,
-            shards,
             alerts: self.alerts,
         }
     }
@@ -322,8 +266,7 @@ impl TimeSeriesProbe {
 impl Probe for TimeSeriesProbe {
     fn on_event(&mut self, now: SimTime, event: &SimEvent) {
         self.advance(now.as_secs());
-        let w = self.cur_win;
-        let c = &mut self.counts[w];
+        let c = &mut self.counts[self.cur_win];
         match *event {
             SimEvent::Admitted { path, .. } => {
                 c.arrivals += 1;
@@ -360,10 +303,6 @@ impl Probe for TimeSeriesProbe {
             // The run-level windowed-utilization samples are redundant
             // with this probe's own grid.
             SimEvent::WindowSample { .. } => {}
-            SimEvent::CrossShard { from_shard, .. } => {
-                self.ensure_shards(from_shard as usize + 1);
-                self.shards[from_shard as usize].cross_edges_out[w] += 1;
-            }
         }
     }
 
@@ -392,24 +331,6 @@ impl Probe for TimeSeriesProbe {
             self.staged_pending = false;
         }
     }
-
-    fn on_run(&mut self, summary: &RunSummary) {
-        self.ensure_shards(summary.n_shards as usize);
-        // Runs are attributed to the window containing their election
-        // time; a run ending past a boundary may touch an already-closed
-        // window, which is fine — shard series live outside the rows.
-        let w = self.window_of(summary.start.as_secs());
-        let s = &mut self.shards[summary.shard as usize];
-        s.runs[w] += 1;
-        s.events[w] += summary.events;
-        if summary.stalled {
-            s.stalled_runs[w] += 1;
-        }
-        if let Some(slack) = summary.slack_secs {
-            s.bounded_runs[w] += 1;
-            s.slack_secs[w] += slack;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,24 +339,22 @@ mod tests {
     use crate::simulation::Simulation;
     use sct_workload::scenario::SystemSpec;
 
-    fn quick_config(seed: u64, shards: usize) -> SimConfig {
+    fn quick_config(seed: u64) -> SimConfig {
         SimConfig::builder(SystemSpec::tiny_test())
             .duration_hours(2.0)
             .warmup_hours(0.25)
-            .shards(shards)
             .seed(seed)
             .build()
     }
 
     #[test]
     fn window_grid_covers_the_run() {
-        let cfg = quick_config(11, 1);
+        let cfg = quick_config(11);
         let mut probe = TimeSeriesProbe::new(&cfg, 900.0);
         let out = Simulation::run_with_probes(&cfg, &mut [&mut probe]);
         let rec = probe.finish();
         assert_eq!(rec.windows.len(), 8, "2 h / 900 s");
         assert_eq!(rec.n_servers, 3);
-        assert!(rec.shards.is_empty(), "monolithic loop has no shards");
         for (i, w) in rec.windows.iter().enumerate() {
             assert_eq!(w.index as usize, i);
             assert_eq!(w.start_secs, i as f64 * 900.0);
@@ -451,7 +370,7 @@ mod tests {
 
     #[test]
     fn uneven_window_truncates_the_tail() {
-        let cfg = quick_config(11, 1);
+        let cfg = quick_config(11);
         let probe = TimeSeriesProbe::new(&cfg, 1000.0);
         let rec = {
             let mut p = probe;
@@ -466,7 +385,7 @@ mod tests {
 
     #[test]
     fn probe_is_invisible_and_deterministic() {
-        let cfg = quick_config(12, 1);
+        let cfg = quick_config(12);
         let bare = Simulation::run(&cfg);
         let mut probe = TimeSeriesProbe::new(&cfg, 600.0);
         let probed = Simulation::run_with_probes(&cfg, &mut [&mut probe]);
@@ -484,7 +403,7 @@ mod tests {
 
     #[test]
     fn counters_and_utilization_reconcile() {
-        let cfg = quick_config(13, 1);
+        let cfg = quick_config(13);
         let mut ts = TimeSeriesProbe::new(&cfg, 700.0);
         let mut tel = crate::metrics::TelemetryProbe::new(&cfg);
         let out = Simulation::run_with_probes(&cfg, &mut [&mut ts, &mut tel]);
@@ -512,28 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_records_barrier_series() {
-        let cfg = quick_config(14, 2);
-        let mut probe = TimeSeriesProbe::new(&cfg, 900.0);
-        Simulation::run_with_probes(&cfg, &mut [&mut probe]);
-        let rec = probe.finish();
-        assert_eq!(rec.shards.len(), 2);
-        let total_runs: u64 = rec.shards.iter().flat_map(|s| s.runs.iter()).sum();
-        assert!(total_runs > 0, "no runs recorded on a sharded loop");
-        let total_events: u64 = rec.shards.iter().flat_map(|s| s.events.iter()).sum();
-        assert!(total_events > 0);
-        for s in &rec.shards {
-            assert_eq!(s.runs.len(), rec.windows.len());
-            for (b, r) in s.bounded_runs.iter().zip(&s.runs) {
-                assert!(b <= r);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "window width must be positive")]
     fn zero_width_panics() {
-        let cfg = quick_config(1, 1);
+        let cfg = quick_config(1);
         let _ = TimeSeriesProbe::new(&cfg, 0.0);
     }
 }

@@ -1,36 +1,25 @@
-//! Deterministic event queue.
+//! Deterministic event queue with one re-armable wake slot per server.
 //!
-//! A calendar queue (Brown 1988) keyed by `(time, sequence)`: pending
-//! events hash into `buckets.len()` "days" by `floor(time / width) mod
-//! days`, and a cursor walks one "year" of days per pop, so the common
-//! case touches a handful of nearly-empty buckets instead of rebalancing
-//! a heap. Events at equal timestamps pop in insertion order — the
-//! explicit `seq` counter makes runs reproducible regardless of bucket
-//! internals, which heap-based queues do not guarantee for free.
+//! Pushed events live in a binary heap keyed by `(time, seq)`. Beside it
+//! sits a winner tree of *wake slots*, one per server: a server changes
+//! state on its own only at its next completion or buffer fill, so it
+//! needs exactly one pending wake. [`EventQueue::arm`] overwrites the
+//! slot's previous wake and [`EventQueue::disarm`] clears it, so a wake
+//! the server no longer wants never reaches a pop. [`EventQueue::pop_next`]
+//! takes the lesser of the heap head and the tree root.
 //!
-//! Determinism contract: `pop` always returns the pending entry with the
-//! minimum `(time, seq)` pair. Because `seq` is unique, that key is a
-//! total order, so the pop sequence is a pure function of the push
-//! sequence — bucket count, bucket width, and resize history cannot
-//! change it.
-//!
-//! Resizing is hysteretic: the calendar grows at `len > 2·days` and
-//! shrinks only below `days / 8`, so a workload hovering at one
-//! threshold cannot alternate O(len) rebuilds. Width derivation samples
-//! the *earliest* entries (see `rebuild`), and a pop that had to fall
-//! back to the full far-future sweep re-centers the calendar on the
-//! surviving tail — both guards exist because an alternating
-//! near/far-future spacing pattern used to collapse the dense head into
-//! one bucket and pay an O(len) scan on every pop.
-//!
-//! Cancellation is handled by the *generation* pattern at the call site
-//! (each server keeps a wake-generation counter and ignores stale wakes)
-//! rather than by tombstones inside the queue — that keeps this structure
-//! trivial and allocation-free per operation after warm-up.
+//! Determinism contract: a pop always returns the pending entry with the
+//! minimum `(time, seq)` key, where `seq` comes from one counter shared by
+//! [`EventQueue::push`] and [`EventQueue::arm`]. Because `seq` is unique,
+//! that key is a total order: events at equal timestamps pop in the order
+//! they were pushed or armed, and the pop sequence is a pure function of
+//! the push/arm/disarm sequence. A wake queue behaves exactly like one
+//! list in which every arm appends an entry and an entry whose slot was
+//! re-armed or disarmed since is skipped — the tests pin it to that model.
 
 use crate::time::SimTime;
-use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An event scheduled at a point in simulated time.
 #[derive(Clone, Debug)]
@@ -58,8 +47,8 @@ impl<T> PartialOrd for EventEntry<T> {
 
 impl<T> Ord for EventEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed (earliest-first), so entries drop into a max-heap or
-        // `sort` + `pop` pattern unchanged from the old binary-heap days.
+        // Reversed (earliest-first), so `BinaryHeap`, a max-heap, pops
+        // the minimum `(time, seq)` key.
         other
             .time
             .cmp(&self.time)
@@ -67,46 +56,47 @@ impl<T> Ord for EventEntry<T> {
     }
 }
 
-/// Fewest buckets the calendar ever holds.
-const MIN_BUCKETS: usize = 8;
-/// Narrowest bucket width (seconds); bounds the slot index range.
-const MIN_WIDTH: f64 = 1e-9;
-/// Head-sample size for width derivation: the earliest `WIDTH_SAMPLE`
-/// entries set the working timescale, so one far-future outlier cannot
-/// inflate the width and collapse the dense head into a single bucket.
-const WIDTH_SAMPLE: usize = 64;
-
-/// Work counters for the calendar's internal scans; used by regression
-/// tests to pin amortized cost, not by the simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueCounters {
-    /// Entries examined across all `locate` scans.
-    pub scanned: u64,
-    /// Times `locate` fell back to the O(len) full sweep.
-    pub sweeps: u64,
-    /// Bucket-array rebuilds (grow, shrink, or sweep re-centering).
-    pub rebuilds: u64,
+/// What [`EventQueue::pop_next`] hands out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Popped<T> {
+    /// A payload scheduled with [`EventQueue::push`].
+    Event(T),
+    /// The wake armed on this slot with [`EventQueue::arm`].
+    Wake(usize),
 }
 
-/// A min-priority queue of timed events with FIFO tie-breaking, backed by
-/// a calendar queue.
+/// One winner-tree node: the least `(time, seq)` key below it and the
+/// slot that holds it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Node {
+    time: SimTime,
+    seq: u64,
+    slot: usize,
+}
+
+impl Node {
+    /// The key of a disarmed slot: later than every armed wake.
+    const IDLE: (SimTime, u64) = (SimTime::FAR_FUTURE, u64::MAX);
+
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// A min-priority queue of timed events with FIFO tie-breaking, plus one
+/// wake slot per server. See the module docs.
 #[derive(Clone, Debug)]
 pub struct EventQueue<T> {
-    /// One unsorted `Vec` per calendar day.
-    buckets: Vec<Vec<EventEntry<T>>>,
-    /// Total pending entries across all buckets.
-    len: usize,
+    heap: BinaryHeap<EventEntry<T>>,
+    /// Winner tree over the wake slots: the leaves sit at
+    /// `leaves..2 * leaves` (slot `s` at `leaves + s`), each inner node
+    /// holds the lesser of its children, and `tree[1]` is the earliest
+    /// armed wake. Disarmed slots and padding leaves carry [`Node::IDLE`].
+    tree: Vec<Node>,
+    leaves: usize,
+    slots: usize,
+    armed: usize,
     next_seq: u64,
-    /// Seconds spanned by one bucket ("day length").
-    width: f64,
-    /// Absolute day index (`floor(time / width)`) the pop scan starts
-    /// from. Invariant: no pending entry lives in an earlier day —
-    /// `push` rewinds the cursor when scheduling into the past.
-    cursor_slot: i64,
-    /// Scan-work counters (`Cell` so `locate` can stay `&self`).
-    scanned: Cell<u64>,
-    sweeps: Cell<u64>,
-    rebuilds: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -116,262 +106,161 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue.
+    /// Creates an empty queue with no wake slots.
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::with_wake_slots(0)
     }
 
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        let days = (cap / 2).next_power_of_two().clamp(MIN_BUCKETS, 4096);
+    /// Creates an empty queue with `slots` disarmed wake slots, numbered
+    /// `0..slots`.
+    pub fn with_wake_slots(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        let (time, seq) = Node::IDLE;
         EventQueue {
-            buckets: (0..days).map(|_| Vec::new()).collect(),
-            len: 0,
+            heap: BinaryHeap::new(),
+            tree: (0..2 * leaves)
+                .map(|i| Node {
+                    time,
+                    seq,
+                    slot: i.saturating_sub(leaves),
+                })
+                .collect(),
+            leaves,
+            slots,
+            armed: 0,
             next_seq: 0,
-            width: 1.0,
-            cursor_slot: 0,
-            scanned: Cell::new(0),
-            sweeps: Cell::new(0),
-            rebuilds: 0,
         }
     }
 
-    /// Absolute day index for `time` under the current width.
-    fn slot_of(&self, time: SimTime) -> i64 {
-        // `as i64` saturates on overflow, which keeps even absurd
-        // timestamps ordered correctly (they all land in the last day and
-        // the (time, seq) scan inside it still picks the true minimum).
-        (time.as_secs() / self.width).floor() as i64
+    /// Draws the next sequence number.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Schedules `payload` at `time`. Panics on non-finite times — an
     /// infinite wake must be expressed by *not* scheduling.
     pub fn push(&mut self, time: SimTime, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_with_seq(time, seq, payload);
-    }
-
-    /// Schedules `payload` at `time` under an externally-assigned `seq`.
-    /// Used by [`crate::sharded::ShardedQueue`], which allocates sequence
-    /// numbers globally so the merged pop order across shard queues
-    /// equals the single-queue order. The caller must keep `seq` unique
-    /// and monotone across all queues sharing the namespace.
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, payload: T) {
         assert!(
             time.is_finite(),
             "cannot schedule an event at infinite time"
         );
-        let slot = self.slot_of(time);
-        // Scheduling into the past (relative to the last pop) is legal:
-        // rewind the cursor so the scan cannot skip the new entry.
-        if self.len == 0 || slot < self.cursor_slot {
-            self.cursor_slot = slot;
+        let seq = self.take_seq();
+        self.heap.push(EventEntry { time, seq, payload });
+    }
+
+    /// Arms `slot`'s wake at `time`, replacing any wake it held. The wake
+    /// draws its `seq` now, from the counter [`EventQueue::push`] uses, so
+    /// it ties with pushed events exactly as a pushed event would.
+    pub fn arm(&mut self, slot: usize, time: SimTime) {
+        assert!(time.is_finite(), "cannot arm a wake at infinite time");
+        assert!(slot < self.slots, "wake slot {slot} out of range");
+        let seq = self.take_seq();
+        if self.tree[self.leaves + slot].time == SimTime::FAR_FUTURE {
+            self.armed += 1;
         }
-        let days = self.buckets.len();
-        self.buckets[slot.rem_euclid(days as i64) as usize].push(EventEntry { time, seq, payload });
-        self.len += 1;
-        if self.len > 2 * days {
-            self.rebuild(2 * days);
+        self.set_leaf(slot, (time, seq));
+    }
+
+    /// Clears `slot`'s wake, if it holds one.
+    pub fn disarm(&mut self, slot: usize) {
+        debug_assert!(slot < self.slots, "wake slot {slot} out of range");
+        if self.tree[self.leaves + slot].time != SimTime::FAR_FUTURE {
+            self.armed -= 1;
+            self.set_leaf(slot, Node::IDLE);
         }
     }
 
-    /// Finds the pending entry with the minimum `(time, seq)` key:
-    /// `(bucket index, position in bucket, its day, swept)`. Scans at
-    /// most one calendar year from the cursor, then falls back to a
-    /// direct sweep for sparse far-future tails (`swept = true`, so `pop`
-    /// can re-center the calendar on the surviving tail).
-    fn locate(&self) -> Option<(usize, usize, i64, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let days = self.buckets.len() as i64;
-        let mut scanned = 0u64;
-        for offset in 0..days {
-            let slot = self.cursor_slot + offset;
-            let bucket = slot.rem_euclid(days) as usize;
-            let mut best: Option<usize> = None;
-            scanned += self.buckets[bucket].len() as u64;
-            for (pos, e) in self.buckets[bucket].iter().enumerate() {
-                // Entries from later years share the bucket; skip them.
-                // The integer day test is exact, unlike a `time < edge`
-                // comparison which can mis-round at bucket boundaries.
-                if self.slot_of(e.time) > slot {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let cur = &self.buckets[bucket][b];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    }
-                };
-                if better {
-                    best = Some(pos);
-                }
+    /// Writes one leaf and replays the matches on its path to the root,
+    /// stopping where a node's winner does not change.
+    fn set_leaf(&mut self, slot: usize, (time, seq): (SimTime, u64)) {
+        let mut i = self.leaves + slot;
+        self.tree[i] = Node { time, seq, slot };
+        while i > 1 {
+            let (a, b) = (self.tree[i], self.tree[i ^ 1]);
+            let winner = if a.key().cmp(&b.key()).is_lt() { a } else { b };
+            i >>= 1;
+            if self.tree[i] == winner {
+                break;
             }
-            if let Some(pos) = best {
-                self.scanned.set(self.scanned.get() + scanned);
-                return Some((bucket, pos, slot, false));
-            }
+            self.tree[i] = winner;
         }
-        // Nothing within a year of the cursor: sweep everything for the
-        // global minimum. O(len); the caller re-centers afterwards so a
-        // sparse far-future tail cannot pay this price per pop.
-        self.sweeps.set(self.sweeps.get() + 1);
-        self.scanned
-            .set(self.scanned.get() + scanned + self.len as u64);
-        let mut best: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (pos, e) in bucket.iter().enumerate() {
-                let better = match best {
-                    None => true,
-                    Some((bb, bp)) => {
-                        let cur = &self.buckets[bb][bp];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    }
-                };
-                if better {
-                    best = Some((b, pos));
-                }
-            }
-        }
-        best.map(|(b, pos)| (b, pos, self.slot_of(self.buckets[b][pos].time), true))
     }
 
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<EventEntry<T>> {
-        self.pop_before(None)
-    }
-
-    /// Removes and returns the earliest event if its `(time, seq)` key is
-    /// strictly below `bound` (`None`: no bound). Otherwise, or when the
-    /// queue is empty, returns `None` and leaves the queue as it was. One
-    /// `locate` scan either way, where a `peek_key` then `pop` pays two.
-    pub fn pop_before(&mut self, bound: Option<(SimTime, u64)>) -> Option<EventEntry<T>> {
-        let (bucket, pos, slot, swept) = self.locate()?;
-        if let Some(bound) = bound {
-            let head = &self.buckets[bucket][pos];
-            if (head.time, head.seq) >= bound {
-                return None;
-            }
+    /// Removes and returns the earliest pending entry — a pushed event
+    /// or an armed wake, which disarms its slot — or `None` if empty.
+    pub fn pop_next(&mut self) -> Option<EventEntry<Popped<T>>> {
+        let wake = self.tree[1];
+        let take_wake = match self.heap.peek() {
+            Some(head) => wake.key().cmp(&(head.time, head.seq)).is_lt(),
+            None => self.armed > 0,
+        };
+        if take_wake {
+            self.armed -= 1;
+            self.set_leaf(wake.slot, Node::IDLE);
+            return Some(EventEntry {
+                time: wake.time,
+                seq: wake.seq,
+                payload: Popped::Wake(wake.slot),
+            });
         }
-        self.cursor_slot = slot;
-        let entry = self.buckets[bucket].swap_remove(pos);
-        self.len -= 1;
-        let days = self.buckets.len();
-        if swept && self.len > 1 {
-            // The head the width was derived from has drained and the
-            // survivors live beyond a calendar year: re-derive the width
-            // from them so the next pops walk days again instead of
-            // sweeping. Same O(len) as the sweep just paid, and it
-            // converts every following pop back to the cheap path.
-            self.rebuild(days);
-        } else if days > MIN_BUCKETS && self.len < days / 8 {
-            self.rebuild(days / 2);
-        }
-        Some(entry)
-    }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate()
-            .map(|(b, pos, _, _)| self.buckets[b][pos].time)
-    }
-
-    /// The full `(time, seq)` key of the earliest pending event. Keys are
-    /// totally ordered (seq is unique), which is what the cross-shard
-    /// barrier compares when deciding how far a shard may advance.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.locate().map(|(b, pos, _, _)| {
-            let e = &self.buckets[b][pos];
-            (e.time, e.seq)
+        self.heap.pop().map(|e| EventEntry {
+            time: e.time,
+            seq: e.seq,
+            payload: Popped::Event(e.payload),
         })
     }
 
-    /// Internal scan-work counters (see [`QueueCounters`]).
-    pub fn counters(&self) -> QueueCounters {
-        QueueCounters {
-            scanned: self.scanned.get(),
-            sweeps: self.sweeps.get(),
-            rebuilds: self.rebuilds,
+    /// Removes and returns the earliest pushed event, or `None` if empty:
+    /// [`EventQueue::pop_next`] for a queue that arms no wakes. Panics if
+    /// the earliest entry is an armed wake.
+    pub fn pop(&mut self) -> Option<EventEntry<T>> {
+        let e = self.pop_next()?;
+        match e.payload {
+            Popped::Event(payload) => Some(EventEntry {
+                time: e.time,
+                seq: e.seq,
+                payload,
+            }),
+            Popped::Wake(slot) => panic!("pop() reached the wake of slot {slot}; use pop_next"),
         }
     }
 
-    /// Redistributes every entry over `days` buckets, re-deriving the
-    /// bucket width from the observed inter-event spacing (Brown's rule
-    /// of thumb: a day should hold a few events on average). The width
-    /// comes from the *earliest* [`WIDTH_SAMPLE`] entries: a global
-    /// `(max - min) / len` estimate lets one far-future outlier inflate
-    /// the width until the whole dense head lands in a single bucket and
-    /// every pop degenerates to an O(len) bucket scan.
-    fn rebuild(&mut self, days: usize) {
-        self.rebuilds += 1;
-        let mut all: Vec<EventEntry<T>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        if all.len() >= 2 {
-            let mut times: Vec<f64> = all.iter().map(|e| e.time.as_secs()).collect();
-            let k = times.len().min(WIDTH_SAMPLE);
-            times.select_nth_unstable_by(k - 1, f64::total_cmp);
-            let head = &mut times[..k];
-            head.sort_by(f64::total_cmp);
-            let head_span = head[k - 1] - head[0];
-            if head_span > 0.0 {
-                self.width = (2.0 * head_span / k as f64).max(MIN_WIDTH);
-            } else {
-                // Degenerate head (an equal-time burst): fall back to the
-                // global span so the tail still spreads over the year.
-                let min_t = times[0];
-                let max_t = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if max_t > min_t {
-                    self.width = (2.0 * (max_t - min_t) / all.len() as f64).max(MIN_WIDTH);
-                }
-            }
-        }
-        if self.buckets.len() != days {
-            self.buckets.resize_with(days, Vec::new);
-            self.buckets.truncate(days);
-        }
-        // Width changed, so every slot assignment changes: realign the
-        // cursor to the earliest entry's day to restore the invariant.
-        if let Some(first) = all.first() {
-            let mut min_slot = self.slot_of(first.time);
-            for e in &all[1..] {
-                min_slot = min_slot.min(self.slot_of(e.time));
-            }
-            self.cursor_slot = min_slot;
-        }
-        for e in all {
-            let bucket = self.slot_of(e.time).rem_euclid(days as i64) as usize;
-            self.buckets[bucket].push(e);
+    /// The timestamp of the earliest pending entry.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let wake = (self.armed > 0).then_some(self.tree[1].time);
+        match (self.heap.peek().map(|e| e.time), wake) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending entries: pushed events plus armed wakes.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.armed
     }
 
-    /// `true` if no events are pending.
+    /// `true` if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Drops all pending events. The sequence counter keeps counting, so
-    /// FIFO ordering is preserved across a clear.
+    /// Drops every pending event and disarms every wake. The sequence
+    /// counter keeps counting, so FIFO ordering is preserved across a
+    /// clear.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        self.heap.clear();
+        for slot in 0..self.slots {
+            self.disarm(slot);
         }
-        self.len = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng;
 
     #[test]
     fn pops_in_time_order() {
@@ -412,44 +301,34 @@ mod tests {
 
     #[test]
     fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_wake_slots(2);
         assert!(q.peek_time().is_none());
         q.push(SimTime::from_secs(2.0), ());
+        q.arm(1, SimTime::from_secs(1.5));
         q.push(SimTime::from_secs(1.0), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
-        q.pop();
+        q.pop_next();
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.5)));
+        q.disarm(1);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
-    }
-
-    /// `pop_before` pops only a head strictly below its bound and leaves
-    /// the queue untouched otherwise.
-    #[test]
-    fn pop_before_stops_at_the_bound() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), "a");
-        q.push(SimTime::from_secs(2.0), "b");
-        let head = (SimTime::from_secs(1.0), 0);
-        assert!(q.pop_before(Some(head)).is_none(), "the bound is exclusive");
-        assert_eq!(q.len(), 2);
-        assert_eq!(
-            q.pop_before(Some((SimTime::from_secs(1.0), 1)))
-                .unwrap()
-                .payload,
-            "a"
-        );
-        assert_eq!(q.pop_before(None).unwrap().payload, "b");
-        assert!(q.pop_before(None).is_none());
     }
 
     #[test]
     fn len_and_clear() {
-        let mut q = EventQueue::with_capacity(8);
+        let mut q = EventQueue::with_wake_slots(3);
         assert!(q.is_empty());
         q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
-        assert_eq!(q.len(), 2);
+        q.arm(0, SimTime::ZERO);
+        q.arm(0, SimTime::ZERO);
+        q.arm(2, SimTime::ZERO);
+        assert_eq!(q.len(), 4, "a re-arm replaces, it does not add");
+        q.disarm(2);
+        q.disarm(2);
+        assert_eq!(q.len(), 3, "a second disarm is a no-op");
         q.clear();
         assert!(q.is_empty());
+        assert!(q.pop_next().is_none());
     }
 
     #[test]
@@ -459,44 +338,110 @@ mod tests {
         q.push(SimTime::FAR_FUTURE, ());
     }
 
-    /// A trivially-correct model: pops the minimum `(time, seq)` pair.
+    #[test]
+    #[should_panic(expected = "infinite time")]
+    fn rejects_an_infinite_wake() {
+        let mut q = EventQueue::<()>::with_wake_slots(1);
+        q.arm(0, SimTime::FAR_FUTURE);
+    }
+
+    #[test]
+    #[should_panic(expected = "use pop_next")]
+    fn plain_pop_refuses_a_wake() {
+        let mut q = EventQueue::<()>::with_wake_slots(1);
+        q.arm(0, SimTime::ZERO);
+        q.pop();
+    }
+
+    /// A wake ties with pushed events by the `seq` it drew when armed:
+    /// re-arming at the same time moves it behind events pushed since.
+    #[test]
+    fn a_rearm_draws_a_fresh_seq() {
+        let mut q = EventQueue::with_wake_slots(1);
+        let t = SimTime::from_secs(4.0);
+        q.arm(0, t);
+        q.push(t, 'a');
+        q.arm(0, t);
+        q.push(t, 'b');
+        let order: Vec<(u64, Popped<char>)> =
+            std::iter::from_fn(|| q.pop_next().map(|e| (e.seq, e.payload))).collect();
+        assert_eq!(
+            order,
+            vec![
+                (1, Popped::Event('a')),
+                (2, Popped::Wake(0)),
+                (3, Popped::Event('b'))
+            ]
+        );
+    }
+
+    /// A trivially-correct model: one list of every push and every arm,
+    /// popped by minimum `(time, seq)`, skipping a wake whose slot was
+    /// re-armed or disarmed after it.
     struct ModelQueue {
-        pending: Vec<(SimTime, u64, u64)>,
+        pending: Vec<(SimTime, u64, Popped<u64>)>,
+        /// The `seq` of each slot's live wake.
+        live: Vec<Option<u64>>,
         next_seq: u64,
     }
 
     impl ModelQueue {
-        fn new() -> Self {
+        fn new(slots: usize) -> Self {
             ModelQueue {
                 pending: Vec::new(),
+                live: vec![None; slots],
                 next_seq: 0,
             }
         }
         fn push(&mut self, time: SimTime, payload: u64) {
-            self.pending.push((time, self.next_seq, payload));
+            self.pending
+                .push((time, self.next_seq, Popped::Event(payload)));
             self.next_seq += 1;
         }
-        fn pop(&mut self) -> Option<(SimTime, u64)> {
-            let best = self
+        fn arm(&mut self, slot: usize, time: SimTime) {
+            self.live[slot] = Some(self.next_seq);
+            self.pending.push((time, self.next_seq, Popped::Wake(slot)));
+            self.next_seq += 1;
+        }
+        fn disarm(&mut self, slot: usize) {
+            self.live[slot] = None;
+        }
+        fn pop(&mut self) -> Option<(SimTime, u64, Popped<u64>)> {
+            loop {
+                let best = self
+                    .pending
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &(t, s, _))| (t, s))?
+                    .0;
+                let (t, s, p) = self.pending.swap_remove(best);
+                match p {
+                    Popped::Wake(slot) if self.live[slot] != Some(s) => continue,
+                    Popped::Wake(slot) => self.live[slot] = None,
+                    Popped::Event(_) => {}
+                }
+                return Some((t, s, p));
+            }
+        }
+        fn len(&self) -> usize {
+            let events = self
                 .pending
                 .iter()
-                .enumerate()
-                .min_by_key(|(_, &(t, s, _))| (t, s))?
-                .0;
-            let (t, _, p) = self.pending.swap_remove(best);
-            Some((t, p))
+                .filter(|e| matches!(e.2, Popped::Event(_)))
+                .count();
+            events + self.live.iter().flatten().count()
         }
     }
 
     /// The seq-counter FIFO contract, differentially: an arbitrary
     /// deterministic push/pop interleaving (duplicate timestamps, pushes
-    /// into the past, bursts big enough to force several grows and
-    /// shrinks) must match the reference model event for event.
+    /// into the past, same-time bursts) must match the reference model
+    /// event for event.
     #[test]
     fn fifo_contract_matches_reference_model() {
-        let mut rng = crate::Rng::new(0x5EC_C0FFEE);
+        let mut rng = Rng::new(0x5EC_C0FFEE);
         let mut q = EventQueue::new();
-        let mut model = ModelQueue::new();
+        let mut model = ModelQueue::new(0);
         let mut payload = 0u64;
         for round in 0..2000 {
             if rng.chance(0.6) || q.is_empty() {
@@ -514,7 +459,7 @@ mod tests {
                     }
                 }
             } else {
-                let got = q.pop().map(|e| (e.time, e.payload));
+                let got = q.pop().map(|e| (e.time, e.seq, Popped::Event(e.payload)));
                 assert_eq!(got, model.pop(), "divergence at round {round}");
                 assert_eq!(
                     q.peek_time(),
@@ -529,15 +474,14 @@ mod tests {
             assert_eq!(q.len(), model.pending.len());
         }
         while let Some(e) = q.pop() {
-            assert_eq!(Some((e.time, e.payload)), model.pop());
+            assert_eq!(Some((e.time, e.seq, Popped::Event(e.payload))), model.pop());
         }
         assert!(model.pop().is_none());
     }
 
-    /// FIFO among equal timestamps survives internal resizes: a burst of
-    /// 1000 same-time events forces several bucket-doubling rebuilds on
-    /// the way in and halving rebuilds on the way out, none of which may
-    /// reorder the tie-broken sequence.
+    /// FIFO among equal timestamps holds over a large burst: 1000
+    /// same-time events bracketed by an earlier and a later one pop in
+    /// insertion order.
     #[test]
     fn fifo_contract_survives_resizes() {
         let mut q = EventQueue::new();
@@ -545,8 +489,6 @@ mod tests {
         for i in 0..1000u32 {
             q.push(t, i);
         }
-        // Interleave a distinct earlier and later event to exercise the
-        // cursor across the burst.
         q.push(SimTime::from_secs(1.0), u32::MAX);
         q.push(SimTime::from_secs(90.0), u32::MAX - 1);
         assert_eq!(q.pop().unwrap().payload, u32::MAX);
@@ -557,8 +499,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Far-future outliers (beyond one calendar year from the cursor)
-    /// exercise the direct-sweep fallback and still pop in key order.
+    /// Far-future outliers pop in key order after the near events.
     #[test]
     fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
@@ -570,94 +511,58 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "soak2");
     }
 
-    /// The pathological alternating-spacing workload: a dense head of
-    /// closely-spaced events interleaved with far-future outliers. Before
-    /// the head-sampled width derivation, every rebuild set
-    /// `width ≈ 2·(max−min)/len`, which the outliers inflated until the
-    /// whole head hashed into a single bucket — every pop then scanned
-    /// O(len) entries. This pins the amortized scan cost.
+    /// The wake-slot contract, differentially: random interleavings of
+    /// push, arm, re-arm, disarm and pop over 256 slots (as many as the
+    /// largest cluster has servers), with duplicate and same-time keys
+    /// and pushes and arms into the past, must pop exactly the `(time,
+    /// seq, payload or slot)` sequence of the one-list model that skips
+    /// superseded wakes.
     #[test]
-    fn alternating_spacing_stays_amortized() {
-        let mut q = EventQueue::new();
-        let mut ops = 0u64;
-        // Dense head: 1 s spacing. Outliers: ~30 years out, one per 40
-        // near events, far enough that the head's year never reaches
-        // them.
-        for i in 0..4000u64 {
-            q.push(SimTime::from_secs(i as f64), i);
-            ops += 1;
-            if i % 40 == 0 {
-                q.push(SimTime::from_secs(1e9 + i as f64), i);
-                ops += 1;
+    fn wake_contract_matches_reference_model() {
+        for (seed, slots) in [(1u64, 256usize), (2, 256), (3, 5), (4, 1), (5, 3)] {
+            let mut rng = Rng::new(0x3A4E_0000 + seed);
+            let mut q = EventQueue::with_wake_slots(slots);
+            let mut model = ModelQueue::new(slots);
+            let mut payload = 0u64;
+            let mut now = 0.0f64;
+            for round in 0..6000 {
+                // Times near the last pop (some before it), quantised so
+                // that equal keys are common.
+                let t = SimTime::from_secs(((now + rng.range_f64(-2.0, 30.0)) * 2.0).floor() / 2.0);
+                let slot = rng.below(slots);
+                let roll = rng.range_f64(0.0, 1.0);
+                if roll < 0.25 {
+                    q.push(t, payload);
+                    model.push(t, payload);
+                    payload += 1;
+                } else if roll < 0.55 {
+                    q.arm(slot, t);
+                    model.arm(slot, t);
+                    if round % 5 == 0 {
+                        // Immediate re-arm at the same time: the earlier
+                        // arm must never pop.
+                        q.arm(slot, t);
+                        model.arm(slot, t);
+                    }
+                } else if roll < 0.65 {
+                    q.disarm(slot);
+                    model.disarm(slot);
+                } else {
+                    let got = q.pop_next().map(|e| (e.time, e.seq, e.payload));
+                    let want = model.pop();
+                    assert_eq!(got, want, "seed {seed}, round {round}");
+                    if let Some((t, _, _)) = got {
+                        now = t.as_secs();
+                    }
+                    assert_eq!(q.len(), model.len(), "seed {seed}, round {round}");
+                }
             }
+            while let Some(e) = q.pop_next() {
+                assert_eq!(Some((e.time, e.seq, e.payload)), model.pop());
+            }
+            assert!(model.pop().is_none());
+            assert!(q.is_empty());
         }
-        let mut last = (SimTime::ZERO, 0);
-        while let Some(e) = q.pop() {
-            ops += 1;
-            assert!((e.time, e.seq) >= last, "order violated");
-            last = (e.time, e.seq);
-        }
-        let c = q.counters();
-        assert!(
-            c.scanned < 64 * ops,
-            "amortized scan cost blew up: {} entries examined over {ops} ops ({c:?})",
-            c.scanned
-        );
-        // Rebuilds stay logarithmic-ish in the population, not per-op.
-        assert!(c.rebuilds < 64, "resize thrash: {c:?}");
-    }
-
-    /// A sparse far-future tail (the sweep fallback) must re-center
-    /// instead of sweeping once per pop: total sweeps stay O(1)-ish even
-    /// with hundreds of events spread over decades.
-    #[test]
-    fn far_future_tail_does_not_sweep_per_pop() {
-        let mut q = EventQueue::new();
-        // Dense head that fixes a ~seconds-scale width...
-        for i in 0..500u64 {
-            q.push(SimTime::from_secs(i as f64 * 0.25), i);
-        }
-        // ...and a tail of 400 events spread over ~12 years.
-        for i in 0..400u64 {
-            q.push(SimTime::from_secs(1e6 + i as f64 * 1e3), 1000 + i);
-        }
-        let mut n = 0;
-        let mut last = (SimTime::ZERO, 0);
-        while let Some(e) = q.pop() {
-            assert!((e.time, e.seq) >= last);
-            last = (e.time, e.seq);
-            n += 1;
-        }
-        assert_eq!(n, 900);
-        let c = q.counters();
-        assert!(
-            c.sweeps <= 4,
-            "far-future tail swept {} times over 900 pops ({c:?})",
-            c.sweeps
-        );
-    }
-
-    /// Hysteresis: a push/pop workload hovering exactly at the growth
-    /// threshold must not rebuild on every oscillation.
-    #[test]
-    fn resize_hysteresis_under_alternating_push_pop() {
-        let mut q = EventQueue::new();
-        // Fill to just past a growth trigger so `days` settles.
-        for i in 0..1025u64 {
-            q.push(SimTime::from_secs(i as f64), i);
-        }
-        let base = q.counters().rebuilds;
-        // Alternate push/pop right at the settled size for many rounds.
-        for i in 0..2000u64 {
-            q.push(SimTime::from_secs(2000.0 + i as f64), i);
-            q.pop();
-        }
-        let c = q.counters();
-        assert!(
-            c.rebuilds - base <= 2,
-            "alternating push/pop rebuilt {} times ({c:?})",
-            c.rebuilds - base
-        );
     }
 
     /// `clear` must not reset the sequence counter: events pushed after a

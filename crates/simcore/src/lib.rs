@@ -6,10 +6,8 @@
 //! * [`time`] — a strongly-typed simulation clock ([`SimTime`]) measured in
 //!   seconds, with helpers for the units the paper uses (minutes, hours).
 //! * [`event`] — a deterministic event queue ([`EventQueue`]) with strict
-//!   FIFO tie-breaking so that runs are bit-for-bit reproducible.
-//! * [`sharded`] — per-shard event queues ([`ShardedQueue`]) under a
-//!   conservative lower-bound-timestamp barrier, multiplexed on one
-//!   thread and preserving the global pop order for any shard count.
+//!   FIFO tie-breaking so that runs are bit-for-bit reproducible, and one
+//!   re-armable wake slot per server.
 //! * [`rng`] — a self-contained xoshiro256\*\* PRNG ([`Rng`]) seeded via
 //!   SplitMix64. We implement the generator ourselves (rather than pulling
 //!   in `rand`) so that experiment outputs are stable across platforms and
@@ -29,13 +27,11 @@
 pub mod dist;
 pub mod event;
 pub mod rng;
-pub mod sharded;
 pub mod stats;
 pub mod time;
 
 pub use dist::{AliasTable, Exponential, UniformRange, ZipfLike};
-pub use event::{EventEntry, EventQueue, QueueCounters};
+pub use event::{EventEntry, EventQueue, Popped};
 pub use rng::Rng;
-pub use sharded::{RunToken, ShardedQueue};
 pub use stats::{OnlineStats, Summary};
 pub use time::SimTime;

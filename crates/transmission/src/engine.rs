@@ -13,9 +13,9 @@
 //!    report when this server next needs attention (earliest stream
 //!    completion or staging-buffer fill).
 //!
-//! Stale wake-ups are filtered with a generation counter: every
-//! `reschedule` invalidates previously scheduled wakes, so the global
-//! event queue never needs to delete entries.
+//! The engine only reports its next wake ([`ServerEngine::last_wake`]);
+//! the event loop keeps one wake slot per server and re-arms or clears
+//! it after every `reschedule`, `fail` or `repair`.
 
 use crate::alloc::{allocate_incremental, AllocScratch, SchedulerKind};
 use crate::stream::{Stream, StreamId};
@@ -47,7 +47,6 @@ pub struct ServerEngine {
     transmitted_mb: f64,
     /// Transmission before this instant does not count toward utilization.
     measure_start: SimTime,
-    generation: u64,
     /// Sum of admitted view rates — the minimum-flow commitment.
     committed_mbps: f64,
     /// Sum of currently allocated transmission rates, recomputed in
@@ -80,7 +79,6 @@ impl ServerEngine {
             measured_mb: 0.0,
             transmitted_mb: 0.0,
             measure_start: SimTime::ZERO,
-            generation: 0,
             committed_mbps: 0.0,
             allocated_mbps: 0.0,
             online: true,
@@ -115,12 +113,6 @@ impl ServerEngine {
     /// migration victim search).
     pub fn streams(&self) -> &[Stream] {
         &self.streams
-    }
-
-    /// Current wake generation; wake-ups carrying an older generation are
-    /// stale and must be ignored.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The engine's local clock (time of last `advance_to`).
@@ -192,10 +184,9 @@ impl ServerEngine {
     /// Fails the server at `now`: integrates state, takes every active
     /// stream off it (their transmission state intact, for possible
     /// emergency migration by the controller), and marks it offline.
-    /// Previously scheduled wakes become stale.
+    /// It has no next wake until it admits again.
     pub fn fail(&mut self, now: SimTime) -> Vec<Stream> {
         self.advance_to(now);
-        self.generation += 1;
         self.online = false;
         self.committed_mbps = 0.0;
         self.last_wake = None;
@@ -210,7 +201,6 @@ impl ServerEngine {
             self.streams.is_empty(),
             "offline servers cannot hold streams"
         );
-        self.generation += 1;
         self.online = true;
         self.last_wake = None;
     }
@@ -322,9 +312,8 @@ impl ServerEngine {
         }
     }
 
-    /// Re-runs the allocator at `now`, bumps the wake generation, and
-    /// returns the time of the next intrinsic event (stream completion or
-    /// buffer fill), if any.
+    /// Re-runs the allocator at `now` and returns the time of the next
+    /// intrinsic event (stream completion or buffer fill), if any.
     ///
     /// Two walks over the streams: the allocator's minimum-flow pass,
     /// which also folds the next event of every stream that cannot take
@@ -337,7 +326,6 @@ impl ServerEngine {
             (now - self.clock).abs() <= EPS_SECS,
             "reschedule before advancing"
         );
-        self.generation += 1;
         allocate_incremental(
             self.scheduler,
             self.capacity_mbps,
@@ -591,16 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_reschedule() {
-        let mut e = engine();
-        let g0 = e.generation();
-        e.reschedule(SimTime::ZERO);
-        assert_eq!(e.generation(), g0 + 1);
-        e.admit(mk_stream(1, 300.0, 0.0, SimTime::ZERO), SimTime::ZERO);
-        assert_eq!(e.generation(), g0 + 2);
-    }
-
-    #[test]
     fn idle_engine_has_no_events() {
         let e = engine();
         assert!(e.next_event_after(SimTime::ZERO).is_none());
@@ -682,14 +660,11 @@ mod tests {
         e.admit(mk_stream(1, 300.0, 0.0, t0), t0);
         let t1 = SimTime::from_secs(1.0);
         e.fail(t1);
-        let g_down = e.generation();
+        assert_eq!(e.last_wake(), None, "a failed server has no wake");
         let t2 = SimTime::from_secs(5.0);
         e.repair(t2);
         assert!(e.is_online());
-        assert!(
-            e.generation() > g_down,
-            "repair must invalidate stale wakes"
-        );
+        assert_eq!(e.last_wake(), None, "a repaired server comes back idle");
         assert!(e.can_admit(3.0));
         e.admit(mk_stream(2, 300.0, 0.0, t2), t2);
         assert_eq!(e.active_count(), 1);

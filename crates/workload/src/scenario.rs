@@ -93,7 +93,7 @@ impl SystemSpec {
         }
     }
 
-    /// A million-viewer stress system for the sharded event loop: 256
+    /// A million-viewer stress system for the event loop: 256
     /// servers × 12 Gb/s gives 1 024 000 concurrent view slots at the
     /// paper's 3 Mb/s view rate — three orders of magnitude past the
     /// Large system, far beyond any cluster the paper measures. Short

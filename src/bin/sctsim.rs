@@ -32,12 +32,10 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  sctsim run [--config FILE | --system small|large|tiny|huge] [--policy P1..P8]\n\
          \x20          [--theta T] [--hours H] [--warmup H] [--trials N] [--seed S] [--out FILE]\n\
-         \x20          [--shards N]  (partition the event loop; outcomes are shard-invariant)\n\
          \x20          [--trace FILE]  (export a JSONL event trace; single trial only)\n\
          \x20          [--metrics FILE]  (export a telemetry snapshot, merged across trials)\n\
          \x20          [--spans FILE]  (export request-lifecycle spans; single trial only)\n\
-         \x20          [--profile]  (print the event loop's wall-clock phase profile,\n\
-         \x20                        per shard when --shards > 1)\n\
+         \x20          [--profile]  (print the event loop's wall-clock phase profile)\n\
          \x20          [--timeseries FILE]  (export a windowed time-series recording,\n\
          \x20                                merged across trials)\n\
          \x20          [--window SECS]  (time-series window width, default 900)\n\
@@ -75,7 +73,6 @@ fn flags_of(cmd: &str) -> &'static [&'static str] {
             "hours",
             "warmup",
             "seed",
-            "shards",
             "trials",
             "out",
             "trace",
@@ -87,7 +84,7 @@ fn flags_of(cmd: &str) -> &'static [&'static str] {
             "slo",
         ],
         "scenario" => &[
-            "config", "system", "policy", "theta", "hours", "warmup", "seed", "shards",
+            "config", "system", "policy", "theta", "hours", "warmup", "seed",
         ],
         "erlang" => &["svbr", "view-rate"],
         "trace" => &["system", "theta", "hours", "seed"],
@@ -176,7 +173,7 @@ fn policy_by_name(name: &str) -> Policy {
 }
 
 fn build_config(args: &Args) -> SimConfig {
-    let mut b = if let Some(path) = args.get("config") {
+    let b = if let Some(path) = args.get("config") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             exit(1)
@@ -210,12 +207,6 @@ fn build_config(args: &Args) -> SimConfig {
         }
         b
     };
-    // --shards composes with --config: a loop-execution knob, not part
-    // of the experiment a config file describes. A negative count
-    // saturates to 0, which `try_build` refuses.
-    if let Some(n) = args.get_f64("shards") {
-        b = b.shards(n as usize);
-    }
     b.try_build().unwrap_or_else(|e| {
         eprintln!("invalid configuration: {e}");
         exit(2)
@@ -288,10 +279,8 @@ fn cmd_run(args: &Args) {
         let mut registry: Option<MetricsRegistry> = None;
         let mut recording: Option<TimeSeriesRecording> = None;
         // Per-trial loop profiles, kept so a `--metrics` snapshot can
-        // carry the merged wall-clock decomposition (and each shard's,
-        // when sharded).
-        let mut merged_profiles: Vec<LoopProfile> = Vec::new();
-        let mut shard_profiles: Vec<Vec<LoopProfile>> = Vec::new();
+        // carry the summed wall-clock decomposition.
+        let mut profiles: Vec<LoopProfile> = Vec::new();
         let mut outs = Vec::with_capacity(n as usize);
         for i in 0..n {
             let mut cfg = config.clone();
@@ -313,26 +302,10 @@ fn cmd_run(args: &Args) {
             if let Some(t) = ts_probe.as_mut() {
                 hub.push(t);
             }
-            let (outcome, loop_profile, per_shard) = Simulation::run_instrumented(&cfg, &mut hub);
-            merged_profiles.push(loop_profile);
-            if per_shard.len() > 1 {
-                if shard_profiles.is_empty() {
-                    shard_profiles = vec![Vec::with_capacity(n as usize); per_shard.len()];
-                }
-                for (s, p) in per_shard.iter().enumerate() {
-                    shard_profiles[s].push(*p);
-                }
-            }
+            let (outcome, loop_profile) = Simulation::run_instrumented(&cfg, &mut hub);
+            profiles.push(loop_profile);
             if profile {
                 eprint!("trial {i}: {}", loop_profile.to_text());
-                // With a sharded loop the merged table above hides
-                // imbalance; print each shard's own decomposition
-                // (the barrier row is charged to the elected shard).
-                if per_shard.len() > 1 {
-                    for (s, p) in per_shard.iter().enumerate() {
-                        eprint!("trial {i} shard {s}: {}", p.to_text());
-                    }
-                }
             }
             outs.push(outcome);
             if let Some(t) = telemetry {
@@ -376,15 +349,9 @@ fn cmd_run(args: &Args) {
         if let (Some(path), Some(registry)) = (metrics_path, registry) {
             let mut snapshot = registry.snapshot();
             // Carry the loop's own wall-clock decomposition alongside
-            // the simulated metrics: phase seconds sum across trials
-            // (and across shards within the merged row); wall time
-            // keeps `LoopProfile::merge`'s max-across-inputs meaning.
+            // the simulated metrics, summed over the trials.
             snapshot.profile = Some(LoopProfilesSnapshot {
-                merged: LoopProfile::merge(&merged_profiles).snapshot(),
-                per_shard: shard_profiles
-                    .iter()
-                    .map(|trials| LoopProfile::merge(trials).snapshot())
-                    .collect(),
+                merged: LoopProfile::total(&profiles).snapshot(),
             });
             std::fs::write(path, snapshot.to_json() + "\n").unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");

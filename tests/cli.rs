@@ -120,7 +120,7 @@ fn bad_usage_exits_nonzero() {
 /// backtrace (exit 101) and never a silent clamp.
 #[test]
 fn invalid_run_knobs_exit_2_with_one_diagnostic() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["--theta", "nan"], "theta must be finite"),
         (&["--hours", "-1"], "duration must be positive"),
         (&["--hours", "nan"], "duration must be positive"),
@@ -128,7 +128,6 @@ fn invalid_run_knobs_exit_2_with_one_diagnostic() {
             &["--hours", "1", "--warmup", "nan"],
             "warm-up must not be negative",
         ),
-        (&["--shards", "0"], "at least one shard"),
     ];
     for (flags, expected) in cases {
         let mut args = vec!["run", "--system", "tiny"];
@@ -143,35 +142,133 @@ fn invalid_run_knobs_exit_2_with_one_diagnostic() {
     }
 }
 
-/// The `--config` path validates too: a file with a bad knob, or a good
-/// file combined with a bad `--shards`, exits 2 with a diagnostic.
+/// The `--config` path validates too: a file with a bad knob exits 2
+/// with a diagnostic.
 #[test]
 fn invalid_config_file_exits_2_with_one_diagnostic() {
     let out = sctsim(&["scenario", "--system", "tiny"]);
     assert!(out.status.success());
     let good = String::from_utf8(out.stdout).unwrap();
-    let bad = good.replacen("\"shards\": 1", "\"shards\": 0", 1);
-    assert_ne!(bad, good, "scenario output lacks a shards knob");
+    let bad = good.replacen("\"receive_cap_mbps\": 30", "\"receive_cap_mbps\": 1", 1);
+    assert_ne!(bad, good, "scenario output lacks a receive cap");
     let dir = std::env::temp_dir().join(format!("sctsim-badcfg-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let good_path = dir.join("good.json");
     let bad_path = dir.join("bad.json");
-    std::fs::write(&good_path, &good).unwrap();
     std::fs::write(&bad_path, &bad).unwrap();
-    for (path, extra, expected) in [
-        (&bad_path, None, "at least one shard"),
-        (&good_path, Some("0"), "at least one shard"),
-    ] {
-        let mut args = vec!["run", "--config", path.to_str().unwrap()];
-        if let Some(n) = extra {
-            args.extend(["--shards", n]);
-        }
-        let out = sctsim(&args);
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
-        assert!(err.contains(expected), "{args:?}: {err}");
+    let args = ["run", "--config", bad_path.to_str().unwrap()];
+    let out = sctsim(&args);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    assert!(err.contains("at least the view rate"), "{args:?}: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A config file written while the loop could be sharded still carries
+/// a `"shards"` key. The key never changed an outcome, so such a file
+/// parses and runs exactly like the same file without it.
+#[test]
+fn config_file_with_a_shards_key_runs_unchanged() {
+    let out = sctsim(&[
+        "scenario", "--system", "tiny", "--hours", "2", "--seed", "7",
+    ]);
+    assert!(out.status.success());
+    let plain = String::from_utf8(out.stdout).unwrap();
+    let with_shards = plain.replacen(
+        "\"track_per_video\"",
+        "\"shards\": 4,\n  \"track_per_video\"",
+        1,
+    );
+    assert!(with_shards.contains("\"shards\": 4"), "{with_shards}");
+    let dir = std::env::temp_dir().join(format!("sctsim-oldcfg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut outcomes = Vec::new();
+    for (name, text) in [("plain.json", &plain), ("sharded.json", &with_shards)] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = sctsim(&["run", "--config", path.to_str().unwrap(), "--trials", "2"]);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        outcomes.push(out.stdout);
     }
+    assert!(!outcomes[0].is_empty());
+    assert_eq!(
+        outcomes[0], outcomes[1],
+        "the shards key changed the outcome"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recordings and snapshots written while the loop could be sharded
+/// carry a `"shards"` array (time series) or a `"per_shard"` array
+/// (metrics). `diff`, `watch` and `report` still read them.
+#[test]
+fn old_recordings_and_snapshots_with_shard_sections_still_read() {
+    let dir = std::env::temp_dir().join(format!("sctsim-oldexports-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ts_path = dir.join("ts.json");
+    let metrics_path = dir.join("m.json");
+    let run = sctsim(&[
+        "run",
+        "--system",
+        "tiny",
+        "--hours",
+        "1",
+        "--seed",
+        "5",
+        "--timeseries",
+        ts_path.to_str().unwrap(),
+        "--window",
+        "600",
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let ts = std::fs::read_to_string(&ts_path).unwrap();
+    let old_ts = ts.replacen("\"alerts\"", "\"shards\": [],\n  \"alerts\"", 1);
+    assert!(old_ts.contains("\"shards\": []"), "{old_ts}");
+    let old_ts_path = dir.join("old-ts.json");
+    std::fs::write(&old_ts_path, &old_ts).unwrap();
+    let d = sctsim(&[
+        "diff",
+        old_ts_path.to_str().unwrap(),
+        ts_path.to_str().unwrap(),
+    ]);
+    assert!(d.status.success(), "{}", String::from_utf8_lossy(&d.stderr));
+    assert!(String::from_utf8(d.stdout)
+        .unwrap()
+        .contains("recordings agree"));
+    let w = sctsim(&["watch", old_ts_path.to_str().unwrap(), "--once"]);
+    assert!(w.status.success(), "{}", String::from_utf8_lossy(&w.stderr));
+    assert!(String::from_utf8(w.stdout)
+        .unwrap()
+        .contains("Time-series recording"));
+
+    let m = std::fs::read_to_string(&metrics_path).unwrap();
+    let merged_at = m.find("\"merged\"").expect("profile attached");
+    let old_m = format!(
+        "{}\"per_shard\": [],\n    {}",
+        &m[..merged_at],
+        &m[merged_at..]
+    );
+    let old_m_path = dir.join("old-m.json");
+    std::fs::write(&old_m_path, &old_m).unwrap();
+    let report = sctsim(&["report", old_m_path.to_str().unwrap()]);
+    assert!(
+        report.status.success(),
+        "{}",
+        String::from_utf8_lossy(&report.stderr)
+    );
+    assert!(String::from_utf8(report.stdout)
+        .unwrap()
+        .contains("## Loop profile"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -249,10 +346,12 @@ fn invalid_nested_specs_in_a_config_file_exit_2_with_one_line() {
 /// ignored: one line naming it, exit 2, nothing run.
 #[test]
 fn unknown_flags_exit_2_with_one_line() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["run", "--threads", "2"], "--threads"),
         (&["run", "--exec-trace", "x.json"], "--exec-trace"),
         (&["run", "--shard", "4"], "--shard"),
+        (&["run", "--shards", "4"], "--shards"),
+        (&["scenario", "--shards", "1"], "--shards"),
         (&["run", "--bogus", "3"], "--bogus"),
         (&["erlang", "--svbr", "33", "--hours", "1"], "--hours"),
     ];
@@ -440,8 +539,6 @@ fn metrics_snapshot_carries_the_loop_profile_and_report_renders_it() {
         "1",
         "--trials",
         "2",
-        "--shards",
-        "2",
         "--seed",
         "5",
         "--metrics",
@@ -455,9 +552,14 @@ fn metrics_snapshot_carries_the_loop_profile_and_report_renders_it() {
     let text = std::fs::read_to_string(&metrics_path).unwrap();
     let snapshot = sct_analysis::MetricsSnapshot::from_json(&text).expect("valid metrics snapshot");
     let profile = snapshot.profile.as_ref().expect("profile attached");
-    assert_eq!(profile.per_shard.len(), 2, "one profile per shard");
     assert!(profile.merged.events > 0);
-    assert!(profile.merged.phases.iter().any(|p| p.name == "barrier"));
+    let phases: Vec<&str> = profile
+        .merged
+        .phases
+        .iter()
+        .map(|p| p.name.as_str())
+        .collect();
+    assert_eq!(phases, ["dispatch", "alloc", "wake", "probe"]);
 
     let report = sctsim(&["report", metrics_path.to_str().unwrap()]);
     assert!(
@@ -467,11 +569,7 @@ fn metrics_snapshot_carries_the_loop_profile_and_report_renders_it() {
     );
     let md = String::from_utf8(report.stdout).unwrap();
     assert!(md.contains("## Loop profile"), "{md}");
-    assert!(md.contains("shard 1"), "{md}");
-    assert!(
-        md.contains("wall time is the max across"),
-        "missing merged-vs-per-shard note: {md}"
-    );
+    assert!(md.contains("| wake |"), "{md}");
 }
 
 #[test]
@@ -669,13 +767,11 @@ fn unwritable_metrics_path_fails_with_a_diagnostic() {
     assert!(err.contains("metrics.json"), "{err}");
 }
 
-/// `--profile` prints the merged table and then one table per shard,
-/// each with its own barrier row, without changing the outcome.
+/// `--profile` prints one loop-profile table per trial without
+/// changing the outcome.
 #[test]
-fn profile_prints_one_table_per_shard() {
-    let base = [
-        "run", "--system", "tiny", "--hours", "1", "--seed", "5", "--shards", "2",
-    ];
+fn profile_prints_the_loop_table() {
+    let base = ["run", "--system", "tiny", "--hours", "1", "--seed", "5"];
     let plain = sctsim(&base);
     let mut profiled_args: Vec<&str> = base.to_vec();
     profiled_args.push("--profile");
@@ -691,11 +787,7 @@ fn profile_prints_one_table_per_shard() {
     );
     let err = String::from_utf8(profiled.stderr).unwrap();
     assert!(err.contains("trial 0: loop profile:"), "{err}");
-    for shard in 0..2 {
-        let table = format!("trial 0 shard {shard}: loop profile:");
-        assert!(err.contains(&table), "missing {table}: {err}");
-    }
-    assert!(err.contains("barrier"), "{err}");
+    assert!(err.contains("wake"), "{err}");
 }
 
 #[test]

@@ -27,7 +27,6 @@ struct Knobs {
     waitlist: Option<(f64, usize)>,
     replication: Option<(f64, usize, f64)>,
     sample_interval_secs: Option<f64>,
-    shards: usize,
     seed: u64,
 }
 
@@ -76,7 +75,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
             or_bad(0.0..900.0, &[-1.0, NAN]),
         )),
         maybe(or_bad(60.0..900.0, &[0.0, -5.0, NAN])),
-        (0usize..4, any::<u64>()),
+        any::<u64>(),
     );
     (schedule, extensions).prop_map(
         |(
@@ -97,7 +96,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 waitlist,
                 replication,
                 sample_interval_secs,
-                (shards, seed),
+                seed,
             ),
         )| Knobs {
             scheduler: SchedulerKind::ALL[kind],
@@ -118,7 +117,6 @@ fn knobs() -> impl Strategy<Value = Knobs> {
             waitlist,
             replication,
             sample_interval_secs,
-            shards,
             seed,
         },
     )
@@ -137,7 +135,6 @@ fn builder(k: &Knobs) -> SimConfigBuilder {
         .warmup_hours(k.warmup_hours)
         .staging(k.staging)
         .receive_cap(k.receive_cap)
-        .shards(k.shards)
         .seed(k.seed)
         .check_invariants(true);
     if let Some(spread) = k.spread {

@@ -23,11 +23,6 @@ struct Coverage {
     metrics: bool,
     /// `SpanProbe` folds it into a span, segment, edge, or mark.
     spans: bool,
-    /// `CrossShardCounter` folds it into a locality counter. This is
-    /// the opt-in analysis fold for loop plumbing: exactly one variant
-    /// sets it, and the outcome-affecting probes above must keep
-    /// ignoring that variant so results stay shard-invariant.
-    locality: bool,
 }
 
 /// The decision table. NO WILDCARD ARM — that is the point: a new
@@ -39,96 +34,71 @@ fn coverage(event: &SimEvent) -> Coverage {
             kind: "Admitted",
             metrics: true, // per-video arrival counters
             spans: true,   // opens the viewer span
-            locality: false,
         },
         SimEvent::Rejected { .. } => Coverage {
             kind: "Rejected",
             metrics: true,
             spans: true,
-            locality: false,
         },
         SimEvent::Completed { .. } => Coverage {
             kind: "Completed",
             metrics: true,
             spans: true,
-            locality: false,
         },
         SimEvent::Migrated { .. } => Coverage {
             kind: "Migrated",
             metrics: false, // aggregate hop counts live in AdmissionStats
             spans: true,    // hop segment + causal edge
-            locality: false,
         },
         SimEvent::ServerDown { .. } => Coverage {
             kind: "ServerDown",
             metrics: true,
             spans: true, // mark + evacuation/drop attribution
-            locality: false,
         },
         SimEvent::ServerUp { .. } => Coverage {
             kind: "ServerUp",
             metrics: false,
             spans: true, // mark + freed-capacity cause
-            locality: false,
         },
         SimEvent::Paused { .. } => Coverage {
             kind: "Paused",
             metrics: true,
             spans: true,
-            locality: false,
         },
         SimEvent::Resumed { .. } => Coverage {
             kind: "Resumed",
             metrics: false, // resume count equals pause count
             spans: true,
-            locality: false,
         },
         SimEvent::CopyStarted { .. } => Coverage {
             kind: "CopyStarted",
             metrics: false, // replication totals live in AdmissionStats
             spans: true,    // opens the copy span
-            locality: false,
         },
         SimEvent::CopyDone { .. } => Coverage {
             kind: "CopyDone",
             metrics: false,
             spans: true,
-            locality: false,
         },
         SimEvent::WaitlistQueued { .. } => Coverage {
             kind: "WaitlistQueued",
             metrics: false, // waitlist totals live in WaitlistStats
             spans: true,    // wait segment
-            locality: false,
         },
         SimEvent::WaitlistServed { .. } => Coverage {
             kind: "WaitlistServed",
             metrics: false,
             spans: true, // serve segment + FreedSlot edge
-            locality: false,
         },
         SimEvent::WaitlistExpired { .. } => Coverage {
             kind: "WaitlistExpired",
             metrics: false,
             spans: true, // closes the longest-waiting spans
-            locality: false,
         },
         SimEvent::WindowSample { .. } => Coverage {
             kind: "WindowSample",
             metrics: true, // windowed-utilization series
             spans: false,  // no request is involved
-            locality: false,
-        },
-        SimEvent::CrossShard { .. } => Coverage {
-            kind: "CrossShard",
-            // Loop plumbing, deliberately ignored by both folds: the
-            // underlying Migrated/CopyStarted events carry the causal
-            // edges, so outcomes and span sets stay identical across
-            // shard counts. Trace probes still record the channel, and
-            // the opt-in CrossShardCounter tallies it by edge kind.
-            metrics: false,
-            spans: false,
-            locality: true,
         },
     }
 }
@@ -195,14 +165,6 @@ fn sample() -> Vec<SimEvent> {
             index: 0,
             utilization: 0.5,
         },
-        SimEvent::CrossShard {
-            stream: 0,
-            from: 0,
-            to: 1,
-            from_shard: 0,
-            to_shard: 1,
-            edge: CrossShardEdge::Displacement,
-        },
     ]
 }
 
@@ -234,53 +196,6 @@ fn metrics_probe_folds_exactly_the_variants_it_claims() {
             event.kind()
         );
     }
-}
-
-#[test]
-fn cross_shard_counter_folds_exactly_the_variants_it_claims() {
-    for event in &sample() {
-        let mut probe = CrossShardCounter::new();
-        let before = probe;
-        probe.on_event(SimTime::from_secs(1.0), event);
-        let changed = probe != before;
-        assert_eq!(
-            changed,
-            coverage(event).locality,
-            "{}: CrossShardCounter fold disagrees with the coverage table",
-            event.kind()
-        );
-    }
-}
-
-#[test]
-fn cross_shard_counter_tallies_by_edge_kind() {
-    let mut probe = CrossShardCounter::new();
-    let edges = [
-        (CrossShardEdge::Displacement, 3),
-        (CrossShardEdge::ChainInnerHop, 2),
-        (CrossShardEdge::ReplicationCopy, 1),
-        (CrossShardEdge::EvacuationRescue, 4),
-    ];
-    for (edge, n) in edges {
-        for _ in 0..n {
-            probe.on_event(
-                SimTime::from_secs(1.0),
-                &SimEvent::CrossShard {
-                    stream: 0,
-                    from: 0,
-                    to: 1,
-                    from_shard: 0,
-                    to_shard: 1,
-                    edge,
-                },
-            );
-        }
-    }
-    assert_eq!(probe.total, 10);
-    assert_eq!(probe.displacements, 3);
-    assert_eq!(probe.chain_inner_hops, 2);
-    assert_eq!(probe.replication_copies, 1);
-    assert_eq!(probe.evacuation_rescues, 4);
 }
 
 #[test]
