@@ -552,6 +552,11 @@ fn cmd_bench_diff(file_old: &str, file_new: &str, args: &Args) {
 
 fn cmd_diff(file_a: &str, file_b: &str, args: &Args) {
     let tol = args.get_f64("tolerance").unwrap_or(1e-9);
+    // A NaN tolerance would let every window agree, a negative one none.
+    if !(tol >= 0.0 && tol.is_finite()) {
+        eprintln!("--tolerance expects a non-negative number, got {tol}");
+        exit(2)
+    }
     let a = read_recording(file_a);
     let b = read_recording(file_b);
     match diff(&a, &b, tol) {

@@ -738,6 +738,74 @@ fn diff_subcommand_localizes_seed_divergence() {
     assert!(text.contains("recordings agree"), "{text}");
 }
 
+/// A NaN tolerance would let any two recordings agree and a negative one
+/// would make a recording diverge from itself, so both are usage errors,
+/// as is an infinite one: one line, exit 2, as `bench-diff --gate`.
+#[test]
+fn diff_rejects_a_non_finite_or_negative_tolerance() {
+    let dir = std::env::temp_dir().join(format!("sctsim-test-tol-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rec.json");
+    let p = path.to_str().unwrap();
+    let run = sctsim(&[
+        "run",
+        "--system",
+        "tiny",
+        "--hours",
+        "1",
+        "--seed",
+        "5",
+        "--timeseries",
+        p,
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    for tol in ["nan", "-1", "inf"] {
+        let out = sctsim(&["diff", p, p, "--tolerance", tol]);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{tol}: {err}");
+        assert_eq!(err.lines().count(), 1, "{tol}: {err}");
+        assert!(err.contains("--tolerance"), "{tol}: {err}");
+        assert!(out.stdout.is_empty(), "{tol}");
+    }
+    // Zero is a tolerance: a recording agrees with itself exactly.
+    let out = sctsim(&["diff", p, p, "--tolerance", "0"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("recordings agree"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file of deeply nested brackets is malformed input like any other:
+/// every reader prints one diagnostic and exits 1 instead of overflowing
+/// its stack.
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_a_crash() {
+    let dir = std::env::temp_dir().join(format!("sctsim-test-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let p = path.to_str().unwrap();
+    let commands: [&[&str]; 5] = [
+        &["run", "--config", p],
+        &["report", p],
+        &["spans", p],
+        &["diff", p, p],
+        &["watch", p, "--once"],
+    ];
+    for args in commands {
+        let out = sctsim(args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains("recursion limit"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn diff_rejects_garbage_input() {
     let dir = std::env::temp_dir().join("sctsim-test-ts");
