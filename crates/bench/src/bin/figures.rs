@@ -17,11 +17,18 @@
 //! `--hours` override it, wherever they stand on the command line. An
 //! experiment named twice runs once. A bad argument prints one
 //! `figures: …` line and exits 2.
+//!
+//! The output directory is made before any experiment runs (`render`
+//! alone only reads it), so an unusable `--out` costs no simulation. A
+//! file that cannot be read or written prints one `figures: …` line and
+//! exits 1.
 
+use sct_analysis::Series;
 use sct_bench::{save_series, sparkline};
 use sct_core::experiments::{self, ExpOptions};
 use sct_workload::{HeterogeneityKind, SystemSpec};
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The experiments `all` stands for, in the order it runs them.
@@ -135,6 +142,57 @@ fn parse(args: &[String]) -> Result<Args, String> {
     })
 }
 
+/// Prints one `figures: …` line and exits 1.
+fn fail(e: impl Display) -> ! {
+    eprintln!("figures: {e}");
+    std::process::exit(1)
+}
+
+/// Writes `contents` to `path`, or fails.
+fn write(path: &Path, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| fail(format_args!("cannot write {}: {e}", path.display())));
+}
+
+/// Saves `series` as `<dir>/<stem>.{md,json,svg}` and prints its
+/// markdown and a sparkline of its means over `[lo, hi]`.
+fn publish(dir: &Path, stem: &str, series: &Series, lo: f64, hi: f64) {
+    let md = save_series(dir, stem, series).unwrap_or_else(|e| {
+        fail(format_args!(
+            "cannot save {}: {e}",
+            dir.join(stem).display()
+        ))
+    });
+    println!("{md}");
+    println!("{}", sparkline(series, lo, hi));
+}
+
+/// Fails with the read error `e` of `path`.
+fn cannot_read(path: &Path, e: std::io::Error) -> ! {
+    fail(format_args!("cannot read {}: {e}", path.display()))
+}
+
+/// Re-renders the SVG of every saved series JSON in `dir`, without
+/// simulating, and returns how many it rendered.
+fn render(dir: &Path) -> usize {
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| cannot_read(dir, e)) {
+        let path = entry.unwrap_or_else(|e| cannot_read(dir, e)).path();
+        if path.extension().and_then(|e| e.to_str()) == Some("json") {
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| cannot_read(&path, e));
+            if let Ok(series) = Series::from_json(&text) {
+                let svg = sct_analysis::svg::render_series(
+                    &series,
+                    &sct_analysis::svg::SvgOptions::default(),
+                );
+                write(&path.with_extension("svg"), svg);
+                n += 1;
+            }
+        }
+    }
+    n
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Args {
@@ -154,6 +212,10 @@ fn main() {
         );
         std::process::exit(2);
     }
+    if wanted.iter().any(|&exp| exp != "render") {
+        std::fs::create_dir_all(&out_dir)
+            .unwrap_or_else(|e| fail(format_args!("cannot create {}: {e}", out_dir.display())));
+    }
 
     println!(
         "# Semi-continuous transmission — figure regeneration ({fidelity}: {} trials × {} h)\n",
@@ -161,169 +223,114 @@ fn main() {
     );
     let small = SystemSpec::small_paper();
     let large = SystemSpec::large_paper();
+    let out = out_dir.as_path();
 
     for exp in wanted {
         let t0 = Instant::now();
         match exp {
             "fig3" => {
                 let t = experiments::fig3_table();
-                std::fs::create_dir_all(&out_dir).unwrap();
-                std::fs::write(out_dir.join("fig3.md"), t.to_markdown()).unwrap();
+                write(&out.join("fig3.md"), t.to_markdown());
                 println!("## Fig. 3 — system parameters\n\n{}", t.to_text());
             }
             "fig6" => {
                 let t = experiments::fig6_table();
-                std::fs::create_dir_all(&out_dir).unwrap();
-                std::fs::write(out_dir.join("fig6.md"), t.to_markdown()).unwrap();
+                write(&out.join("fig6.md"), t.to_markdown());
                 println!("## Fig. 6 — policies evaluated\n\n{}", t.to_text());
             }
             "fig4" => {
                 for (sys, tag) in [(&large, "large"), (&small, "small")] {
                     let s = experiments::fig4(sys, &opts);
-                    let md = save_series(&out_dir, &format!("fig4_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("fig4_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "fig5" => {
                 for (sys, tag) in [(&large, "large"), (&small, "small")] {
                     let s = experiments::fig5(sys, &opts);
-                    let md = save_series(&out_dir, &format!("fig5_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("fig5_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "fig7" => {
                 for (sys, tag) in [(&large, "large"), (&small, "small")] {
                     let s = experiments::fig7(sys, &opts);
-                    let md = save_series(&out_dir, &format!("fig7_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("fig7_{tag}"), &s, 0.5, 1.0);
                 }
             }
-            "svbr" => {
-                let s = experiments::svbr(&opts);
-                let md = save_series(&out_dir, "svbr", &s).unwrap();
-                println!("{md}");
-                println!("{}", sparkline(&s, 0.5, 1.0));
-            }
+            "svbr" => publish(out, "svbr", &experiments::svbr(&opts), 0.5, 1.0),
             "het" => {
                 for kind in [HeterogeneityKind::Bandwidth, HeterogeneityKind::Storage] {
                     let s = experiments::heterogeneity(kind, &opts);
                     let tag = format!("het_{kind:?}").to_lowercase();
-                    let md = save_series(&out_dir, &tag, &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &tag, &s, 0.5, 1.0);
                 }
             }
             "partial" => {
                 for (sys, tag) in [(&large, "large"), (&small, "small")] {
                     let s = experiments::partial_predictive(sys, &opts);
-                    let md = save_series(&out_dir, &format!("partial_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("partial_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "sweep" => {
                 for (sys, tag) in [(&large, "large"), (&small, "small")] {
                     let s = experiments::staging_sweep(sys, &opts);
-                    let md = save_series(&out_dir, &format!("sweep_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("sweep_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "faults" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::fault_tolerance(sys, &opts);
-                    let md = save_series(&out_dir, &format!("faults_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.0, 1.0));
+                    publish(out, &format!("faults_{tag}"), &s, 0.0, 1.0);
                 }
             }
             "pauses" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::interactivity(sys, &opts);
-                    let md = save_series(&out_dir, &format!("pauses_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("pauses_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "repl" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::replication_vs_drm(sys, &opts);
-                    let md = save_series(&out_dir, &format!("repl_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.3, 1.0));
+                    publish(out, &format!("repl_{tag}"), &s, 0.3, 1.0);
                 }
             }
             "smoothing" => {
                 let s = experiments::smoothing(&small, &opts);
-                let md = save_series(&out_dir, "smoothing_small", &s).unwrap();
-                println!("{md}");
-                println!("{}", sparkline(&s, 0.5, 1.0));
+                publish(out, "smoothing_small", &s, 0.5, 1.0);
             }
             "rejections" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let t = experiments::rejection_profile(sys, &opts);
-                    std::fs::create_dir_all(&out_dir).unwrap();
-                    std::fs::write(
-                        out_dir.join(format!("rejections_{tag}.md")),
-                        t.to_markdown(),
-                    )
-                    .unwrap();
+                    write(&out.join(format!("rejections_{tag}.md")), t.to_markdown());
                     println!("## Rejection profile ({tag})\n\n{}", t.to_text());
                 }
             }
             "waitlist" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::waitlist(sys, &opts);
-                    let md = save_series(&out_dir, &format!("waitlist_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.0, 1.0));
+                    publish(out, &format!("waitlist_{tag}"), &s, 0.0, 1.0);
                 }
             }
             "chains" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::migration_depth(sys, &opts);
-                    let md = save_series(&out_dir, &format!("chains_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("chains_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "diurnal" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::diurnal(sys, &opts);
-                    let md = save_series(&out_dir, &format!("diurnal_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("diurnal_{tag}"), &s, 0.5, 1.0);
                 }
             }
             "render" => {
-                // Re-render SVGs from every saved series JSON in --out,
-                // without re-running any simulation.
-                let mut n = 0;
-                for entry in std::fs::read_dir(&out_dir).expect("results dir") {
-                    let path = entry.expect("dir entry").path();
-                    if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                        let text = std::fs::read_to_string(&path).unwrap();
-                        if let Ok(series) = sct_analysis::Series::from_json(&text) {
-                            let svg = sct_analysis::svg::render_series(
-                                &series,
-                                &sct_analysis::svg::SvgOptions::default(),
-                            );
-                            std::fs::write(path.with_extension("svg"), svg).unwrap();
-                            n += 1;
-                        }
-                    }
-                }
-                println!("rendered {n} SVGs in {}", out_dir.display());
+                let n = render(out);
+                println!("rendered {n} SVGs in {}", out.display());
             }
             "ablation" => {
                 for (sys, tag) in [(&small, "small"), (&large, "large")] {
                     let s = experiments::scheduler_ablation(sys, &opts);
-                    let md = save_series(&out_dir, &format!("ablation_{tag}"), &s).unwrap();
-                    println!("{md}");
-                    println!("{}", sparkline(&s, 0.5, 1.0));
+                    publish(out, &format!("ablation_{tag}"), &s, 0.5, 1.0);
                 }
             }
             other => unreachable!("parse admits no experiment {other}"),

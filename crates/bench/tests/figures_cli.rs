@@ -1,7 +1,9 @@
 //! The `figures` command line: every argument is checked before anything
 //! runs, a bad one exits 2 with one `figures: …` line and writes no file,
 //! overrides win over the fidelity preset wherever they stand, and an
-//! experiment named twice runs once.
+//! experiment named twice runs once. A file that cannot be read or
+//! written exits 1 with one `figures: …` line, and an output directory
+//! that cannot be made fails before anything is simulated.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -129,4 +131,67 @@ fn an_experiment_named_twice_runs_once() {
         .collect();
     assert_eq!(done, ["fig3", "fig6"], "{stderr}");
     std::fs::remove_dir_all(&out).unwrap();
+}
+
+/// `args` must exit 1, and the last stderr line must start with
+/// `figures: ` and contain `needle`; returns the run.
+fn assert_io_failure(args: &[&str], out: &Path, needle: &str) -> Output {
+    let run = figures(args, out);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(last.starts_with("figures: "), "{args:?}: {stderr}");
+    assert!(last.contains(needle), "{args:?}: {stderr}");
+    run
+}
+
+/// An `--out` that names a file, or lies under one, cannot become a
+/// directory: one line, exit 1, before any experiment runs.
+#[test]
+fn an_out_path_that_cannot_be_a_directory_fails_before_simulating() {
+    let dir = out_dir("out-file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("taken");
+    std::fs::write(&file, "").unwrap();
+    let cases = [
+        (
+            vec!["svbr", "--quick", "--trials", "1", "--hours", "1"],
+            file.clone(),
+        ),
+        (vec!["fig3"], PathBuf::from("/dev/null/x")),
+    ];
+    for (args, out) in cases {
+        let run = assert_io_failure(&args, &out, "cannot create");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} ran before failing");
+    }
+    assert_eq!(std::fs::read(&file).unwrap(), b"");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A file of the output that cannot be written ends the run with one
+/// line and exit 1.
+#[test]
+fn an_unwritable_output_file_fails_cleanly() {
+    let out = out_dir("unwritable");
+    std::fs::create_dir_all(out.join("fig3.md")).unwrap();
+    assert_io_failure(&["fig3"], &out, "cannot write");
+    std::fs::create_dir_all(out.join("svbr.json")).unwrap();
+    assert_io_failure(
+        &["svbr", "--quick", "--trials", "1", "--hours", "1"],
+        &out,
+        "cannot save",
+    );
+    std::fs::remove_dir_all(&out).unwrap();
+}
+
+/// `render` only reads its directory: a missing one is an error, and it
+/// is not created.
+#[test]
+fn render_of_a_missing_directory_fails_cleanly() {
+    let out = out_dir("render-missing");
+    assert_io_failure(&["render"], &out, "cannot read");
+    assert!(!out.exists());
 }

@@ -1,9 +1,13 @@
 //! Experiment drivers — one per paper table/figure (see DESIGN.md's
 //! per-experiment index).
 //!
-//! Every driver sweeps an axis, runs [`crate::runner::run_trials`] per
-//! point, and returns a [`Series`] (curves of trial summaries) or a
-//! [`Table`]. The [`ExpOptions`] presets trade fidelity for time:
+//! Every driver sweeps an axis in three steps: it lists the config of
+//! every point, runs all their trials in one
+//! [`crate::runner::run_points`] call (one pool over the machine's cores),
+//! and reduces the outcomes, point by point in list order, to a
+//! [`Series`] (curves of trial summaries) or a [`Table`]. A trial depends
+//! only on its config and seed, so the output is the same on any number
+//! of cores. The [`ExpOptions`] presets trade fidelity for time:
 //!
 //! * [`ExpOptions::quick`] — CI-sized smoke runs;
 //! * [`ExpOptions::standard`] — minutes-per-figure, shape-faithful;
@@ -11,7 +15,8 @@
 
 use crate::config::{SimConfig, StagingSpec};
 use crate::policies::Policy;
-use crate::runner::{run_trials, utilization_summary, TrialPlan};
+use crate::runner::{run_points, utilization_summary, TrialPlan};
+use crate::simulation::SimOutcome;
 use sct_admission::MigrationPolicy;
 use sct_analysis::erlang::expected_utilization_vs_svbr;
 use sct_analysis::{Series, Table};
@@ -88,11 +93,34 @@ impl ExpOptions {
             .warmup_hours(self.warmup_hours)
     }
 
-    fn run_point(&self, cfg: &SimConfig) -> Summary {
-        utilization_summary(&run_trials(
-            cfg,
-            TrialPlan::new(self.trials, self.base_seed),
-        ))
+    /// Every trial of every config, on one pool; entry `p` holds the
+    /// trials of `configs[p]` in trial order.
+    fn outcomes(&self, configs: &[SimConfig]) -> Vec<Vec<SimOutcome>> {
+        run_points(configs, TrialPlan::new(self.trials, self.base_seed))
+    }
+
+    /// Pushes one curve of utilization summaries per `(label, points)`
+    /// onto `series`, in the order given, running the trials of every
+    /// point of every curve in one pool.
+    fn utilization_curves<L: Into<String>>(
+        &self,
+        mut series: Series,
+        curves: impl IntoIterator<Item = (L, Vec<SimConfig>)>,
+    ) -> Series {
+        let mut labels = Vec::new();
+        let mut configs = Vec::new();
+        for (label, points) in curves {
+            labels.push((label.into(), points.len()));
+            configs.extend(points);
+        }
+        let mut summaries = self
+            .outcomes(&configs)
+            .into_iter()
+            .map(|trials| utilization_summary(&trials));
+        for (label, n) in labels {
+            series.push_curve(label, summaries.by_ref().take(n).collect());
+        }
+        series
     }
 }
 
@@ -177,7 +205,7 @@ pub fn fig6_table() -> Table {
 /// paper's instantaneous hand-off); curves: no migration, one hop per
 /// request, unlimited hops.
 pub fn fig4(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Fig. 4 — dynamic request migration ({})", system.name),
         "zipf theta",
         "utilization",
@@ -200,24 +228,22 @@ pub fn fig4(system: &SystemSpec, opts: &ExpOptions) -> Series {
             },
         ),
     ];
-    for (label, migration) in variants {
+    let curves = variants.map(|(label, migration)| {
         let points = opts
             .thetas
             .iter()
             .map(|&theta| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(PlacementStrategy::even_paper())
                     .migration(migration)
                     .staging(StagingSpec::AbsoluteMb(0.0))
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(label, points);
-    }
-    series
+        (label, points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E3 / Fig. 5** — the effect of client staging.
@@ -225,52 +251,47 @@ pub fn fig4(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// Even placement, *no* migration, client receive cap 30 Mb/s; buffer =
 /// {0, 2, 20, 100} % of the average video size.
 pub fn fig5(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Fig. 5 — client staging ({})", system.name),
         "zipf theta",
         "utilization",
         opts.thetas.clone(),
     );
-    for fraction in [0.0, 0.02, 0.2, 1.0] {
+    let curves = [0.0, 0.02, 0.2, 1.0].map(|fraction| {
         let points = opts
             .thetas
             .iter()
             .map(|&theta| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(PlacementStrategy::even_paper())
                     .migration(MigrationPolicy::disabled())
                     .staging_fraction(fraction)
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(format!("{:.0}% buffer", fraction * 100.0), points);
-    }
-    series
+        (format!("{:.0}% buffer", fraction * 100.0), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E4 / Fig. 7** — all eight policies of Fig. 6 across θ.
 pub fn fig7(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Fig. 7 — policies P1-P8 ({})", system.name),
         "zipf theta",
         "utilization",
         opts.thetas.clone(),
     );
-    for p in Policy::ALL {
+    let curves = Policy::ALL.map(|p| {
         let points = opts
             .thetas
             .iter()
-            .map(|&theta| {
-                let cfg = opts.base(system).theta(theta).policy(p).build();
-                opts.run_point(&cfg)
-            })
+            .map(|&theta| opts.base(system).theta(theta).policy(p).build())
             .collect();
-        series.push_curve(format!("Policy {}", p.name()), points);
-    }
-    series
+        (format!("Policy {}", p.name()), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E5 / SVBR** — single-server utilization versus the server-to-view
@@ -278,7 +299,7 @@ pub fn fig7(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// Erlang-B analytic expression.
 pub fn svbr(opts: &ExpOptions) -> Series {
     let ks: Vec<f64> = vec![2.0, 5.0, 10.0, 20.0, 33.0, 50.0, 100.0];
-    let mut series = Series::new(
+    let series = Series::new(
         "SVBR — single-server utilization at 100% offered load",
         "SVBR (streams per server)",
         "utilization",
@@ -299,19 +320,19 @@ pub fn svbr(opts: &ExpOptions) -> Series {
             client_receive_cap_mbps: 30.0,
             avg_copies: 1.0,
         };
-        let cfg = opts
-            .base(&system)
-            .theta(1.0)
-            .placement(PlacementStrategy::Even { avg_copies: 1.0 })
-            .migration(MigrationPolicy::disabled())
-            .staging(StagingSpec::AbsoluteMb(0.0))
-            .scheduler(SchedulerKind::NoWorkahead)
-            .build();
-        simulated.push(opts.run_point(&cfg));
+        simulated.push(
+            opts.base(&system)
+                .theta(1.0)
+                .placement(PlacementStrategy::Even { avg_copies: 1.0 })
+                .migration(MigrationPolicy::disabled())
+                .staging(StagingSpec::AbsoluteMb(0.0))
+                .scheduler(SchedulerKind::NoWorkahead)
+                .build(),
+        );
         let u = expected_utilization_vs_svbr(k * view, view);
         analytic.push(Summary::of(&[u]));
     }
-    series.push_curve("simulated", simulated);
+    let mut series = opts.utilization_curves(series, [("simulated", simulated)]);
     series.push_curve("Erlang-B analytic", analytic);
     series
 }
@@ -321,13 +342,13 @@ pub fn svbr(opts: &ExpOptions) -> Series {
 /// Staging + single-hop migration are on (the semi-continuous regime).
 pub fn heterogeneity(kind: HeterogeneityKind, opts: &ExpOptions) -> Series {
     let spreads = vec![0.0, 0.2, 0.4, 0.6, 0.8];
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Heterogeneity ({kind:?}) — fixed totals, semi-continuous"),
         "resource spread",
         "utilization",
         spreads.clone(),
     );
-    for n in [5usize, 10, 20] {
+    let curves = [5usize, 10, 20].map(|n| {
         let system = SystemSpec::large_paper().with_servers(n);
         let points = spreads
             .iter()
@@ -344,19 +365,19 @@ pub fn heterogeneity(kind: HeterogeneityKind, opts: &ExpOptions) -> Series {
                 if spread > 0.0 {
                     b = b.heterogeneity(kind, spread);
                 }
-                opts.run_point(&b.build())
+                b.build()
             })
             .collect();
-        series.push_curve(format!("{n} servers"), points);
-    }
-    series
+        (format!("{n} servers"), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E7 / partial-predictive** — even vs partial-predictive vs perfectly
 /// predictive placement, all with staging + migration (the paper's claim:
 /// a few extra copies of the head videos recover the predictive curve).
 pub fn partial_predictive(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Partial-predictive placement ({})", system.name),
         "zipf theta",
         "utilization",
@@ -370,13 +391,12 @@ pub fn partial_predictive(system: &SystemSpec, opts: &ExpOptions) -> Series {
         ),
         ("predictive", PlacementStrategy::predictive_paper()),
     ];
-    for (label, placement) in strategies {
+    let curves = strategies.map(|(label, placement)| {
         let points = opts
             .thetas
             .iter()
             .map(|&theta| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(placement)
                     .migration(MigrationPolicy {
@@ -384,13 +404,12 @@ pub fn partial_predictive(system: &SystemSpec, opts: &ExpOptions) -> Series {
                         ..MigrationPolicy::single_hop()
                     })
                     .staging_fraction(0.2)
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(label, points);
-    }
-    series
+        (label, points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E8 / staging sweep** — utilization versus staging-buffer fraction
@@ -398,29 +417,27 @@ pub fn partial_predictive(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// effect is staging alone.
 pub fn staging_sweep(system: &SystemSpec, opts: &ExpOptions) -> Series {
     let fractions = vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0];
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Staging sweep ({})", system.name),
         "staging fraction of avg video",
         "utilization",
         fractions.clone(),
     );
-    for theta in [0.0, 0.5, 1.0] {
+    let curves = [0.0, 0.5, 1.0].map(|theta| {
         let points = fractions
             .iter()
             .map(|&f| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(PlacementStrategy::even_paper())
                     .migration(MigrationPolicy::disabled())
                     .staging_fraction(f)
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(format!("theta = {theta}"), points);
-    }
-    series
+        (format!("theta = {theta}"), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E9 / fault tolerance** (extension; §3.1 motivates DRM for node
@@ -447,19 +464,25 @@ pub fn fault_tolerance(system: &SystemSpec, opts: &ExpOptions) -> Series {
         ),
         ("no migration (drop)", MigrationPolicy::disabled()),
     ];
-    for (label, migration) in variants {
+    let mut configs = Vec::new();
+    for (_, migration) in variants {
+        for &mtbf in &mtbfs {
+            configs.push(
+                opts.base(system)
+                    .theta(0.271)
+                    .placement(PlacementStrategy::even_paper())
+                    .migration(migration)
+                    .staging_fraction(0.2)
+                    .failures(mtbf, 0.5)
+                    .build(),
+            );
+        }
+    }
+    let mut points = opts.outcomes(&configs).into_iter();
+    for (label, _) in variants {
         let mut util_points = Vec::new();
         let mut survival_points = Vec::new();
-        for &mtbf in &mtbfs {
-            let cfg = opts
-                .base(system)
-                .theta(0.271)
-                .placement(PlacementStrategy::even_paper())
-                .migration(migration)
-                .staging_fraction(0.2)
-                .failures(mtbf, 0.5)
-                .build();
-            let outcomes = run_trials(&cfg, TrialPlan::new(opts.trials, opts.base_seed));
+        for outcomes in points.by_ref().take(mtbfs.len()) {
             util_points.push(utilization_summary(&outcomes));
             let survival: Vec<f64> = outcomes
                 .iter()
@@ -488,13 +511,13 @@ pub fn fault_tolerance(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// curves should degrade far more slowly.
 pub fn interactivity(system: &SystemSpec, opts: &ExpOptions) -> Series {
     let probs = vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Interactivity — pause tolerance ({})", system.name),
         "pause probability",
         "utilization",
         probs.clone(),
     );
-    for fraction in [0.0, 0.2, 1.0] {
+    let curves = [0.0, 0.2, 1.0].map(|fraction| {
         let points = probs
             .iter()
             .map(|&p| {
@@ -507,12 +530,12 @@ pub fn interactivity(system: &SystemSpec, opts: &ExpOptions) -> Series {
                 if p > 0.0 {
                     b = b.interactivity(p, 60.0, 600.0);
                 }
-                opts.run_point(&b.build())
+                b.build()
             })
             .collect();
-        series.push_curve(format!("{:.0}% buffer", fraction * 100.0), points);
-    }
-    series
+        (format!("{:.0}% buffer", fraction * 100.0), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **E11 / replication vs DRM** (extension; §3.1 contrasts DRM with the
@@ -523,7 +546,7 @@ pub fn interactivity(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// copies of the head videos and only replication can create them.
 pub fn replication_vs_drm(system: &SystemSpec, opts: &ExpOptions) -> Series {
     use sct_admission::ReplicationSpec;
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Dynamic replication vs DRM ({})", system.name),
         "zipf theta",
         "utilization",
@@ -547,7 +570,7 @@ pub fn replication_vs_drm(system: &SystemSpec, opts: &ExpOptions) -> Series {
             Some(ReplicationSpec::default_paper_scale()),
         ),
     ];
-    for (label, migration, replication) in variants {
+    let curves = variants.map(|(label, migration, replication)| {
         let points = opts
             .thetas
             .iter()
@@ -561,12 +584,12 @@ pub fn replication_vs_drm(system: &SystemSpec, opts: &ExpOptions) -> Series {
                 if let Some(spec) = replication {
                     b = b.replication(spec);
                 }
-                opts.run_point(&b.build())
+                b.build()
             })
             .collect();
-        series.push_curve(label, points);
-    }
-    series
+        (label, points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// The utilization window [`smoothing`] samples. Its runs need at least
@@ -588,22 +611,25 @@ pub fn smoothing(system: &SystemSpec, opts: &ExpOptions) -> Series {
         "window utilization",
         fractions.clone(),
     );
+    let configs: Vec<SimConfig> = fractions
+        .iter()
+        .map(|&f| {
+            opts.base(system)
+                .theta(1.0)
+                .placement(PlacementStrategy::even_paper())
+                .migration(MigrationPolicy::disabled())
+                .staging_fraction(f)
+                .sample_interval_secs(SMOOTHING_WINDOW_SECS)
+                .build()
+        })
+        .collect();
     // Collect (min, p10, mean, max) per staging level, each summarised
     // over trials.
     let mut mins = Vec::new();
     let mut p10s = Vec::new();
     let mut means = Vec::new();
     let mut maxs = Vec::new();
-    for &f in &fractions {
-        let cfg = opts
-            .base(system)
-            .theta(1.0)
-            .placement(PlacementStrategy::even_paper())
-            .migration(MigrationPolicy::disabled())
-            .staging_fraction(f)
-            .sample_interval_secs(SMOOTHING_WINDOW_SECS)
-            .build();
-        let outcomes = run_trials(&cfg, TrialPlan::new(opts.trials, opts.base_seed));
+    for outcomes in opts.outcomes(&configs) {
         let mut per_trial = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for o in &outcomes {
             let mut w = o.window_utilization.clone();
@@ -639,52 +665,57 @@ pub fn rejection_profile(system: &SystemSpec, opts: &ExpOptions) -> Table {
         "tail (50-100%) rej%",
         "overall rej%",
     ]);
+    let mut rows = Vec::new();
+    let mut configs = Vec::new();
     for &theta in &[-1.0, 0.0, 1.0] {
         for (name, placement) in [
             ("even", PlacementStrategy::even_paper()),
             ("predictive", PlacementStrategy::predictive_paper()),
         ] {
-            let cfg = opts
-                .base(system)
-                .theta(theta)
-                .placement(placement)
-                .migration(MigrationPolicy::disabled())
-                .staging_fraction(0.2)
-                .track_per_video(true)
-                .build();
-            let outcomes = run_trials(&cfg, TrialPlan::new(opts.trials, opts.base_seed));
-            let n = system.n_videos;
-            let mut arr = vec![0u64; n];
-            let mut rej = vec![0u64; n];
-            for o in &outcomes {
-                for i in 0..n {
-                    arr[i] += o.per_video_arrivals[i] as u64;
-                    rej[i] += o.per_video_rejections[i] as u64;
-                }
-            }
-            let bucket = |range: std::ops::Range<usize>| -> f64 {
-                let a: u64 = range.clone().map(|i| arr[i]).sum();
-                let r: u64 = range.map(|i| rej[i]).sum();
-                if a == 0 {
-                    0.0
-                } else {
-                    100.0 * r as f64 / a as f64
-                }
-            };
-            let overall = {
-                let a: u64 = arr.iter().sum();
-                let r: u64 = rej.iter().sum();
-                100.0 * r as f64 / a.max(1) as f64
-            };
-            table.push_row(vec![
-                format!("{theta:+.1}"),
-                name.to_string(),
-                format!("{:.2}", bucket(0..n / 10)),
-                format!("{:.2}", bucket(n / 10..n / 2)),
-                format!("{:.2}", bucket(n / 2..n)),
-                format!("{overall:.2}"),
-            ]);
+            rows.push((theta, name));
+            configs.push(
+                opts.base(system)
+                    .theta(theta)
+                    .placement(placement)
+                    .migration(MigrationPolicy::disabled())
+                    .staging_fraction(0.2)
+                    .track_per_video(true)
+                    .build(),
+            );
         }
+    }
+    for ((theta, name), outcomes) in rows.into_iter().zip(opts.outcomes(&configs)) {
+        let n = system.n_videos;
+        let mut arr = vec![0u64; n];
+        let mut rej = vec![0u64; n];
+        for o in &outcomes {
+            for i in 0..n {
+                arr[i] += o.per_video_arrivals[i] as u64;
+                rej[i] += o.per_video_rejections[i] as u64;
+            }
+        }
+        let bucket = |range: std::ops::Range<usize>| -> f64 {
+            let a: u64 = range.clone().map(|i| arr[i]).sum();
+            let r: u64 = range.map(|i| rej[i]).sum();
+            if a == 0 {
+                0.0
+            } else {
+                100.0 * r as f64 / a as f64
+            }
+        };
+        let overall = {
+            let a: u64 = arr.iter().sum();
+            let r: u64 = rej.iter().sum();
+            100.0 * r as f64 / a.max(1) as f64
+        };
+        table.push_row(vec![
+            format!("{theta:+.1}"),
+            name.to_string(),
+            format!("{:.2}", bucket(0..n / 10)),
+            format!("{:.2}", bucket(n / 10..n / 2)),
+            format!("{:.2}", bucket(n / 2..n)),
+            format!("{overall:.2}"),
+        ]);
     }
     table
 }
@@ -701,20 +732,25 @@ pub fn waitlist(system: &SystemSpec, opts: &ExpOptions) -> Series {
         "ratio",
         waits_mins.clone(),
     );
+    let configs: Vec<SimConfig> = waits_mins
+        .iter()
+        .map(|&mins| {
+            let mut b = opts
+                .base(system)
+                .theta(0.0)
+                .placement(PlacementStrategy::even_paper())
+                .migration(MigrationPolicy::disabled())
+                .staging_fraction(0.2);
+            if mins > 0.0 {
+                b = b.waitlist(mins * 60.0, 10_000);
+            }
+            b.build()
+        })
+        .collect();
     let mut acceptance = Vec::new();
     let mut utilization = Vec::new();
     let mut mean_wait_frac = Vec::new();
-    for &mins in &waits_mins {
-        let mut b = opts
-            .base(system)
-            .theta(0.0)
-            .placement(PlacementStrategy::even_paper())
-            .migration(MigrationPolicy::disabled())
-            .staging_fraction(0.2);
-        if mins > 0.0 {
-            b = b.waitlist(mins * 60.0, 10_000);
-        }
-        let outcomes = run_trials(&b.build(), TrialPlan::new(opts.trials, opts.base_seed));
+    for (&mins, outcomes) in waits_mins.iter().zip(opts.outcomes(&configs)) {
         acceptance.push(Summary::of(
             &outcomes
                 .iter()
@@ -749,7 +785,7 @@ pub fn waitlist(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// macro scale.
 pub fn diurnal(system: &SystemSpec, opts: &ExpOptions) -> Series {
     let amplitudes = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Diurnal load — day/night swings ({})", system.name),
         "swing amplitude",
         "utilization",
@@ -763,7 +799,7 @@ pub fn diurnal(system: &SystemSpec, opts: &ExpOptions) -> Series {
         ("no staging, no DRM", 0.0, MigrationPolicy::disabled()),
         ("20% staging + DRM", 0.2, drm),
     ];
-    for (label, staging, migration) in variants {
+    let curves = variants.map(|(label, staging, migration)| {
         let points = amplitudes
             .iter()
             .map(|&a| {
@@ -776,12 +812,12 @@ pub fn diurnal(system: &SystemSpec, opts: &ExpOptions) -> Series {
                 if a > 0.0 {
                     b = b.diurnal(a, 24.0);
                 }
-                opts.run_point(&b.build())
+                b.build()
             })
             .collect();
-        series.push_curve(label, points);
-    }
-    series
+        (label, points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **A3 / migration-depth ablation** (extension) — does a two-step
@@ -789,7 +825,7 @@ pub fn diurnal(system: &SystemSpec, opts: &ExpOptions) -> Series {
 /// setup as Fig. 4 (even placement, minimal staging), curves: no
 /// migration, chain 1, chain 2.
 pub fn migration_depth(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Migration chain-depth ablation ({})", system.name),
         "zipf theta",
         "utilization",
@@ -808,54 +844,50 @@ pub fn migration_depth(system: &SystemSpec, opts: &ExpOptions) -> Series {
         ("chain length 1", chain1),
         ("chain length 2", chain2),
     ];
-    for (label, migration) in variants {
+    let curves = variants.map(|(label, migration)| {
         let points = opts
             .thetas
             .iter()
             .map(|&theta| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(PlacementStrategy::even_paper())
                     .migration(migration)
                     .staging(StagingSpec::AbsoluteMb(0.0))
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(label, points);
-    }
-    series
+        (label, points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 /// **A2 / scheduler ablation** — EFTF against the other minimum-flow
 /// spare-bandwidth policies, staging on, no migration.
 pub fn scheduler_ablation(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let mut series = Series::new(
+    let series = Series::new(
         format!("Scheduler ablation ({})", system.name),
         "zipf theta",
         "utilization",
         opts.thetas.clone(),
     );
-    for kind in SchedulerKind::ALL {
+    let curves = SchedulerKind::ALL.map(|kind| {
         let points = opts
             .thetas
             .iter()
             .map(|&theta| {
-                let cfg = opts
-                    .base(system)
+                opts.base(system)
                     .theta(theta)
                     .placement(PlacementStrategy::even_paper())
                     .migration(MigrationPolicy::disabled())
                     .staging_fraction(0.2)
                     .scheduler(kind)
-                    .build();
-                opts.run_point(&cfg)
+                    .build()
             })
             .collect();
-        series.push_curve(kind.name(), points);
-    }
-    series
+        (kind.name(), points)
+    });
+    opts.utilization_curves(series, curves)
 }
 
 #[cfg(test)]
@@ -934,6 +966,67 @@ mod tests {
         for (i, (&a, &b)) in analytic.iter().zip(&sim).enumerate() {
             assert!((a - b).abs() < 0.08, "k index {i}: analytic {a} vs sim {b}");
         }
+    }
+
+    /// The pooled driver must equal the same trials run one after
+    /// another and reduced by hand, per-trial failure stats included.
+    #[test]
+    fn fault_tolerance_equals_a_sequential_reference() {
+        use crate::simulation::Simulation;
+        let system = SystemSpec::tiny_test();
+        let opts = tiny_opts();
+        let plan = TrialPlan::new(opts.trials, opts.base_seed);
+        let drm = MigrationPolicy {
+            handoff_latency_secs: 0.0,
+            ..MigrationPolicy::single_hop()
+        };
+        let mut want = Vec::new();
+        let mut victims = 0;
+        for (label, migration) in [
+            ("DRM evacuation", drm),
+            ("no migration (drop)", MigrationPolicy::disabled()),
+        ] {
+            let (mut util, mut survival) = (Vec::new(), Vec::new());
+            for mtbf in [2.0, 5.0, 10.0, 20.0, 40.0] {
+                let trials: Vec<SimOutcome> = (0..plan.trials)
+                    .map(|i| {
+                        let mut cfg = opts
+                            .base(&system)
+                            .theta(0.271)
+                            .placement(PlacementStrategy::even_paper())
+                            .migration(migration)
+                            .staging_fraction(0.2)
+                            .failures(mtbf, 0.5)
+                            .build();
+                        cfg.seed = plan.seed(i);
+                        Simulation::run(&cfg)
+                    })
+                    .collect();
+                util.push(utilization_summary(&trials));
+                let per_trial: Vec<f64> = trials
+                    .iter()
+                    .map(|o| {
+                        let v = o.stats.relocated_on_failure + o.stats.dropped_on_failure;
+                        victims += v;
+                        if v == 0 {
+                            1.0
+                        } else {
+                            o.stats.relocated_on_failure as f64 / v as f64
+                        }
+                    })
+                    .collect();
+                survival.push(Summary::of(&per_trial));
+            }
+            want.push((format!("utilization ({label})"), util));
+            want.push((format!("survival ({label})"), survival));
+        }
+        assert!(victims > 0, "no failure hit a stream: survival is vacuous");
+        let got: Vec<_> = fault_tolerance(&system, &opts)
+            .curves
+            .into_iter()
+            .map(|c| (c.label, c.points))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

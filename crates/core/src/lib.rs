@@ -55,7 +55,7 @@ pub use events::{AdmitPath, JsonlTraceProbe, MetricsProbe, Probe, SimEvent};
 pub use metrics::{Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge};
 pub use policies::Policy;
 pub use profile::{LoopProfile, LoopProfiler, PhaseStat};
-pub use runner::{run_trials, utilization_summary, TrialPlan};
+pub use runner::{run_points, run_trials, utilization_summary, TrialPlan};
 pub use simulation::{SimOutcome, Simulation};
 pub use spans::SpanProbe;
 pub use timeseries::TimeSeriesProbe;

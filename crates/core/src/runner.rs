@@ -1,15 +1,22 @@
 //! Deterministic parallel trial execution.
 //!
 //! Each paper data point averages several independent trials (5 in the
-//! paper). Trials differ only in their derived seed, so they can run on
-//! separate threads with no shared mutable state; results are collected in
-//! trial order, making the parallel run bit-identical to a sequential one.
+//! paper). A trial depends only on its config and its derived seed, so
+//! every trial of every point is an independent job. [`run_points`] runs
+//! all of them on one pool of scoped threads, the calling thread among
+//! them: each worker takes the next (point, trial) job from a shared
+//! counter and writes its outcome into that job's own slot. Results come
+//! back per point in trial order however the jobs were scheduled, so a
+//! parallel run is bit-identical to a sequential one. [`run_trials`] is
+//! its one-point case.
 
 use crate::config::SimConfig;
 use crate::simulation::{SimOutcome, Simulation};
 use sct_simcore::rng::splitmix64;
 use sct_simcore::Summary;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How many trials to run and how to derive their seeds.
 ///
@@ -57,36 +64,61 @@ pub fn derive_seed(base_seed: u64, trial: u32) -> u64 {
 /// seed is replaced by each trial's derived seed), in parallel across the
 /// machine's cores. Results are returned in trial order.
 pub fn run_trials(config: &SimConfig, plan: TrialPlan) -> Vec<SimOutcome> {
-    let n = plan.trials as usize;
-    let mut outcomes: Vec<Option<SimOutcome>> = vec![None; n];
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if threads <= 1 || n == 1 {
-        for (i, slot) in outcomes.iter_mut().enumerate() {
-            let mut cfg = config.clone();
-            cfg.seed = plan.seed(i as u32);
-            *slot = Some(Simulation::run(&cfg));
+    run_points(std::slice::from_ref(config), plan)
+        .pop()
+        .expect("one point")
+}
+
+/// Runs `plan.trials` independent trials of every config (trial `i` of
+/// each runs with `plan.seed(i)`), all on one pool across the machine's
+/// cores. Entry `p` holds the outcomes of `configs[p]` in trial order.
+pub fn run_points(configs: &[SimConfig], plan: TrialPlan) -> Vec<Vec<SimOutcome>> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_pool(configs, plan, cores)
+}
+
+/// [`run_points`] on `workers` threads. Job `p * trials + i` is trial
+/// `i` of point `p`: its config and seed follow from its index alone.
+fn run_pool(configs: &[SimConfig], plan: TrialPlan, workers: usize) -> Vec<Vec<SimOutcome>> {
+    let trials = plan.trials as usize;
+    let mut outcomes = pool(configs.len() * trials, workers, |job| {
+        let mut cfg = configs[job / trials].clone();
+        cfg.seed = plan.seed((job % trials) as u32);
+        Simulation::run(&cfg)
+    })
+    .into_iter();
+    configs
+        .iter()
+        .map(|_| outcomes.by_ref().take(trials).collect())
+        .collect()
+}
+
+/// Runs `job(0)`, …, `job(jobs - 1)` on `min(workers, jobs)` threads, the
+/// calling thread among them, and returns the results in job order. Jobs
+/// start in index order; each writes only its own slot, so the result
+/// does not depend on which job finished first.
+fn pool<T: Send + Sync>(jobs: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..jobs).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        // Relaxed: the counter only hands out distinct indices. Each
+        // result is published by its slot and by the scope's join.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
-    } else {
-        std::thread::scope(|scope| {
-            let chunk_size = n.div_ceil(threads);
-            for (chunk_idx, chunk) in outcomes.chunks_mut(chunk_size).enumerate() {
-                let start = chunk_idx * chunk_size;
-                scope.spawn(move || {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let mut cfg: SimConfig = config.clone();
-                        cfg.seed = plan.seed((start + j) as u32);
-                        *slot = Some(Simulation::run(&cfg));
-                    }
-                });
-            }
-        });
-    }
-    outcomes
+        let first = slots[i].set(job(i));
+        debug_assert!(first.is_ok(), "job {i} ran twice");
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(jobs) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
         .into_iter()
-        .map(|o| o.expect("trial ran"))
+        .map(|slot| slot.into_inner().expect("every job ran"))
         .collect()
 }
 
@@ -132,6 +164,78 @@ mod tests {
             })
             .collect();
         assert_eq!(par, seq);
+    }
+
+    /// Job 0 cannot finish before job 1 has: the result must still list
+    /// job 0 first.
+    #[test]
+    fn pool_returns_results_in_job_order_whatever_finishes_first() {
+        use std::sync::{mpsc, Mutex};
+        for workers in [2, 8] {
+            let (done, wait) = mpsc::sync_channel(1);
+            let wait = Mutex::new(wait);
+            let finished = Mutex::new(Vec::new());
+            let results = pool(4, workers, |job| {
+                if job == 0 {
+                    wait.lock()
+                        .expect("no job panicked")
+                        .recv()
+                        .expect("job 1 signals");
+                }
+                if job == 1 {
+                    done.send(()).expect("job 0 waits");
+                }
+                finished.lock().expect("no job panicked").push(job);
+                job * 10
+            });
+            assert_eq!(results, [0, 10, 20, 30], "at {workers} workers");
+            let finished = finished.into_inner().expect("no job panicked");
+            let pos = |job| finished.iter().position(|&j| j == job);
+            assert!(pos(1) < pos(0), "job 0 finished first: {finished:?}");
+        }
+    }
+
+    /// Jobs of very different lengths finish out of list order on any
+    /// pool of two or more workers: the Large point's last trial starts
+    /// while its first two run, and the tiny jobs behind it finish
+    /// first. Every slot must still hold its own point's trial, equal to
+    /// that trial run alone, at every worker count.
+    #[test]
+    fn pool_slots_are_independent_of_worker_count() {
+        let short = |system: SystemSpec| {
+            SimConfig::builder(system)
+                .duration_hours(0.5)
+                .warmup_hours(0.1)
+                .build()
+        };
+        let configs = [
+            short(SystemSpec::large_paper()),
+            short(SystemSpec::tiny_test()),
+            short(SystemSpec::small_paper()),
+            short(SystemSpec::tiny_test()),
+        ];
+        let plan = TrialPlan::new(3, 11);
+        let alone: Vec<Vec<SimOutcome>> = configs
+            .iter()
+            .map(|cfg| {
+                (0..plan.trials)
+                    .map(|i| {
+                        let mut trial = cfg.clone();
+                        trial.seed = plan.seed(i);
+                        Simulation::run(&trial)
+                    })
+                    .collect()
+            })
+            .collect();
+        for workers in [1, 2, 8] {
+            let pooled = run_pool(&configs, plan, workers);
+            assert_eq!(pooled.len(), configs.len());
+            for (p, (got, want)) in pooled.iter().zip(&alone).enumerate() {
+                assert_eq!(got, want, "point {p} at {workers} workers");
+            }
+        }
+        assert_eq!(run_points(&configs, plan), alone);
+        assert!(run_points(&[], plan).is_empty());
     }
 
     #[test]

@@ -147,6 +147,32 @@ impl Args {
             })
         })
     }
+
+    /// `--seed` as a decimal `u64` (0 when absent); anything else is one
+    /// line and exit 2.
+    fn seed(&self) -> u64 {
+        self.get("seed").map_or(0, |v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!(
+                    "--seed expects a whole number from 0 to {}, got {v:?}",
+                    u64::MAX
+                );
+                exit(2)
+            })
+        })
+    }
+
+    /// `--trials` as a whole number of at least 1 (1 when absent);
+    /// anything else is one line and exit 2.
+    fn trials(&self) -> u32 {
+        self.get("trials").map_or(1, |v| match v.parse::<u32>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!("--trials expects a whole number of at least 1, got {v:?}");
+                exit(2)
+            }
+        })
+    }
 }
 
 fn system_by_name(name: &str) -> SystemSpec {
@@ -202,8 +228,8 @@ fn build_config(args: &Args) -> SimConfig {
         if let Some(w) = args.get_f64("warmup") {
             b = b.warmup_hours(w);
         }
-        if let Some(s) = args.get_f64("seed") {
-            b = b.seed(s as u64);
+        if args.has("seed") {
+            b = b.seed(args.seed());
         }
         b
     };
@@ -215,8 +241,8 @@ fn build_config(args: &Args) -> SimConfig {
 
 fn cmd_run(args: &Args) {
     let config = build_config(args);
-    let trials = args.get_f64("trials").unwrap_or(1.0) as u32;
-    let seed = args.get_f64("seed").unwrap_or(0.0) as u64;
+    let trials = args.trials();
+    let seed = args.seed();
     let trace_path = args.get("trace");
     let metrics_path = args.get("metrics");
     let spans_path = args.get("spans");
@@ -268,8 +294,7 @@ fn cmd_run(args: &Args) {
         // merge is exact — see sct-core::metrics). Probes cannot perturb
         // outcomes, so this matches `run_trials` on the same plan bit for
         // bit.
-        let n = trials.max(1);
-        let plan = TrialPlan::new(n, seed);
+        let plan = TrialPlan::new(trials, seed);
         let mut trace_probe = trace_path.map(|path| {
             JsonlTraceProbe::create(path).unwrap_or_else(|e| {
                 eprintln!("cannot create {path}: {e}");
@@ -281,8 +306,8 @@ fn cmd_run(args: &Args) {
         // Per-trial loop profiles, kept so a `--metrics` snapshot can
         // carry the summed wall-clock decomposition.
         let mut profiles: Vec<LoopProfile> = Vec::new();
-        let mut outs = Vec::with_capacity(n as usize);
-        for i in 0..n {
+        let mut outs = Vec::with_capacity(trials as usize);
+        for i in 0..trials {
             let mut cfg = config.clone();
             cfg.seed = plan.seed(i);
             let mut telemetry = metrics_path.map(|_| TelemetryProbe::new(&cfg));
@@ -380,7 +405,7 @@ fn cmd_run(args: &Args) {
         }
         outs
     } else {
-        run_trials(&config, TrialPlan::new(trials.max(1), seed))
+        run_trials(&config, TrialPlan::new(trials, seed))
     };
     let summary = utilization_summary(&outcomes);
     eprintln!(
@@ -613,7 +638,7 @@ fn cmd_trace(args: &Args) {
         eprintln!("--hours expects a positive number, got {hours}");
         exit(2)
     }
-    let seed = args.get_f64("seed").unwrap_or(0.0) as u64;
+    let seed = args.seed();
     let mut rng = Rng::new(seed).fork(1);
     let catalog = system.catalog(&mut rng);
     let pops = ZipfLike::new(catalog.len(), theta);

@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use sct_core::policies::Policy;
     pub use sct_core::profile::{LoopProfile, LoopProfiler};
-    pub use sct_core::runner::{run_trials, TrialPlan};
+    pub use sct_core::runner::{run_points, run_trials, TrialPlan};
     pub use sct_core::simulation::{SimOutcome, Simulation};
     pub use sct_core::spans::SpanProbe;
     pub use sct_core::timeseries::TimeSeriesProbe;

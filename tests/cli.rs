@@ -120,7 +120,7 @@ fn bad_usage_exits_nonzero() {
 /// backtrace (exit 101) and never a silent clamp.
 #[test]
 fn invalid_run_knobs_exit_2_with_one_diagnostic() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["--theta", "nan"], "theta must be finite"),
         (&["--hours", "-1"], "duration must be positive"),
         (&["--hours", "nan"], "duration must be positive"),
@@ -128,6 +128,18 @@ fn invalid_run_knobs_exit_2_with_one_diagnostic() {
             &["--hours", "1", "--warmup", "nan"],
             "warm-up must not be negative",
         ),
+        (&["--seed", "nan"], "--seed expects a whole number"),
+        (&["--seed", "-7"], "--seed expects a whole number"),
+        (&["--seed", "1.5"], "--seed expects a whole number"),
+        (&["--seed", "1e30"], "--seed expects a whole number"),
+        (
+            &["--seed", "18446744073709551616"],
+            "--seed expects a whole number",
+        ),
+        (&["--trials", "2.7"], "--trials expects a whole number"),
+        (&["--trials", "0"], "--trials expects a whole number"),
+        (&["--trials", "-4"], "--trials expects a whole number"),
+        (&["--trials", "nan"], "--trials expects a whole number"),
     ];
     for (flags, expected) in cases {
         let mut args = vec!["run", "--system", "tiny"];
@@ -140,6 +152,22 @@ fn invalid_run_knobs_exit_2_with_one_diagnostic() {
         assert!(err.contains(expected), "{flags:?}: {err}");
         assert!(!err.contains("panicked"), "{flags:?}: {err}");
     }
+}
+
+/// `--seed` is read as a whole `u64`, not through an `f64`: 2^53 and
+/// 2^53 + 1 round to the same double but are different seeds.
+#[test]
+fn seeds_past_two_to_the_53_stay_distinct() {
+    let run = |seed: &str| {
+        let out = sctsim(&["run", "--system", "tiny", "--hours", "1", "--seed", seed]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_ne!(run("9007199254740992"), run("9007199254740993"));
 }
 
 /// The `--config` path validates too: a file with a bad knob exits 2
@@ -370,7 +398,7 @@ fn unknown_flags_exit_2_with_one_line() {
 /// one diagnostic line and exit 2, never a panic or an empty result.
 #[test]
 fn erlang_and_trace_reject_bad_numbers() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 8] = [
         &["erlang", "--svbr", "0"],
         &["erlang", "--svbr", "-3"],
         &["erlang", "--svbr", "33", "--view-rate", "0"],
@@ -378,6 +406,7 @@ fn erlang_and_trace_reject_bad_numbers() {
         &["trace", "--system", "tiny", "--hours", "-1"],
         &["trace", "--system", "tiny", "--hours", "inf"],
         &["trace", "--system", "tiny", "--theta", "nan"],
+        &["trace", "--system", "tiny", "--seed", "nan"],
     ];
     for args in cases {
         let out = sctsim(args);
