@@ -1,9 +1,9 @@
 //! Structured comparator for benchmark result files.
 //!
 //! `sctsim bench-diff OLD.json NEW.json [--gate PCT]` compares two
-//! bench reports (`results/BENCH_sim.json`, `results/BENCH_oracle.json`,
-//! or anything with the same shape: nested maps and arrays of cell
-//! maps with numeric leaves) and names the worst-moved cell, replacing
+//! bench reports (`results/BENCH_sim.json`, or anything with the same
+//! shape: nested maps and arrays of cell maps with numeric leaves) and
+//! names the worst-moved cell, replacing
 //! eyeballed ratchet failures with an attributed report.
 //!
 //! The comparator is schema-free: both files are flattened to

@@ -6,10 +6,9 @@
 //! probe overhead into `results/BENCH_sim.json`; CI fails if any cell
 //! stops producing events, if a throughput ratchet is missed, or if
 //! span collection costs more than 5 % of a bare trial (see
-//! .github/workflows). This is the production-loop counterpart to
-//! `bench_oracle.rs`'s reference-stepper gate.
+//! .github/workflows). Run it with
+//! `cargo bench -p sct-bench --bench bench_simloop`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sct_admission::MigrationPolicy;
 use sct_core::config::SimConfig;
 use sct_core::policies::Policy;
@@ -158,23 +157,11 @@ fn measure(cfg: &SimConfig, n: usize) -> (f64, u64) {
     (best, events)
 }
 
-fn bench_simloop(c: &mut Criterion) {
+fn main() {
     let migrations = [
         ("off", MigrationPolicy::disabled()),
         ("single_hop", MigrationPolicy::single_hop()),
     ];
-
-    // Criterion timing for the representative corner cells; the manual
-    // sweep below covers the full grid for the JSON report.
-    let mut group = c.benchmark_group("simloop_small_2h");
-    group.sample_size(10);
-    for (mig_name, mig) in &migrations {
-        let cfg = grid_config(SchedulerKind::Eftf, *mig);
-        group.bench_with_input(BenchmarkId::new("eftf", *mig_name), &cfg, |b, cfg| {
-            b.iter(|| black_box(Simulation::run_instrumented(cfg, &mut [])))
-        });
-    }
-    group.finish();
 
     let mut grid = Vec::new();
     for scheduler in SchedulerKind::ALL {
@@ -294,6 +281,3 @@ fn bench_simloop(c: &mut Criterion) {
     )
     .expect("write results/BENCH_sim.json");
 }
-
-criterion_group!(benches, bench_simloop);
-criterion_main!(benches);

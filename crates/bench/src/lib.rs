@@ -1,5 +1,5 @@
-//! Shared harness helpers for the figure-regeneration binary and the
-//! Criterion benchmarks.
+//! Shared helpers for the `figures` regeneration binary: saving a series
+//! as markdown, JSON and SVG, and sketching it as text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,8 +37,8 @@
 //! crossings found by solving the linear crossing time (see
 //! [`exact_slice`]). Replay cost is therefore O(#events), independent of
 //! simulated duration — hours-long drains cost a handful of slices. The
-//! original fixed-Δt integrator survives as [`RefStepper::Naive`] (and as
-//! the default under the `naive-stepper` feature) purely as a spot-check;
+//! original fixed-Δt integrator survives as [`RefStepper::Naive`] purely
+//! as a spot-check, reached through [`run_differential_with_stepper`];
 //! the clamped per-slice updates are exact for any Δt, so the two must
 //! agree to float rounding, which the agreement tests assert.
 //!
@@ -60,8 +60,7 @@ mod stepper;
 pub use legality::{audit_engines, Divergence, DivergenceKind};
 pub use scenario::{shrink_divergence, shrink_trace, OracleScenario, TraceOp};
 pub use stepper::{
-    default_stepper, exact_slice, RefStepper, SliceState, EPS_SECS, ORACLE_DT_SECS, ORACLE_TOL_MB,
-    ORACLE_TOL_MBPS,
+    exact_slice, RefStepper, SliceState, EPS_SECS, ORACLE_DT_SECS, ORACLE_TOL_MB, ORACLE_TOL_MBPS,
 };
 
 use legality::{cross_check, diverge};
@@ -143,9 +142,9 @@ pub struct FaultInjection {
 /// the reference integrates alongside, cross-checking at every event
 /// boundary. Returns the first [`Divergence`] found, or the replay
 /// counters if the two simulators agree throughout. Integrates with
-/// [`default_stepper`].
+/// [`RefStepper::Exact`].
 pub fn run_differential(scenario: &OracleScenario) -> Result<OracleOutcome, Box<Divergence>> {
-    run_differential_full(scenario, None, default_stepper())
+    run_differential_full(scenario, None, RefStepper::Exact)
 }
 
 /// [`run_differential`] with an optional injected allocator fault.
@@ -153,11 +152,11 @@ pub fn run_differential_with_fault(
     scenario: &OracleScenario,
     fault: Option<FaultInjection>,
 ) -> Result<OracleOutcome, Box<Divergence>> {
-    run_differential_full(scenario, fault, default_stepper())
+    run_differential_full(scenario, fault, RefStepper::Exact)
 }
 
-/// [`run_differential`] under an explicit reference stepper, for
-/// exact-vs-naive agreement tests and the stepper bench.
+/// [`run_differential`] under an explicit reference stepper, for the
+/// exact-vs-naive agreement and slice-count tests.
 pub fn run_differential_with_stepper(
     scenario: &OracleScenario,
     stepper: RefStepper,

@@ -41,19 +41,6 @@ pub enum RefStepper {
     },
 }
 
-/// The stepper the oracle entry points use: [`RefStepper::Exact`], or the
-/// fixed-[`ORACLE_DT_SECS`] integrator when the crate is built with the
-/// `naive-stepper` feature.
-pub fn default_stepper() -> RefStepper {
-    if cfg!(feature = "naive-stepper") {
-        RefStepper::Naive {
-            dt_secs: ORACLE_DT_SECS,
-        }
-    } else {
-        RefStepper::Exact
-    }
-}
-
 /// Per-stream state the crossing-time solver needs. Between event
 /// boundaries `sent` grows linearly at `rate` until `remaining_mb`
 /// reaches zero, and playback consumes wall time one-for-one until

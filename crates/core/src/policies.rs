@@ -10,7 +10,7 @@
 //! Following the paper's idealised simulation, the policy-table migration
 //! hand-off is instantaneous (latency 0): P3/P7 migrate even with 0 %
 //! staging. A non-zero hand-off latency — our more realistic extension —
-//! is exercised by the admission tests and the `ablation_handoff` bench.
+//! is exercised by the admission tests and `tests/pipeline_invariants.rs`.
 
 use sct_admission::MigrationPolicy;
 use sct_cluster::PlacementStrategy;

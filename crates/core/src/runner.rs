@@ -166,8 +166,8 @@ mod tests {
         assert_eq!(par, seq);
     }
 
-    /// Job 0 cannot finish before job 1 has: the result must still list
-    /// job 0 first.
+    /// Job 0 cannot finish before job 1 has: job 1 records its finish and
+    /// only then signals job 0. The result must still list job 0 first.
     #[test]
     fn pool_returns_results_in_job_order_whatever_finishes_first() {
         use std::sync::{mpsc, Mutex};
@@ -182,10 +182,10 @@ mod tests {
                         .recv()
                         .expect("job 1 signals");
                 }
+                finished.lock().expect("no job panicked").push(job);
                 if job == 1 {
                     done.send(()).expect("job 0 waits");
                 }
-                finished.lock().expect("no job panicked").push(job);
                 job * 10
             });
             assert_eq!(results, [0, 10, 20, 30], "at {workers} workers");

@@ -127,6 +127,9 @@ impl SimOutcome {
 struct WakeScheduler {
     queue: EventQueue<Event>,
     end: SimTime,
+    /// [`SimConfig::check_invariants`]: every arm and re-arm audits the
+    /// engine it touched.
+    check: bool,
 }
 
 impl WakeScheduler {
@@ -144,10 +147,10 @@ impl WakeScheduler {
 
     /// Re-arms `engine`'s wake after its schedule changed: recompute the
     /// next self-transition and point the server's slot at it (or clear
-    /// the slot). `check` runs the engine's invariant audit afterwards
-    /// (debug configs). The recompute is charged to the profiler's alloc
-    /// phase, the arm to its wake phase.
-    fn rearm(&mut self, engine: &mut ServerEngine, now: SimTime, check: bool, prof: &LoopProfiler) {
+    /// the slot), then audit the engine when checks are on. The recompute
+    /// is charged to the profiler's alloc phase, the arm to its wake
+    /// phase.
+    fn rearm(&mut self, engine: &mut ServerEngine, now: SimTime, prof: &LoopProfiler) {
         let t0 = prof.stamp();
         let wake = engine.reschedule(now);
         match self.in_horizon(wake) {
@@ -163,7 +166,7 @@ impl WakeScheduler {
                 prof.add(Phase::Alloc, t0);
             }
         }
-        if check {
+        if self.check {
             engine.check_invariants();
         }
     }
@@ -181,7 +184,7 @@ impl WakeScheduler {
     /// re-running the (unchanged) allocation and the stream scan here
     /// would double the hot arrival path's allocator work for a
     /// bit-identical result.
-    fn arm(&mut self, engine: &ServerEngine, now: SimTime, check: bool, prof: &LoopProfiler) {
+    fn arm(&mut self, engine: &ServerEngine, now: SimTime, prof: &LoopProfiler) {
         debug_assert_eq!(
             engine.last_wake(),
             engine.next_event_after(now).map(|(t, _)| t),
@@ -196,7 +199,7 @@ impl WakeScheduler {
             }
             None => self.queue.disarm(engine.id().index()),
         }
-        if check {
+        if self.check {
             engine.check_invariants();
         }
     }
@@ -304,6 +307,7 @@ impl<'a> SimWorld<'a> {
         let mut sched = WakeScheduler {
             queue: EventQueue::with_wake_slots(engines.len()),
             end: config.duration,
+            check: config.check_invariants,
         };
         sched.push_at(generator.peek_time(), Event::Arrival);
 
@@ -585,7 +589,7 @@ impl<'a> SimWorld<'a> {
                 ) {
                     Some(CopyLaunch::FromServer { source, stream }) => {
                         self.sched
-                            .arm(&self.engines[source.index()], now, false, &self.prof);
+                            .arm(&self.engines[source.index()], now, &self.prof);
                         crate::events::emit(
                             probes,
                             now,
@@ -633,12 +637,7 @@ impl<'a> SimWorld<'a> {
             }
         }
         for &sid in touched.iter() {
-            self.sched.arm(
-                &self.engines[sid.index()],
-                now,
-                self.config.check_invariants,
-                &self.prof,
-            );
+            self.sched.arm(&self.engines[sid.index()], now, &self.prof);
         }
         self.sched
             .push_at(self.generator.peek_time(), Event::Arrival);
@@ -684,12 +683,8 @@ impl<'a> SimWorld<'a> {
         if slots_freed {
             self.serve_from_waitlist(now, probes);
         }
-        self.sched.rearm(
-            &mut self.engines[server as usize],
-            now,
-            self.config.check_invariants,
-            &self.prof,
-        );
+        self.sched
+            .rearm(&mut self.engines[server as usize], now, &self.prof);
     }
 
     /// Expires impatient waiters, then retries the queue against freed
@@ -724,8 +719,7 @@ impl<'a> SimWorld<'a> {
             );
         }
         for sid in outcome.touched {
-            self.sched
-                .arm(&self.engines[sid.index()], now, false, &self.prof);
+            self.sched.arm(&self.engines[sid.index()], now, &self.prof);
         }
     }
 
@@ -772,12 +766,7 @@ impl<'a> SimWorld<'a> {
             self.loc_hint.remove(&stream.0);
         }
         for sid in evac.touched {
-            self.sched.arm(
-                &self.engines[sid.index()],
-                now,
-                self.config.check_invariants,
-                &self.prof,
-            );
+            self.sched.arm(&self.engines[sid.index()], now, &self.prof);
         }
         let repair = self
             .failure_dists
@@ -901,12 +890,8 @@ impl<'a> SimWorld<'a> {
                     SimEvent::Resumed { stream: id, server }
                 },
             );
-            self.sched.rearm(
-                &mut self.engines[server as usize],
-                now,
-                self.config.check_invariants,
-                &self.prof,
-            );
+            self.sched
+                .rearm(&mut self.engines[server as usize], now, &self.prof);
         } else {
             // Stream finished (or was dropped) before the pause point — a
             // client-side no-op.

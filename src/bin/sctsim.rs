@@ -100,7 +100,8 @@ fn flags_of(cmd: &str) -> &'static [&'static str] {
 impl Args {
     /// Parses `--flag value` pairs (and the value-less [`BOOL_FLAGS`])
     /// for `sctsim <cmd>`. A flag that command does not accept is an
-    /// error, not a silent no-op: one line, exit 2.
+    /// error, not a silent no-op; it, a flag without its value and a stray
+    /// argument each print one line and exit 2.
     fn parse(cmd: &str, args: &[String]) -> Args {
         let accepted = flags_of(cmd);
         let mut map = Vec::new();
@@ -117,12 +118,12 @@ impl Args {
                 }
                 let val = it.next().unwrap_or_else(|| {
                     eprintln!("missing value for --{key}");
-                    usage()
+                    exit(2)
                 });
                 map.push((key.to_string(), val.clone()));
             } else {
                 eprintln!("unexpected argument {a}");
-                usage();
+                exit(2)
             }
         }
         Args { map }
@@ -143,7 +144,7 @@ impl Args {
         self.get(key).map(|v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("--{key} expects a number, got {v}");
-                usage()
+                exit(2)
             })
         })
     }
@@ -183,7 +184,7 @@ fn system_by_name(name: &str) -> SystemSpec {
         "huge" => SystemSpec::huge(),
         other => {
             eprintln!("unknown system {other} (expected small|large|tiny|huge)");
-            usage()
+            exit(2)
         }
     }
 }
@@ -194,7 +195,7 @@ fn policy_by_name(name: &str) -> Policy {
         .find(|p| p.name().eq_ignore_ascii_case(name))
         .unwrap_or_else(|| {
             eprintln!("unknown policy {name} (expected P1..P8)");
-            usage()
+            exit(2)
         })
 }
 

@@ -117,10 +117,10 @@ fn bad_usage_exits_nonzero() {
 }
 
 /// Invalid knobs get one diagnostic line and exit 2 — never a panic
-/// backtrace (exit 101) and never a silent clamp.
+/// backtrace (exit 101), never a silent clamp and never the usage text.
 #[test]
 fn invalid_run_knobs_exit_2_with_one_diagnostic() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["--theta", "nan"], "theta must be finite"),
         (&["--hours", "-1"], "duration must be positive"),
         (&["--hours", "nan"], "duration must be positive"),
@@ -140,9 +140,17 @@ fn invalid_run_knobs_exit_2_with_one_diagnostic() {
         (&["--trials", "0"], "--trials expects a whole number"),
         (&["--trials", "-4"], "--trials expects a whole number"),
         (&["--trials", "nan"], "--trials expects a whole number"),
+        (&["--hours", "abc"], "--hours expects a number, got abc"),
+        (&["--system", "bogus"], "unknown system bogus"),
+        (&["--policy", "P9"], "unknown policy P9"),
+        (&["--hours"], "missing value for --hours"),
+        (&["stray"], "unexpected argument stray"),
     ];
     for (flags, expected) in cases {
-        let mut args = vec!["run", "--system", "tiny"];
+        let mut args = vec!["run"];
+        if !flags.contains(&"--system") {
+            args.extend(["--system", "tiny"]);
+        }
         args.extend_from_slice(flags);
         let out = sctsim(&args);
         let err = String::from_utf8(out.stderr).unwrap();
@@ -398,15 +406,17 @@ fn unknown_flags_exit_2_with_one_line() {
 /// one diagnostic line and exit 2, never a panic or an empty result.
 #[test]
 fn erlang_and_trace_reject_bad_numbers() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 10] = [
         &["erlang", "--svbr", "0"],
         &["erlang", "--svbr", "-3"],
+        &["erlang", "--svbr", "x"],
         &["erlang", "--svbr", "33", "--view-rate", "0"],
         &["erlang", "--svbr", "33", "--view-rate", "nan"],
         &["trace", "--system", "tiny", "--hours", "-1"],
         &["trace", "--system", "tiny", "--hours", "inf"],
         &["trace", "--system", "tiny", "--theta", "nan"],
         &["trace", "--system", "tiny", "--seed", "nan"],
+        &["trace", "--system", "tiny", "--hours", "x"],
     ];
     for args in cases {
         let out = sctsim(args);

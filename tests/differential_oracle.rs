@@ -7,16 +7,16 @@
 //! minimum-flow guarantee, and global data conservation at every event
 //! boundary. A failure prints a replayable `(seed, time, stream)` triple.
 //!
-//! The reference integrates with the exact event-boundary stepper by
-//! default; [`exact_and_naive_steppers_agree_across_the_matrix`] replays
+//! The reference integrates with the exact event-boundary stepper;
+//! [`exact_and_naive_steppers_agree_across_the_matrix`] replays
 //! the whole matrix under the fixed-Δt spot-check at a shrinking ladder
 //! of step sizes and demands identical outcomes.
 
 use sct_admission::{CopySource, ReplicationSpec, WaitlistSpec};
 use sct_cluster::ServerId;
 use sct_core::oracle::{
-    default_stepper, run_differential, run_differential_with_fault, run_differential_with_stepper,
-    FaultInjection, OracleScenario, RefStepper, TraceOp, ORACLE_DT_SECS,
+    run_differential, run_differential_with_fault, run_differential_with_stepper, FaultInjection,
+    OracleScenario, RefStepper, TraceOp, ORACLE_DT_SECS,
 };
 use sct_media::{ClientProfile, VideoId};
 use sct_simcore::SimTime;
@@ -74,18 +74,16 @@ fn random_scenarios_produce_zero_divergences() {
                 waitlisted += out.waitlisted;
                 waiters_served += out.waiters_served;
                 chained += out.accepted_via_chain;
-                if default_stepper() == RefStepper::Exact {
-                    // One closed-form slice per boundary plus at most two
-                    // crossings per live stream: the slice count is
-                    // bounded by the event count, never by simulated
-                    // duration — hours-long drains included.
-                    assert!(
-                        out.ref_slices <= 64 * (out.checks + 1),
-                        "seed {seed}: {} slices for {} checks",
-                        out.ref_slices,
-                        out.checks
-                    );
-                }
+                // One closed-form slice per boundary plus at most two
+                // crossings per live stream: the slice count is bounded
+                // by the event count, never by simulated duration —
+                // hours-long drains included.
+                assert!(
+                    out.ref_slices <= 64 * (out.checks + 1),
+                    "seed {seed}: {} slices for {} checks",
+                    out.ref_slices,
+                    out.checks
+                );
             }
             Err(d) => panic!("{d}"),
         }

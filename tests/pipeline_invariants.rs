@@ -2,7 +2,7 @@
 //! per-event invariant checking across the policy/scheduler matrix, and
 //! verify conservation and determinism properties that span all crates.
 
-use sct_admission::MigrationPolicy;
+use sct_admission::{AssignmentPolicy, MigrationPolicy, VictimSelection};
 use sct_core::config::{SimConfig, StagingSpec};
 use sct_core::policies::Policy;
 use sct_core::simulation::Simulation;
@@ -69,6 +69,67 @@ fn migration_with_handoff_latency_is_safe() {
         out.stats.accepted_via_migration > 0,
         "migration never fired"
     );
+}
+
+/// The design ablations of EXPERIMENTS.md A2 run on the Small system for
+/// one hour (θ 0.271, 20 % staging, seed 11), with no warm-up.
+fn ablation() -> sct_core::config::SimConfigBuilder {
+    SimConfig::builder(SystemSpec::small_paper())
+        .duration_hours(1.0)
+        .warmup_hours(0.0)
+        .theta(0.271)
+        .staging_fraction(0.2)
+        .seed(11)
+        .check_invariants(true)
+}
+
+/// Every DRM victim-selection rule, at the paper's instantaneous
+/// hand-off, and the default rule at hand-off latencies of 1, 5 and 30 s
+/// hold the invariants and keep the cluster busy: no variant can "win"
+/// an ablation by doing nothing.
+#[test]
+fn drm_variants_respect_invariants() {
+    let victims = [
+        VictimSelection::MostStaged,
+        VictimSelection::FirstFeasible,
+        VictimSelection::EarliestFinish,
+        VictimSelection::Random,
+    ]
+    .map(|victim| (0.0, victim));
+    let latencies = [1.0, 5.0, 30.0].map(|latency| (latency, VictimSelection::MostStaged));
+    for (latency, victim) in victims.into_iter().chain(latencies) {
+        let out = Simulation::run(
+            &ablation()
+                .migration(MigrationPolicy {
+                    handoff_latency_secs: latency,
+                    victim_selection: victim,
+                    ..MigrationPolicy::single_hop()
+                })
+                .build(),
+        );
+        assert!(
+            out.utilization > 0.5,
+            "{victim:?} at {latency} s: {}",
+            out.utilization
+        );
+        out.stats.check();
+    }
+}
+
+/// Every assignment policy holds the invariants and keeps the cluster
+/// busy.
+#[test]
+fn assignment_policies_respect_invariants() {
+    for assignment in [
+        AssignmentPolicy::LeastLoaded,
+        AssignmentPolicy::Random,
+        AssignmentPolicy::FirstFit,
+        AssignmentPolicy::MostLoaded,
+    ] {
+        let out = Simulation::run(&ablation().assignment(assignment).build());
+        assert!(out.utilization > 0.4, "{assignment:?}: {}", out.utilization);
+        out.stats.check();
+    }
 }
 
 /// Heterogeneous clusters hold invariants for both kinds and several
