@@ -18,9 +18,6 @@
 //!   (`sctsim run --spans`): the serialisable [`spans::SpanSet`] schema,
 //!   a Chrome-trace/Perfetto exporter, and a critical-path analyzer
 //!   decomposing completed-request latency into wait/serve/pause.
-//! * [`benchdiff`] — schema-free structured comparator for bench
-//!   result files (`sctsim bench-diff`), flattening numeric leaves,
-//!   classifying them by direction, and naming the worst-moved cell.
 //! * [`slo`] — the declarative online SLO rule engine (threshold,
 //!   rate-of-change, multi-window burn-rate) evaluated against windows as
 //!   they close, emitting timestamped alerts into the recording.
@@ -38,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchdiff;
 pub mod erlang;
 pub mod fairness;
 pub mod report;
@@ -50,7 +46,6 @@ pub mod svg;
 pub mod timeseries;
 pub mod trace;
 
-pub use benchdiff::{BenchDiff, CellDelta, Direction};
 pub use erlang::{erlang_b, expected_utilization_vs_svbr};
 pub use fairness::jain_index;
 pub use report::Table;

@@ -1,19 +1,20 @@
 //! Event-loop throughput floor: events/second for every scheduler ×
 //! migration setting on the small paper system, measured by the loop's
-//! own [`sct_core::LoopProfiler`], plus the `SpanProbe` attachment cost.
+//! own [`sct_core::LoopProfiler`].
 //!
-//! The run records the full grid, the million-slot `huge` trial and the
-//! probe overhead into `results/BENCH_sim.json`; CI fails if any cell
-//! stops producing events, if a throughput ratchet is missed, or if
-//! span collection costs more than 5 % of a bare trial (see
-//! .github/workflows). Run it with
+//! The run records the full grid and the million-slot `huge` trial into
+//! `results/BENCH_sim.json`, each cell with its repetitions and its
+//! minimum and median wall time, under the git revision and the host's
+//! available parallelism it ran with. CI fails if any cell stops
+//! producing events or if a throughput ratchet is missed (see
+//! .github/workflows). What a probe costs per event is gated by exact
+//! counts in the test suite, and timed by sctbench. Run it with
 //! `cargo bench -p sct-bench --bench bench_simloop`.
 
 use sct_admission::MigrationPolicy;
 use sct_core::config::SimConfig;
 use sct_core::policies::Policy;
 use sct_core::simulation::Simulation;
-use sct_core::{SpanProbe, TimeSeriesProbe};
 use sct_transmission::SchedulerKind;
 use sct_workload::SystemSpec;
 use serde::{Deserialize, Serialize};
@@ -27,12 +28,16 @@ struct ScenarioInfo {
     seed: u64,
 }
 
+/// One cell's timing over its repetitions: the minimum wall time, which
+/// `events_per_sec` and the ratchets use, and the median beside it.
 #[derive(Serialize)]
 struct GridRow {
     scheduler: &'static str,
     migration: &'static str,
     events: u64,
+    reps: usize,
     wall_secs: f64,
+    median_wall_secs: f64,
     events_per_sec: f64,
 }
 
@@ -43,30 +48,23 @@ struct HugeReport {
     seed: u64,
     concurrent_slots: usize,
     events: u64,
+    reps: usize,
     wall_secs: f64,
+    median_wall_secs: f64,
     events_per_sec: f64,
 }
 
 #[derive(Serialize)]
-struct ProbeOverhead {
-    bare_wall_secs: f64,
-    spans_wall_secs: f64,
-    spans: usize,
-    overhead_pct: f64,
-    /// Flight-recorder attachment cost, measured the same way: minimum
-    /// wall over interleaved repetitions with a `TimeSeriesProbe`
-    /// (900 s windows, default SLO policy) attached.
-    timeseries_wall_secs: f64,
-    windows: usize,
-    timeseries_overhead_pct: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
+    /// The commit the bench ran from (`git describe --always --dirty`),
+    /// or `"unknown"` where git is not available.
+    git_rev: String,
+    /// `std::thread::available_parallelism` on the host (`null` if it
+    /// could not be read). The loop itself runs on one thread.
+    available_parallelism: Option<usize>,
     scenario: ScenarioInfo,
     grid: Vec<GridRow>,
     huge: HugeReport,
-    probe_overhead: ProbeOverhead,
     /// Monotone throughput ratchet: the highest `RATCHET_FRACTION ×
     /// min(grid events/s)` any committed run has observed. CI fails when
     /// a run's slowest cell drops below this floor (after its own
@@ -81,6 +79,9 @@ struct Report {
 }
 
 const SIM_HOURS: f64 = 2.0;
+/// Repetitions per grid cell and of the `huge` trial.
+const GRID_REPS: usize = 7;
+const HUGE_REPS: usize = 2;
 const THETA: f64 = 0.271;
 const SEED: u64 = 5;
 
@@ -144,17 +145,31 @@ fn grid_config(scheduler: SchedulerKind, migration: MigrationPolicy) -> SimConfi
         .build()
 }
 
-/// Smallest-of-`n` wall time as seen by the loop's own profiler, plus
-/// the (deterministic) live-event count.
-fn measure(cfg: &SimConfig, n: usize) -> (f64, u64) {
-    let mut best = f64::INFINITY;
+/// The commit this bench runs from, or `"unknown"` without git.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
+}
+
+/// Minimum and median of `n` wall times as seen by the loop's own
+/// profiler, plus the (deterministic) live-event count.
+fn measure(cfg: &SimConfig, n: usize) -> (f64, f64, u64) {
+    let mut walls = Vec::with_capacity(n);
     let mut events = 0;
     for _ in 0..n {
         let (_, profile) = Simulation::run_instrumented(black_box(cfg), &mut []);
-        best = best.min(profile.wall_secs);
+        walls.push(profile.wall_secs);
         events = profile.events;
     }
-    (best, events)
+    walls.sort_by(f64::total_cmp);
+    let median = (walls[(n - 1) / 2] + walls[n / 2]) / 2.0;
+    (walls[0], median, events)
 }
 
 fn main() {
@@ -167,12 +182,14 @@ fn main() {
     for scheduler in SchedulerKind::ALL {
         for (mig_name, mig) in &migrations {
             let cfg = grid_config(scheduler, *mig);
-            let (wall_secs, events) = measure(&cfg, 7);
+            let (wall_secs, median_wall_secs, events) = measure(&cfg, GRID_REPS);
             grid.push(GridRow {
                 scheduler: scheduler.name(),
                 migration: mig_name,
                 events,
+                reps: GRID_REPS,
                 wall_secs,
+                median_wall_secs,
                 events_per_sec: events as f64 / wall_secs,
             });
             println!(
@@ -188,45 +205,11 @@ fn main() {
     // The million-slot Huge scenario. A trial costs seconds, so it takes
     // the better of two runs — enough to shed the worst host-jitter
     // outliers without doubling the bench.
-    let (huge_wall_secs, huge_events) = measure(&huge_config(), 2);
+    let (huge_wall_secs, huge_median_wall_secs, huge_events) = measure(&huge_config(), HUGE_REPS);
     let huge_eps = huge_events as f64 / huge_wall_secs;
     println!(
         "simloop: huge {huge_events:>8} events  {huge_wall_secs:.4} s  \
          ({huge_eps:.0} events/s)"
-    );
-
-    // SpanProbe attachment cost on the busiest cell (EFTF + migration,
-    // the paper's own configuration). Trials run a few milliseconds, so
-    // the two sides are interleaved and each takes its minimum over many
-    // repetitions — that keeps the CI gate on the probe's real cost, not
-    // on scheduler jitter hitting one side.
-    let cfg = grid_config(SchedulerKind::Eftf, MigrationPolicy::single_hop());
-    let mut bare_wall_secs = f64::INFINITY;
-    let mut spans_wall_secs = f64::INFINITY;
-    let mut timeseries_wall_secs = f64::INFINITY;
-    let mut n_spans = 0;
-    let mut n_windows = 0;
-    for _ in 0..31 {
-        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut []);
-        bare_wall_secs = bare_wall_secs.min(profile.wall_secs);
-        let mut probe = SpanProbe::new();
-        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut probe]);
-        spans_wall_secs = spans_wall_secs.min(profile.wall_secs);
-        n_spans = probe.finish(cfg.duration.as_secs()).spans.len();
-        let mut ts_probe = TimeSeriesProbe::new(&cfg, 900.0);
-        let (_, profile) = Simulation::run_instrumented(black_box(&cfg), &mut [&mut ts_probe]);
-        timeseries_wall_secs = timeseries_wall_secs.min(profile.wall_secs);
-        n_windows = ts_probe.finish().windows.len();
-    }
-    let overhead_pct = (spans_wall_secs - bare_wall_secs) / bare_wall_secs * 100.0;
-    println!(
-        "simloop: span probe {spans_wall_secs:.4} s vs bare {bare_wall_secs:.4} s \
-         ({n_spans} spans, {overhead_pct:+.2} %)"
-    );
-    let timeseries_overhead_pct = (timeseries_wall_secs - bare_wall_secs) / bare_wall_secs * 100.0;
-    println!(
-        "simloop: time-series probe {timeseries_wall_secs:.4} s vs bare {bare_wall_secs:.4} s \
-         ({n_windows} windows, {timeseries_overhead_pct:+.2} %)"
     );
 
     let min_eps = grid
@@ -244,6 +227,8 @@ fn main() {
     println!("simloop: huge ratchet {huge_floor_events_per_sec:.0} events/s");
 
     let report = Report {
+        git_rev: git_rev(),
+        available_parallelism: std::thread::available_parallelism().ok().map(usize::from),
         scenario: ScenarioInfo {
             name: "small_paper",
             simulated_hours: SIM_HOURS,
@@ -260,17 +245,10 @@ fn main() {
                 spec.n_servers * spec.svbr()
             },
             events: huge_events,
+            reps: HUGE_REPS,
             wall_secs: huge_wall_secs,
+            median_wall_secs: huge_median_wall_secs,
             events_per_sec: huge_eps,
-        },
-        probe_overhead: ProbeOverhead {
-            bare_wall_secs,
-            spans_wall_secs,
-            spans: n_spans,
-            overhead_pct,
-            timeseries_wall_secs,
-            windows: n_windows,
-            timeseries_overhead_pct,
         },
         floor_events_per_sec,
         huge_floor_events_per_sec,

@@ -386,6 +386,30 @@ pub struct StateView<'a> {
     waitlist_depth: usize,
 }
 
+/// The work [`StateView`]'s accessors do, tallied per thread in test
+/// builds only: one per server field read and one per stream visited.
+/// The probe gates in `crate::simulation`'s tests pin these counts.
+#[cfg(test)]
+pub(crate) mod view_work {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn add(server_reads: usize, stream_visits: usize) {
+        TALLY.with(|t| {
+            let (r, v) = t.get();
+            t.set((r + server_reads as u64, v + stream_visits as u64));
+        });
+    }
+
+    /// `(server reads, stream visits)` on this thread so far.
+    pub(crate) fn tally() -> (u64, u64) {
+        TALLY.with(Cell::get)
+    }
+}
+
 /// Megabits of `s` sitting in its client's staging buffer at `now`,
 /// projecting the (possibly stale) transmission state forward at the
 /// current allocated rate.
@@ -404,6 +428,13 @@ impl<'a> StateView<'a> {
         }
     }
 
+    /// One server's engine, for an accessor that reads one of its fields.
+    fn engine(&self, server: usize) -> &ServerEngine {
+        #[cfg(test)]
+        view_work::add(1, 0);
+        &self.engines[server]
+    }
+
     /// The event time this view is valid at.
     pub fn now(&self) -> SimTime {
         self.now
@@ -416,17 +447,17 @@ impl<'a> StateView<'a> {
 
     /// A server's outbound capacity, Mb/s.
     pub fn capacity_mbps(&self, server: usize) -> f64 {
-        self.engines[server].capacity_mbps()
+        self.engine(server).capacity_mbps()
     }
 
     /// `true` while the server is up.
     pub fn is_online(&self, server: usize) -> bool {
-        self.engines[server].is_online()
+        self.engine(server).is_online()
     }
 
     /// A server's minimum-flow commitment (Σ view rates), Mb/s.
     pub fn committed_mbps(&self, server: usize) -> f64 {
-        self.engines[server].committed_mbps()
+        self.engine(server).committed_mbps()
     }
 
     /// A server's currently allocated transmission rate (Σ stream rates),
@@ -434,17 +465,19 @@ impl<'a> StateView<'a> {
     /// mutation-maintained aggregate, so probes pay O(1) per server per
     /// state view instead of re-summing every stream.
     pub fn allocated_mbps(&self, server: usize) -> f64 {
-        self.engines[server].allocated_mbps()
+        self.engine(server).allocated_mbps()
     }
 
     /// Unfinished streams on a server (viewer streams and replica
     /// copies).
     pub fn active_streams(&self, server: usize) -> usize {
-        self.engines[server].active_count()
+        self.engine(server).active_count()
     }
 
     /// Unfinished streams across the cluster.
     pub fn total_active_streams(&self) -> usize {
+        #[cfg(test)]
+        view_work::add(self.engines.len(), 0);
         self.engines.iter().map(ServerEngine::active_count).sum()
     }
 
@@ -459,6 +492,8 @@ impl<'a> StateView<'a> {
         let mut staged = 0.0;
         let mut slope = 0.0;
         for e in self.engines {
+            #[cfg(test)]
+            view_work::add(1, e.streams().len());
             let dt = (self.now - e.clock()).max(0.0);
             for s in e.streams() {
                 if s.is_copy() {
@@ -481,7 +516,13 @@ impl<'a> StateView<'a> {
     /// server does not hold it.
     pub fn stream_staged_mb(&self, server: usize, stream: u64) -> Option<f64> {
         let e = self.engines.get(server)?;
-        let s = e.streams().iter().find(|s| s.id.0 == stream)?;
+        let s = e.streams().iter().find(|s| {
+            #[cfg(test)]
+            view_work::add(0, 1);
+            s.id.0 == stream
+        })?;
+        #[cfg(test)]
+        view_work::add(1, 0);
         Some(projected_staged_mb(e, s, self.now))
     }
 }

@@ -1148,6 +1148,46 @@ mod tests {
         assert_eq!(world.pops, world.events_processed);
     }
 
+    /// Work gate on the probes' state-view reads, exact rather than
+    /// timed (the tally exists in test builds only:
+    /// `crate::metrics::view_work`). The trial is `bench_simloop`'s
+    /// probe cell: Small, P4, θ 0.271, 2 h, no warm-up, seed 5, EFTF with
+    /// one-hop migration. `TimeSeriesProbe` reads 15 server fields per
+    /// event (each server's rate and capacity, and its active-stream
+    /// count) and walks the streams only for its once-per-window staged
+    /// sample: 15 × 2 674 + 5 engine clocks × 8 windows = 40 150 reads,
+    /// and 931 stream visits. A per-event stream walk or a doubled read
+    /// moves these counts. `TelemetryProbe` walks every stream at every
+    /// event (25 reads per event); its ceiling keeps that from growing
+    /// until the walk is made incremental.
+    #[test]
+    fn probe_state_view_work_is_pinned() {
+        use crate::metrics::{view_work, TelemetryProbe};
+        use crate::TimeSeriesProbe;
+        let cfg = SimConfig::builder(SystemSpec::small_paper())
+            .policy(Policy::P4)
+            .theta(0.271)
+            .duration_hours(2.0)
+            .warmup_hours(0.0)
+            .seed(5)
+            .scheduler(sct_transmission::SchedulerKind::Eftf)
+            .migration(MigrationPolicy::single_hop())
+            .build();
+        let work = |probe: &mut dyn Probe| {
+            let (reads, visits) = view_work::tally();
+            let out = Simulation::run_with_probes(&cfg, &mut [probe]);
+            let (r, v) = view_work::tally();
+            (out.events_processed, r - reads, v - visits)
+        };
+        let mut ts = TimeSeriesProbe::new(&cfg, 900.0);
+        assert_eq!(work(&mut ts), (2_674, 40_150, 931));
+        let mut tel = TelemetryProbe::new(&cfg);
+        let (events, reads, visits) = work(&mut tel);
+        assert_eq!(events, 2_674);
+        assert!(reads <= 66_850, "TelemetryProbe read {reads} server fields");
+        assert!(visits <= 335_240, "TelemetryProbe visited {visits} streams");
+    }
+
     #[test]
     fn loc_hint_stays_bounded_with_interactivity() {
         // The hint map must track only streams that still exist in some

@@ -103,8 +103,8 @@ enum Expect {
 /// segment chain into the probe's arena. Materialised into the wire
 /// [`Span`] (with its owned `segments` vector) only by
 /// [`SpanProbe::finish`] — per-span vectors would cost one heap
-/// allocation per request on the per-event hot path, which the bench's
-/// probe-overhead gate budgets at 5 % of a bare trial.
+/// allocation per request on the per-event hot path, which
+/// `tests/probe_allocations.rs` counts and bounds.
 struct FoldSpan {
     stream: u64,
     video: u32,
@@ -138,7 +138,7 @@ pub struct SpanProbe {
     segs: Vec<SegNode>,
     /// Span index per stream id (`NO_SPAN` = none). The loop hands out
     /// ids from one dense counter, so a flat vector beats hashing on
-    /// the per-event hot path (the bench gates the probe's overhead).
+    /// the per-event hot path.
     by_stream: Vec<usize>,
     /// Queued waiters in waitlist order (expiry attribution).
     waiting: VecDeque<u64>,

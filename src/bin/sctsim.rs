@@ -10,7 +10,6 @@
 //!
 //! All subcommands are deterministic given `--seed`.
 
-use semi_continuous_vod::analysis::benchdiff;
 use semi_continuous_vod::analysis::erlang::{erlang_b, expected_utilization_vs_svbr};
 use semi_continuous_vod::analysis::slo::SloPolicy;
 use semi_continuous_vod::analysis::snapshot::LoopProfilesSnapshot;
@@ -40,8 +39,6 @@ fn usage() -> ! {
          \x20                                merged across trials)\n\
          \x20          [--window SECS]  (time-series window width, default 900)\n\
          \x20          [--slo FILE]  (SLO rule policy JSON for the recording's alerts)\n\
-         \x20 sctsim bench-diff OLD NEW [--gate PCT]  (compare two bench result files and\n\
-         \x20                                          name the worst-moved cell)\n\
          \x20 sctsim report FILE [--svg FILE]  (render a metrics snapshot as markdown + SVG)\n\
          \x20 sctsim spans FILE [--critical-path] [--perfetto OUT]  (analyse a span export)\n\
          \x20 sctsim watch FILE [--once] [--interval-secs S]  (live terminal dashboard\n\
@@ -92,7 +89,6 @@ fn flags_of(cmd: &str) -> &'static [&'static str] {
         "spans" => &["critical-path", "perfetto"],
         "watch" => &["once", "interval-secs"],
         "diff" => &["tolerance"],
-        "bench-diff" => &["gate"],
         _ => &[],
     }
 }
@@ -410,7 +406,7 @@ fn cmd_run(args: &Args) {
     };
     let summary = utilization_summary(&outcomes);
     eprintln!(
-        "system={} theta={} trials={} hours={:.1}",
+        "system={} theta={} trials={} hours={}",
         config.system.name,
         config.theta,
         outcomes.len(),
@@ -545,37 +541,6 @@ fn cmd_watch(file: &str, args: &Args) {
     }
 }
 
-fn cmd_bench_diff(file_old: &str, file_new: &str, args: &Args) {
-    let read = |file: &str| {
-        std::fs::read_to_string(file).unwrap_or_else(|e| {
-            eprintln!("cannot read {file}: {e}");
-            exit(1)
-        })
-    };
-    let report = benchdiff::diff(&read(file_old), &read(file_new)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    print!("{}", report.to_text());
-    if let Some(pct) = args.get_f64("gate") {
-        if !(pct >= 0.0 && pct.is_finite()) {
-            eprintln!("--gate expects a non-negative percentage, got {pct}");
-            exit(2)
-        }
-        let violations = report.gate(pct);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!(
-                    "gate: {} regressed {:.2}% (> {pct}%): {:.4} -> {:.4}",
-                    v.path, v.regression_pct, v.old, v.new
-                );
-            }
-            exit(1)
-        }
-        eprintln!("gate: no cell regressed more than {pct}%");
-    }
-}
-
 fn cmd_diff(file_a: &str, file_b: &str, args: &Args) {
     let tol = args.get_f64("tolerance").unwrap_or(1e-9);
     // A NaN tolerance would let every window agree, a negative one none.
@@ -649,57 +614,52 @@ fn cmd_trace(args: &Args) {
     eprintln!("{} requests over {hours} h (rate {rate:.4}/s)", trace.len());
 }
 
+/// The `n` files `sctsim <cmd>` takes before its flags, and the parsed
+/// flags. A missing file, or a flag where a file belongs (`watch
+/// --once`), is one line and exit 2.
+fn files_and_flags<'a>(
+    cmd: &str,
+    rest: &'a [String],
+    n: usize,
+    what: &str,
+) -> (&'a [String], Args) {
+    match rest.get(..n) {
+        Some(files) if !files.iter().any(|f| f.starts_with("--")) => {
+            (files, Args::parse(cmd, &rest[n..]))
+        }
+        _ => {
+            eprintln!("{cmd} needs {what}");
+            exit(2)
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    // `report` and `spans` take a positional file before their flags.
-    if cmd == "report" {
-        let Some((file, flags)) = rest.split_first() else {
-            eprintln!("report needs a snapshot file");
-            usage()
-        };
-        cmd_report(file, &Args::parse(cmd, flags));
-        return;
-    }
-    if cmd == "spans" {
-        let Some((file, flags)) = rest.split_first() else {
-            eprintln!("spans needs a span-set file");
-            usage()
-        };
-        cmd_spans(file, &Args::parse(cmd, flags));
-        return;
-    }
-    if cmd == "watch" {
-        let Some((file, flags)) = rest.split_first() else {
-            eprintln!("watch needs a recording file");
-            usage()
-        };
-        cmd_watch(file, &Args::parse(cmd, flags));
-        return;
-    }
-    if cmd == "diff" {
-        if rest.len() < 2 {
-            eprintln!("diff needs two recording files");
-            usage()
-        }
-        cmd_diff(&rest[0], &rest[1], &Args::parse(cmd, &rest[2..]));
-        return;
-    }
-    if cmd == "bench-diff" {
-        if rest.len() < 2 {
-            eprintln!("bench-diff needs two bench result files");
-            usage()
-        }
-        cmd_bench_diff(&rest[0], &rest[1], &Args::parse(cmd, &rest[2..]));
-        return;
-    }
     match cmd.as_str() {
         "run" => cmd_run(&Args::parse(cmd, rest)),
         "scenario" => cmd_scenario(&Args::parse(cmd, rest)),
         "erlang" => cmd_erlang(&Args::parse(cmd, rest)),
         "trace" => cmd_trace(&Args::parse(cmd, rest)),
+        "report" => {
+            let (files, args) = files_and_flags(cmd, rest, 1, "a snapshot file");
+            cmd_report(&files[0], &args)
+        }
+        "spans" => {
+            let (files, args) = files_and_flags(cmd, rest, 1, "a span-set file");
+            cmd_spans(&files[0], &args)
+        }
+        "watch" => {
+            let (files, args) = files_and_flags(cmd, rest, 1, "a recording file");
+            cmd_watch(&files[0], &args)
+        }
+        "diff" => {
+            let (files, args) = files_and_flags(cmd, rest, 2, "two recording files");
+            cmd_diff(&files[0], &files[1], &args)
+        }
         _ => usage(),
     }
 }

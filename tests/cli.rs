@@ -1,12 +1,38 @@
 //! Integration tests for the `sctsim` command-line interface.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
-fn sctsim(args: &[&str]) -> std::process::Output {
+fn sctsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sctsim"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// Runs `sctsim` like [`sctsim`], but kills it and fails the test if it
+/// has not exited after `deadline`, so a command that loops forever
+/// fails instead of hanging the suite.
+fn sctsim_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sctsim"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("try_wait").is_none() {
+        if start.elapsed() > deadline {
+            child.kill().expect("kill sctsim");
+            let out = child.wait_with_output().expect("reap sctsim");
+            panic!(
+                "{args:?} still running after {deadline:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect output")
 }
 
 #[test]
@@ -66,6 +92,11 @@ fn run_is_deterministic_across_invocations() {
         a.stdout, b.stdout,
         "same seed must print identical outcomes"
     );
+    // The summary line reports the configured duration unrounded.
+    let short = sctsim(&["run", "--system", "tiny", "--hours", "0.05", "--seed", "5"]);
+    let err = String::from_utf8(short.stderr).unwrap();
+    assert!(short.status.success(), "{err}");
+    assert!(err.contains(" hours=0.05\n"), "{err}");
 }
 
 #[test]
@@ -539,12 +570,32 @@ fn spans_subcommand_rejects_garbage_json() {
     assert!(!out.stderr.is_empty());
 }
 
+/// The subcommands that read files take them before their flags. A
+/// missing file, or a flag where a file belongs, is one line and exit 2.
+/// Each child runs under a deadline: a `watch` that takes `--once` as
+/// its file retries reading it forever.
 #[test]
-fn spans_subcommand_needs_a_file_argument() {
-    let out = sctsim(&["spans"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("span-set file"), "{err}");
+fn file_subcommands_need_their_file_arguments() {
+    let cases: [&[&str]; 10] = [
+        &["report"],
+        &["report", "--svg", "m.svg"],
+        &["spans"],
+        &["spans", "--critical-path"],
+        &["watch"],
+        &["watch", "--once"],
+        &["diff"],
+        &["diff", "a.json"],
+        &["diff", "--tolerance", "0"],
+        &["diff", "a.json", "--tolerance", "0"],
+    ];
+    for args in cases {
+        let out = sctsim_within(args, Duration::from_secs(10));
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.starts_with(&format!("{} needs ", args[0])), "{err}");
+    }
 }
 
 #[test]
@@ -779,7 +830,7 @@ fn diff_subcommand_localizes_seed_divergence() {
 
 /// A NaN tolerance would let any two recordings agree and a negative one
 /// would make a recording diverge from itself, so both are usage errors,
-/// as is an infinite one: one line, exit 2, as `bench-diff --gate`.
+/// as is an infinite one: one line, exit 2.
 #[test]
 fn diff_rejects_a_non_finite_or_negative_tolerance() {
     let dir = std::env::temp_dir().join(format!("sctsim-test-tol-{}", std::process::id()));
@@ -895,78 +946,6 @@ fn profile_prints_the_loop_table() {
     let err = String::from_utf8(profiled.stderr).unwrap();
     assert!(err.contains("trial 0: loop profile:"), "{err}");
     assert!(err.contains("wake"), "{err}");
-}
-
-#[test]
-fn bench_diff_reports_the_worst_cell_and_gates_regressions() {
-    let dir = std::env::temp_dir().join("sctsim-test-benchdiff");
-    std::fs::create_dir_all(&dir).unwrap();
-    let old_path = dir.join("old.json");
-    let new_path = dir.join("new.json");
-    std::fs::write(
-        &old_path,
-        r#"{"grid": {"events_per_sec": 100.0}, "huge": {"events_per_sec": 200.0}}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &new_path,
-        r#"{"grid": {"events_per_sec": 50.0}, "huge": {"events_per_sec": 210.0}}"#,
-    )
-    .unwrap();
-
-    // Without a gate: report only, exit 0.
-    let out = sctsim(&[
-        "bench-diff",
-        old_path.to_str().unwrap(),
-        new_path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("worst-moved cell"), "{text}");
-    assert!(text.contains("grid"), "{text}");
-
-    // A 50% regression trips a 25% gate.
-    let gated = sctsim(&[
-        "bench-diff",
-        old_path.to_str().unwrap(),
-        new_path.to_str().unwrap(),
-        "--gate",
-        "25",
-    ]);
-    assert_eq!(gated.status.code(), Some(1));
-    let err = String::from_utf8(gated.stderr).unwrap();
-    assert!(err.contains("regressed"), "{err}");
-
-    // A self-diff passes any gate.
-    let clean = sctsim(&[
-        "bench-diff",
-        old_path.to_str().unwrap(),
-        old_path.to_str().unwrap(),
-        "--gate",
-        "25",
-    ]);
-    assert!(
-        clean.status.success(),
-        "{}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-    let err = String::from_utf8(clean.stderr).unwrap();
-    assert!(err.contains("no cell regressed"), "{err}");
-}
-
-#[test]
-fn bench_diff_rejects_garbage_input() {
-    let dir = std::env::temp_dir().join("sctsim-test-benchdiff");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("garbage.json");
-    std::fs::write(&path, "{not json").unwrap();
-    let out = sctsim(&["bench-diff", path.to_str().unwrap(), path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(!out.stderr.is_empty());
 }
 
 #[test]
