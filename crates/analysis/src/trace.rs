@@ -145,7 +145,7 @@ mod tests {
         "\n",
         r#"{"t":4.5,"event":{"Rejected":{"stream":1,"video":0}}}"#,
         "\n",
-        r#"{"t":9.25,"event":{"WindowSample":{"index":0,"utilization":0.75}}}"#,
+        r#"{"t":9.25,"event":{"WaitlistServed":{"stream":1,"video":0,"server":2,"batched":false,"waited_secs":0.75}}}"#,
         "\n",
     );
 
@@ -156,9 +156,9 @@ mod tests {
         assert_eq!(trace.count("Admitted"), 1);
         assert_eq!(trace.count("Rejected"), 1);
         let counts = trace.counts_by_kind();
-        assert_eq!(counts.get("WindowSample"), Some(&1));
+        assert_eq!(counts.get("WaitlistServed"), Some(&1));
         assert_eq!(trace.events[1].t, 4.5);
-        assert_eq!(trace.events[2].num_field("utilization"), Some(0.75));
+        assert_eq!(trace.events[2].num_field("waited_secs"), Some(0.75));
         assert_eq!(trace.events[0].num_field("server"), Some(1.0));
     }
 

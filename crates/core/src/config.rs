@@ -162,11 +162,6 @@ pub struct SimConfig {
     pub replication: Option<ReplicationSpec>,
     /// Optional admission wait queue (viewers tolerate a short delay).
     pub waitlist: Option<WaitlistSpec>,
-    /// Sampling interval (seconds) for the windowed-utilization time
-    /// series; `None` disables sampling.
-    pub sample_interval_secs: Option<f64>,
-    /// Track per-video arrival/rejection counts (small extra memory).
-    pub track_per_video: bool,
     /// Root seed for all randomness in the trial.
     pub seed: u64,
     /// Run (expensive) invariant checks while simulating.
@@ -227,8 +222,6 @@ impl SimConfigBuilder {
                 diurnal: None,
                 replication: None,
                 waitlist: None,
-                sample_interval_secs: None,
-                track_per_video: false,
                 seed: 0,
                 check_invariants: false,
             },
@@ -376,20 +369,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Samples cluster utilization every `secs` seconds into the outcome's
-    /// time series (used by the smoothing analysis; checked by
-    /// [`SimConfigBuilder::try_build`]).
-    pub fn sample_interval_secs(mut self, secs: f64) -> Self {
-        self.cfg.sample_interval_secs = Some(secs);
-        self
-    }
-
-    /// Records per-video arrival/rejection counts.
-    pub fn track_per_video(mut self, on: bool) -> Self {
-        self.cfg.track_per_video = on;
-        self
-    }
-
     /// Sets the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -418,11 +397,11 @@ impl SimConfigBuilder {
     /// follow the rules their constructors assert: positive failure and
     /// repair means, a pause probability in `[0, 1]` with
     /// `0 < min ≤ max` pause, a diurnal amplitude in `[0, 1]` with a
-    /// positive period, a positive waitlist patience and length, a
+    /// positive period, a positive waitlist patience and length, and a
     /// positive copy rate and copy limit with a non-negative cooldown for
-    /// replication, and a positive sample interval. Front ends that take
-    /// user input (flags or a `--config` file) use this and report the
-    /// error instead of panicking.
+    /// replication. Front ends that take user input (flags or a
+    /// `--config` file) use this and report the error instead of
+    /// panicking.
     pub fn try_build(mut self) -> Result<SimConfig, ConfigError> {
         let fail = |msg: String| Err(ConfigError(msg));
         if !self.cfg.theta.is_finite() {
@@ -527,11 +506,6 @@ impl SimConfigBuilder {
                     "replication needs a positive copy_rate_mbps and max_concurrent and a non-negative cooldown_secs, got {}, {} and {}",
                     r.copy_rate_mbps, r.max_concurrent, r.cooldown_secs
                 ));
-            }
-        }
-        if let Some(secs) = c.sample_interval_secs {
-            if !positive(secs) {
-                return fail(format!("sample_interval_secs must be positive, got {secs}"));
             }
         }
         Ok(self.cfg)
@@ -690,8 +664,6 @@ mod tests {
                 }),
                 "replication needs a positive copy_rate_mbps",
             ),
-            (b().sample_interval_secs(0.0), "sample_interval_secs"),
-            (b().sample_interval_secs(f64::NAN), "sample_interval_secs"),
         ];
         for (builder, expected) in cases {
             let err = builder.try_build().unwrap_err().to_string();

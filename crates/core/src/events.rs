@@ -143,13 +143,6 @@ pub enum SimEvent {
         /// How many gave up at this instant.
         count: u32,
     },
-    /// One windowed-utilization sample (time-series analysis).
-    WindowSample {
-        /// Zero-based window index since the warm-up.
-        index: u32,
-        /// Utilization of the window just closed.
-        utilization: f64,
-    },
 }
 
 impl SimEvent {
@@ -157,7 +150,7 @@ impl SimEvent {
     /// [`SimEvent::kind`] so both fail to compile when a variant is
     /// added without updating them; `tests/probe_coverage.rs` asserts
     /// every probe accounts for every entry.
-    pub const KINDS: [&'static str; 14] = [
+    pub const KINDS: [&'static str; 13] = [
         "Admitted",
         "Rejected",
         "Completed",
@@ -171,7 +164,6 @@ impl SimEvent {
         "WaitlistQueued",
         "WaitlistServed",
         "WaitlistExpired",
-        "WindowSample",
     ];
 
     /// The variant name as it appears on the wire (the JSONL tag).
@@ -190,7 +182,6 @@ impl SimEvent {
             SimEvent::WaitlistQueued { .. } => "WaitlistQueued",
             SimEvent::WaitlistServed { .. } => "WaitlistServed",
             SimEvent::WaitlistExpired { .. } => "WaitlistExpired",
-            SimEvent::WindowSample { .. } => "WindowSample",
         }
     }
 }
@@ -230,8 +221,9 @@ pub(crate) fn emit(probes: &mut [&mut dyn Probe], now: SimTime, event: &SimEvent
 ///
 /// (Quantities that are integrals of engine state — utilization, goodput,
 /// per-server megabits — are computed by the epilogue from the engines
-/// themselves; they are not events.)
-#[derive(Clone, Debug, PartialEq)]
+/// themselves; they are not events. The windowed view is the flight
+/// recorder, [`crate::TimeSeriesProbe`].)
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsProbe {
     /// Viewer streams that finished transmission.
     pub completions: u64,
@@ -239,56 +231,14 @@ pub struct MetricsProbe {
     pub server_failures: u64,
     /// Pauses applied to live streams.
     pub pauses_applied: u64,
-    /// Windowed-utilization samples, in window order.
-    pub window_utilization: Vec<f64>,
-    /// Arrivals per video (empty unless per-video tracking is on).
-    pub per_video_arrivals: Vec<u32>,
-    /// Rejections per video (empty unless per-video tracking is on).
-    pub per_video_rejections: Vec<u32>,
-}
-
-impl MetricsProbe {
-    /// Creates the probe; `n_videos > 0` with `track_per_video` sizes the
-    /// per-video counters, otherwise they stay empty.
-    pub fn new(n_videos: usize, track_per_video: bool) -> Self {
-        let (pv_a, pv_r) = if track_per_video {
-            (vec![0u32; n_videos], vec![0u32; n_videos])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        MetricsProbe {
-            completions: 0,
-            server_failures: 0,
-            pauses_applied: 0,
-            window_utilization: Vec::new(),
-            per_video_arrivals: pv_a,
-            per_video_rejections: pv_r,
-        }
-    }
-
-    fn count_arrival(&mut self, video: u32) {
-        if !self.per_video_arrivals.is_empty() {
-            self.per_video_arrivals[video as usize] += 1;
-        }
-    }
 }
 
 impl Probe for MetricsProbe {
     fn on_event(&mut self, _now: SimTime, event: &SimEvent) {
         match *event {
-            SimEvent::Admitted { video, .. } => self.count_arrival(video),
-            SimEvent::Rejected { video, .. } => {
-                self.count_arrival(video);
-                if !self.per_video_rejections.is_empty() {
-                    self.per_video_rejections[video as usize] += 1;
-                }
-            }
             SimEvent::Completed { .. } => self.completions += 1,
             SimEvent::ServerDown { .. } => self.server_failures += 1,
             SimEvent::Paused { .. } => self.pauses_applied += 1,
-            SimEvent::WindowSample { utilization, .. } => {
-                self.window_utilization.push(utilization);
-            }
             _ => {}
         }
     }
@@ -367,7 +317,7 @@ mod tests {
 
     #[test]
     fn metrics_probe_folds_counters() {
-        let mut m = MetricsProbe::new(3, true);
+        let mut m = MetricsProbe::default();
         let t = SimTime::ZERO;
         m.on_event(
             t,
@@ -407,33 +357,14 @@ mod tests {
                 server: 1,
             },
         );
-        m.on_event(
-            t,
-            &SimEvent::WindowSample {
-                index: 0,
-                utilization: 0.5,
-            },
+        assert_eq!(
+            m,
+            MetricsProbe {
+                completions: 1,
+                server_failures: 1,
+                pauses_applied: 1,
+            }
         );
-        assert_eq!(m.per_video_arrivals, vec![0, 2, 0]);
-        assert_eq!(m.per_video_rejections, vec![0, 1, 0]);
-        assert_eq!(m.completions, 1);
-        assert_eq!(m.server_failures, 1);
-        assert_eq!(m.pauses_applied, 1);
-        assert_eq!(m.window_utilization, vec![0.5]);
-    }
-
-    #[test]
-    fn metrics_probe_without_tracking_keeps_empty_vectors() {
-        let mut m = MetricsProbe::new(3, false);
-        m.on_event(
-            SimTime::ZERO,
-            &SimEvent::Rejected {
-                stream: 0,
-                video: 2,
-            },
-        );
-        assert!(m.per_video_arrivals.is_empty());
-        assert!(m.per_video_rejections.is_empty());
     }
 
     #[test]
@@ -451,9 +382,12 @@ mod tests {
                 to: 1,
                 emergency: true,
             },
-            SimEvent::WindowSample {
-                index: 4,
-                utilization: 0.8734561234,
+            SimEvent::WaitlistServed {
+                stream: 4,
+                video: 1,
+                server: 0,
+                batched: true,
+                waited_secs: 0.8734561234,
             },
             SimEvent::WaitlistServed {
                 stream: 9,

@@ -14,14 +14,16 @@
 //! * [`ExpOptions::paper`] — the paper's full 5 × 1000 h protocol.
 
 use crate::config::{SimConfig, StagingSpec};
+use crate::events::{Probe, SimEvent};
 use crate::policies::Policy;
-use crate::runner::{run_points, utilization_summary, TrialPlan};
-use crate::simulation::SimOutcome;
+use crate::runner::{cores, run_points, run_pool, utilization_summary, TrialPlan};
+use crate::simulation::{SimOutcome, Simulation};
+use crate::timeseries::TimeSeriesProbe;
 use sct_admission::MigrationPolicy;
 use sct_analysis::erlang::expected_utilization_vs_svbr;
 use sct_analysis::{Series, Table};
 use sct_cluster::PlacementStrategy;
-use sct_simcore::Summary;
+use sct_simcore::{SimTime, Summary};
 use sct_transmission::SchedulerKind;
 use sct_workload::{HeterogeneityKind, SystemSpec};
 use serde::{Deserialize, Serialize};
@@ -96,7 +98,23 @@ impl ExpOptions {
     /// Every trial of every config, on one pool; entry `p` holds the
     /// trials of `configs[p]` in trial order.
     fn outcomes(&self, configs: &[SimConfig]) -> Vec<Vec<SimOutcome>> {
-        run_points(configs, TrialPlan::new(self.trials, self.base_seed))
+        run_points(configs, self.plan())
+    }
+
+    /// Like [`ExpOptions::outcomes`], on the same pool, but each trial is
+    /// `trial` (a run with the driver's own probe attached) instead of a
+    /// plain run.
+    fn probed<T: Send + Sync>(
+        &self,
+        configs: &[SimConfig],
+        trial: impl Fn(&SimConfig) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        run_pool(configs, self.plan(), cores(), trial)
+    }
+
+    /// The trials every point runs, and their seeds.
+    fn plan(&self) -> TrialPlan {
+        TrialPlan::new(self.trials, self.base_seed)
     }
 
     /// Pushes one curve of utilization summaries per `(label, points)`
@@ -592,16 +610,18 @@ pub fn replication_vs_drm(system: &SystemSpec, opts: &ExpOptions) -> Series {
     opts.utilization_curves(series, curves)
 }
 
-/// The utilization window [`smoothing`] samples. Its runs need at least
-/// one whole window after the warm-up.
+/// The utilization window [`smoothing`] reads from the flight recorder.
+/// Its runs need at least one whole window after the warm-up.
 pub const SMOOTHING_WINDOW_SECS: f64 = 900.0;
+
+/// The staging fractions [`smoothing`] sweeps.
+const SMOOTHING_FRACTIONS: [f64; 6] = [0.0, 0.02, 0.1, 0.2, 0.5, 1.0];
 
 /// **E12 / time-domain smoothing** (analysis of the §3 mechanism) —
 /// quantiles of the windowed (15 min) cluster utilization versus staging
 /// fraction. Workahead lifts the whole distribution: dips are filled by
 /// sprinting ahead, and early completions leave slots for the bursts.
 pub fn smoothing(system: &SystemSpec, opts: &ExpOptions) -> Series {
-    let fractions = vec![0.0, 0.02, 0.1, 0.2, 0.5, 1.0];
     let mut series = Series::new(
         format!(
             "Windowed-utilization quantiles vs staging ({})",
@@ -609,31 +629,18 @@ pub fn smoothing(system: &SystemSpec, opts: &ExpOptions) -> Series {
         ),
         "staging fraction of avg video",
         "window utilization",
-        fractions.clone(),
+        SMOOTHING_FRACTIONS.to_vec(),
     );
-    let configs: Vec<SimConfig> = fractions
-        .iter()
-        .map(|&f| {
-            opts.base(system)
-                .theta(1.0)
-                .placement(PlacementStrategy::even_paper())
-                .migration(MigrationPolicy::disabled())
-                .staging_fraction(f)
-                .sample_interval_secs(SMOOTHING_WINDOW_SECS)
-                .build()
-        })
-        .collect();
     // Collect (min, p10, mean, max) per staging level, each summarised
     // over trials.
     let mut mins = Vec::new();
     let mut p10s = Vec::new();
     let mut means = Vec::new();
     let mut maxs = Vec::new();
-    for outcomes in opts.outcomes(&configs) {
+    for trials in opts.probed(&smoothing_configs(system, opts), smoothing_windows) {
         let mut per_trial = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for o in &outcomes {
-            let mut w = o.window_utilization.clone();
-            assert!(!w.is_empty(), "sampling must be enabled");
+        for mut w in trials {
+            assert!(!w.is_empty(), "no whole window after the warm-up");
             w.sort_by(f64::total_cmp);
             per_trial.0.push(w[0]);
             per_trial.1.push(w[w.len() / 10]);
@@ -652,6 +659,34 @@ pub fn smoothing(system: &SystemSpec, opts: &ExpOptions) -> Series {
     series
 }
 
+/// E12's points, one per staging fraction.
+fn smoothing_configs(system: &SystemSpec, opts: &ExpOptions) -> Vec<SimConfig> {
+    SMOOTHING_FRACTIONS
+        .iter()
+        .map(|&f| {
+            opts.base(system)
+                .theta(1.0)
+                .placement(PlacementStrategy::even_paper())
+                .migration(MigrationPolicy::disabled())
+                .staging_fraction(f)
+                .build()
+        })
+        .collect()
+}
+
+/// One E12 trial: the utilization of each of the flight recorder's
+/// windows that lies wholly in the measurement interval. Every preset's
+/// warm-up is a whole number of windows, so these tile the interval.
+fn smoothing_windows(cfg: &SimConfig) -> Vec<f64> {
+    let mut recorder = TimeSeriesProbe::new(cfg, SMOOTHING_WINDOW_SECS);
+    Simulation::run_with_probes(cfg, &mut [&mut recorder]);
+    let windows = recorder.finish().windows;
+    let full = windows
+        .iter()
+        .filter(|w| w.measured_secs == SMOOTHING_WINDOW_SECS);
+    full.map(|w| w.utilization).collect()
+}
+
 /// **E13 / rejection profile** (analysis) — *which* videos get rejected,
 /// by popularity-rank bucket, for even vs predictive placement across
 /// demand skews. The even placement starves the head under skew; the
@@ -665,33 +700,15 @@ pub fn rejection_profile(system: &SystemSpec, opts: &ExpOptions) -> Table {
         "tail (50-100%) rej%",
         "overall rej%",
     ]);
-    let mut rows = Vec::new();
-    let mut configs = Vec::new();
-    for &theta in &[-1.0, 0.0, 1.0] {
-        for (name, placement) in [
-            ("even", PlacementStrategy::even_paper()),
-            ("predictive", PlacementStrategy::predictive_paper()),
-        ] {
-            rows.push((theta, name));
-            configs.push(
-                opts.base(system)
-                    .theta(theta)
-                    .placement(placement)
-                    .migration(MigrationPolicy::disabled())
-                    .staging_fraction(0.2)
-                    .track_per_video(true)
-                    .build(),
-            );
-        }
-    }
-    for ((theta, name), outcomes) in rows.into_iter().zip(opts.outcomes(&configs)) {
+    let (rows, configs): (Vec<_>, Vec<_>) = rejection_points(system, opts).into_iter().unzip();
+    for ((theta, name), trials) in rows.into_iter().zip(opts.probed(&configs, video_counts)) {
         let n = system.n_videos;
         let mut arr = vec![0u64; n];
         let mut rej = vec![0u64; n];
-        for o in &outcomes {
-            for i in 0..n {
-                arr[i] += o.per_video_arrivals[i] as u64;
-                rej[i] += o.per_video_rejections[i] as u64;
+        for counts in &trials {
+            for (i, [a, r]) in counts.iter().enumerate() {
+                arr[i] += a;
+                rej[i] += r;
             }
         }
         let bucket = |range: std::ops::Range<usize>| -> f64 {
@@ -718,6 +735,59 @@ pub fn rejection_profile(system: &SystemSpec, opts: &ExpOptions) -> Table {
         ]);
     }
     table
+}
+
+/// E13's points in table order: each θ with each placement.
+fn rejection_points(
+    system: &SystemSpec,
+    opts: &ExpOptions,
+) -> Vec<((f64, &'static str), SimConfig)> {
+    let mut points = Vec::new();
+    for &theta in &[-1.0, 0.0, 1.0] {
+        for (name, placement) in [
+            ("even", PlacementStrategy::even_paper()),
+            ("predictive", PlacementStrategy::predictive_paper()),
+        ] {
+            let config = opts
+                .base(system)
+                .theta(theta)
+                .placement(placement)
+                .migration(MigrationPolicy::disabled())
+                .staging_fraction(0.2)
+                .build();
+            points.push(((theta, name), config));
+        }
+    }
+    points
+}
+
+/// E13's probe: `[arrivals, rejections]` per video index, counted at
+/// arrival. E13 runs without a waitlist, so a rejection is final.
+struct VideoCounts(Vec<[u64; 2]>);
+
+impl Probe for VideoCounts {
+    fn on_event(&mut self, _now: SimTime, event: &SimEvent) {
+        match *event {
+            SimEvent::Admitted { video, .. } => self.0[video as usize][0] += 1,
+            SimEvent::Rejected { video, .. } => {
+                let [arrivals, rejections] = &mut self.0[video as usize];
+                *arrivals += 1;
+                *rejections += 1;
+            }
+            _ => {}
+        }
+    }
+
+    fn uses_state(&self) -> bool {
+        false
+    }
+}
+
+/// One E13 trial: its per-video `[arrivals, rejections]`.
+fn video_counts(cfg: &SimConfig) -> Vec<[u64; 2]> {
+    let mut counts = VideoCounts(vec![[0; 2]; cfg.system.n_videos]);
+    Simulation::run_with_probes(cfg, &mut [&mut counts]);
+    counts.0
 }
 
 /// **E14 / waitlist** (extension) — acceptance ratio and utilization as a
@@ -1027,6 +1097,83 @@ mod tests {
             .map(|c| (c.label, c.points))
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// E12 reads the flight recorder: a trial's windows are the
+    /// recorder's full windows, which tile the measured interval after a
+    /// whole-window warm-up and average to the outcome's utilization.
+    #[test]
+    fn smoothing_windows_are_the_recorders_full_windows() {
+        let cfg = tiny_opts()
+            .base(&SystemSpec::tiny_test())
+            .theta(1.0)
+            .seed(67)
+            .build();
+        let mut recorder = TimeSeriesProbe::new(&cfg, SMOOTHING_WINDOW_SECS);
+        let out = Simulation::run_with_probes(&cfg, &mut [&mut recorder]);
+        // The 15-minute warm-up is window 0; the other 7 are measured.
+        let rows = recorder.finish().windows;
+        assert!(rows[1..]
+            .iter()
+            .all(|w| w.measured_secs == SMOOTHING_WINDOW_SECS));
+        let windows = smoothing_windows(&cfg);
+        let want: Vec<f64> = rows[1..].iter().map(|w| w.utilization).collect();
+        assert_eq!(windows, want);
+        assert!(windows.iter().all(|w| (0.0..=1.0 + 1e-9).contains(w)));
+        let mean = windows.iter().sum::<f64>() / windows.len() as f64;
+        assert!(
+            (mean - out.utilization).abs() < 1e-9,
+            "windows {mean} vs total {}",
+            out.utilization
+        );
+    }
+
+    /// E13's probe counts every arrival once, by video: its sums are the
+    /// outcome's arrivals and (without a waitlist) rejections.
+    #[test]
+    fn video_counts_sum_to_the_arrivals() {
+        let cfg = SimConfig::builder(SystemSpec::tiny_test())
+            .duration_hours(4.0)
+            .theta(-0.5)
+            .seed(71)
+            .build();
+        let counts = video_counts(&cfg);
+        let out = Simulation::run(&cfg);
+        let sum = |k: usize| counts.iter().map(|c| c[k]).sum::<u64>();
+        assert_eq!(sum(0), out.stats.arrivals);
+        assert_eq!(sum(1), out.stats.rejected);
+        assert!(out.stats.rejected > 0, "no rejection to attribute");
+        // Skewed demand: the head video sees the most arrivals.
+        let (head, tail) = (counts[0][0], counts[counts.len() - 1][0]);
+        assert!(head > tail, "head {head} vs tail {tail}");
+    }
+
+    /// Both probed drivers run their trials on the pool; each trial must
+    /// equal the same trial run alone.
+    #[test]
+    fn probed_drivers_equal_their_trials_run_alone() {
+        fn alone<T>(
+            opts: &ExpOptions,
+            configs: &[SimConfig],
+            trial: fn(&SimConfig) -> T,
+        ) -> Vec<Vec<T>> {
+            let plan = opts.plan();
+            let seeded = |cfg: &SimConfig, i| SimConfig {
+                seed: plan.seed(i),
+                ..cfg.clone()
+            };
+            configs
+                .iter()
+                .map(|cfg| (0..plan.trials).map(|i| trial(&seeded(cfg, i))).collect())
+                .collect()
+        }
+        let (system, opts) = (SystemSpec::tiny_test(), tiny_opts());
+        let configs = smoothing_configs(&system, &opts);
+        let want = alone(&opts, &configs, smoothing_windows);
+        assert_eq!(opts.probed(&configs, smoothing_windows), want);
+        let (_, configs): (Vec<_>, Vec<_>) = rejection_points(&system, &opts).into_iter().unzip();
+        let want = alone(&opts, &configs, video_counts);
+        assert_eq!(opts.probed(&configs, video_counts), want);
     }
 
     #[test]

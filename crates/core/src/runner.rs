@@ -73,18 +73,31 @@ pub fn run_trials(config: &SimConfig, plan: TrialPlan) -> Vec<SimOutcome> {
 /// each runs with `plan.seed(i)`), all on one pool across the machine's
 /// cores. Entry `p` holds the outcomes of `configs[p]` in trial order.
 pub fn run_points(configs: &[SimConfig], plan: TrialPlan) -> Vec<Vec<SimOutcome>> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    run_pool(configs, plan, cores)
+    run_pool(configs, plan, cores(), Simulation::run)
 }
 
-/// [`run_points`] on `workers` threads. Job `p * trials + i` is trial
-/// `i` of point `p`: its config and seed follow from its index alone.
-fn run_pool(configs: &[SimConfig], plan: TrialPlan, workers: usize) -> Vec<Vec<SimOutcome>> {
+/// The pool width [`run_points`] uses: the machine's available
+/// parallelism.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `trial` on every (point, trial) job of the plan on `workers`
+/// threads: [`run_points`] with `trial` in place of
+/// [`Simulation::run`], for drivers that attach probes. Job
+/// `p * trials + i` is trial `i` of point `p`: its config and seed follow
+/// from its index alone.
+pub(crate) fn run_pool<T: Send + Sync>(
+    configs: &[SimConfig],
+    plan: TrialPlan,
+    workers: usize,
+    trial: impl Fn(&SimConfig) -> T + Sync,
+) -> Vec<Vec<T>> {
     let trials = plan.trials as usize;
     let mut outcomes = pool(configs.len() * trials, workers, |job| {
         let mut cfg = configs[job / trials].clone();
         cfg.seed = plan.seed((job % trials) as u32);
-        Simulation::run(&cfg)
+        trial(&cfg)
     })
     .into_iter();
     configs
@@ -228,7 +241,7 @@ mod tests {
             })
             .collect();
         for workers in [1, 2, 8] {
-            let pooled = run_pool(&configs, plan, workers);
+            let pooled = run_pool(&configs, plan, workers, Simulation::run);
             assert_eq!(pooled.len(), configs.len());
             for (p, (got, want)) in pooled.iter().zip(&alone).enumerate() {
                 assert_eq!(got, want, "point {p} at {workers} workers");

@@ -64,8 +64,6 @@ enum Event {
     ResumeStream(u64),
     /// A tertiary-storage replica copy finishes (dynamic replication).
     CopyDone(u64),
-    /// Periodic utilization sample (time-series analysis).
-    Sample,
     /// Check the wait queue for timed-out viewers.
     WaitlistExpiry,
 }
@@ -99,17 +97,6 @@ pub struct SimOutcome {
     pub goodput: f64,
     /// Wait-queue activity (zeros without a waitlist).
     pub waitlist: WaitlistStats,
-    /// Windowed utilization samples (one per `sample_interval_secs`),
-    /// empty when sampling is disabled. Window i covers
-    /// `[warmup + i·Δ, warmup + (i+1)·Δ)`.
-    pub window_utilization: Vec<f64>,
-    /// Arrivals per video id (empty unless `track_per_video`).
-    pub per_video_arrivals: Vec<u32>,
-    /// Rejections per video id (empty unless `track_per_video`). Counted
-    /// at arrival time: with a waitlist enabled, a request that is first
-    /// queued and later served still appears here, so these sum to the
-    /// *pre-reconciliation* rejection count.
-    pub per_video_rejections: Vec<u32>,
 }
 
 impl SimOutcome {
@@ -235,8 +222,6 @@ struct SimWorld<'a> {
     next_stream_id: u64,
     events_processed: u64,
     last_time: SimTime,
-    last_sample_mb: f64,
-    sample_index: u32,
     /// Wall-clock phase timers, enabled or disabled as a whole; see
     /// [`crate::profile`].
     prof: LoopProfiler,
@@ -248,8 +233,8 @@ struct SimWorld<'a> {
 
 impl<'a> SimWorld<'a> {
     /// Builds the world: catalog, cluster, placement, engines, policies,
-    /// and the initial event queue (first arrival, failure phases, first
-    /// sample tick). `profile` enables the loop's wall-clock profiler.
+    /// and the initial event queue (first arrival, failure phases).
+    /// `profile` enables the loop's wall-clock profiler.
     fn new(config: &'a SimConfig, profile: bool) -> Self {
         // Independent randomness streams so that, e.g., changing the
         // placement cannot perturb the arrival sequence.
@@ -334,11 +319,6 @@ impl<'a> SimWorld<'a> {
         // to a scan).
         let pause_rng = root.fork(6);
 
-        // Windowed-utilization sampling starts after the warm-up.
-        if let Some(dt) = config.sample_interval_secs {
-            sched.push_at(config.warmup + dt, Event::Sample);
-        }
-
         SimWorld {
             config,
             catalog,
@@ -361,8 +341,6 @@ impl<'a> SimWorld<'a> {
             next_stream_id: 0,
             events_processed: 0,
             last_time: SimTime::ZERO,
-            last_sample_mb: 0.0,
-            sample_index: 0,
             prof: if profile {
                 LoopProfiler::new()
             } else {
@@ -402,7 +380,6 @@ impl<'a> SimWorld<'a> {
                     Event::ServerUp(server) => self.on_server_up(now, server, probes),
                     Event::CopyDone(id) => self.on_copy_done(now, id, probes),
                     Event::WaitlistExpiry => self.on_waitlist_expiry(now, probes),
-                    Event::Sample => self.on_sample(now, probes),
                     Event::PauseStream(id) => self.on_pause_resume(now, id, true, probes),
                     Event::ResumeStream(id) => self.on_pause_resume(now, id, false, probes),
                 },
@@ -826,34 +803,6 @@ impl<'a> SimWorld<'a> {
         }
     }
 
-    /// Periodic utilization sample: integrate everyone, difference the
-    /// measured megabits against the previous tick.
-    fn on_sample(&mut self, now: SimTime, probes: &mut [&mut dyn Probe]) {
-        let dt = self
-            .config
-            .sample_interval_secs
-            .expect("sample event without sampling enabled");
-        let t0 = self.prof.stamp();
-        for e in self.engines.iter_mut() {
-            e.advance_to(now);
-        }
-        self.prof.add(Phase::Alloc, t0);
-        let total: f64 = self.engines.iter().map(|e| e.measured_mb()).sum();
-        let utilization =
-            (total - self.last_sample_mb) / (self.cluster.total_bandwidth_mbps() * dt);
-        crate::events::emit(
-            probes,
-            now,
-            &SimEvent::WindowSample {
-                index: self.sample_index,
-                utilization,
-            },
-        );
-        self.sample_index += 1;
-        self.last_sample_mb = total;
-        self.sched.push_at(now + dt, Event::Sample);
-    }
-
     /// A pause or resume lands: resolve the stream via the location hint
     /// (falling back to a scan — it may have migrated), apply, re-arm.
     fn on_pause_resume(
@@ -902,7 +851,7 @@ impl<'a> SimWorld<'a> {
     /// Runs the loop with the built-in [`MetricsProbe`] first in the hub,
     /// then `extra`, and returns the metrics probe for [`SimWorld::finish`].
     fn run_probed(&mut self, extra: &mut [&mut dyn Probe]) -> MetricsProbe {
-        let mut metrics = MetricsProbe::new(self.catalog.len(), self.config.track_per_video);
+        let mut metrics = MetricsProbe::default();
         let mut hub: Vec<&mut dyn Probe> = Vec::with_capacity(1 + extra.len());
         hub.push(&mut metrics);
         for p in extra.iter_mut() {
@@ -977,9 +926,6 @@ impl<'a> SimWorld<'a> {
             replication: rep_stats,
             waitlist: wl_stats,
             goodput: goodput.max(0.0),
-            window_utilization: metrics.window_utilization,
-            per_video_arrivals: metrics.per_video_arrivals,
-            per_video_rejections: metrics.per_video_rejections,
         }
     }
 }
@@ -1504,30 +1450,6 @@ mod tests {
     }
 
     #[test]
-    fn window_sampling_tiles_the_measurement_window() {
-        let cfg = SimConfig::builder(SystemSpec::tiny_test())
-            .duration_hours(4.0)
-            .warmup_hours(1.0)
-            .sample_interval_secs(600.0)
-            .seed(61)
-            .build();
-        let out = Simulation::run(&cfg);
-        // 3 measured hours at 10-minute windows → 18 samples.
-        assert_eq!(out.window_utilization.len(), 18);
-        for &w in &out.window_utilization {
-            assert!((0.0..=1.0 + 1e-9).contains(&w), "window {w}");
-        }
-        // Windows must average to the overall utilization (same data).
-        let mean: f64 =
-            out.window_utilization.iter().sum::<f64>() / out.window_utilization.len() as f64;
-        assert!(
-            (mean - out.utilization).abs() < 1e-9,
-            "windows {mean} vs total {}",
-            out.utilization
-        );
-    }
-
-    #[test]
     fn staging_lifts_every_utilization_quantile() {
         // The paper\'s §3 smoothing mechanism, observed in the time
         // domain: workahead lets servers sprint to full capacity when
@@ -1540,12 +1462,15 @@ mod tests {
                 .duration_hours(12.0)
                 .warmup_hours(1.0)
                 .theta(1.0)
-                .sample_interval_secs(900.0)
                 .staging_fraction(fraction)
                 .seed(67)
                 .build();
-            let out = Simulation::run(&cfg);
-            let mut w = out.window_utilization;
+            let mut recorder = crate::TimeSeriesProbe::new(&cfg, 900.0);
+            Simulation::run_with_probes(&cfg, &mut [&mut recorder]);
+            let windows = recorder.finish().windows;
+            // 11 measured hours of 15-minute windows after the warm-up.
+            let mut w: Vec<f64> = windows[4..].iter().map(|w| w.utilization).collect();
+            assert_eq!(w.len(), 44);
             w.sort_by(f64::total_cmp);
             (w[0], w[w.len() / 10], w[w.len() - 1])
         };
@@ -1555,26 +1480,6 @@ mod tests {
         assert!(p10_1 > p10_0 + 0.02, "p10 must rise: {p10_1} vs {p10_0}");
         assert!(max1 > max0, "bursts must reach higher: {max1} vs {max0}");
         assert!(max1 > 0.99, "staged servers sprint to full capacity");
-    }
-
-    #[test]
-    fn per_video_counters_reconcile_with_totals() {
-        let cfg = SimConfig::builder(SystemSpec::tiny_test())
-            .duration_hours(4.0)
-            .theta(-0.5)
-            .track_per_video(true)
-            .seed(71)
-            .build();
-        let out = Simulation::run(&cfg);
-        assert_eq!(out.per_video_arrivals.len(), cfg.system.n_videos);
-        let arrivals: u64 = out.per_video_arrivals.iter().map(|&x| x as u64).sum();
-        let rejections: u64 = out.per_video_rejections.iter().map(|&x| x as u64).sum();
-        assert_eq!(arrivals, out.stats.arrivals);
-        assert_eq!(rejections, out.stats.rejected);
-        // Skewed demand: the head video sees the most arrivals.
-        let head = out.per_video_arrivals[0];
-        let tail = *out.per_video_arrivals.last().unwrap();
-        assert!(head > tail, "head {head} vs tail {tail}");
     }
 
     #[test]

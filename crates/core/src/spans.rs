@@ -560,7 +560,6 @@ impl Probe for SpanProbe {
                     }
                 }
             }
-            SimEvent::WindowSample { .. } => {}
         }
     }
 

@@ -300,9 +300,6 @@ impl Probe for TimeSeriesProbe {
             SimEvent::WaitlistQueued { .. } => c.waitlist_queued += 1,
             SimEvent::WaitlistServed { .. } => c.waitlist_served += 1,
             SimEvent::WaitlistExpired { count } => c.waitlist_expired += count as u64,
-            // The run-level windowed-utilization samples are redundant
-            // with this probe's own grid.
-            SimEvent::WindowSample { .. } => {}
         }
     }
 

@@ -324,12 +324,18 @@ fn cmd_run(args: &Args) {
             if let Some(t) = ts_probe.as_mut() {
                 hub.push(t);
             }
-            let (outcome, loop_profile) = Simulation::run_instrumented(&cfg, &mut hub);
-            profiles.push(loop_profile);
-            if profile {
-                eprint!("trial {i}: {}", loop_profile.to_text());
+            // Only `--profile` and `--metrics` report the loop profile;
+            // the other exports run without reading the clock per event.
+            if profile || metrics_path.is_some() {
+                let (outcome, loop_profile) = Simulation::run_instrumented(&cfg, &mut hub);
+                if profile {
+                    eprint!("trial {i}: {}", loop_profile.to_text());
+                }
+                profiles.push(loop_profile);
+                outs.push(outcome);
+            } else {
+                outs.push(Simulation::run_with_probes(&cfg, &mut hub));
             }
-            outs.push(outcome);
             if let Some(t) = telemetry {
                 let trial_registry = t.finish();
                 match registry.as_mut() {
@@ -570,7 +576,7 @@ fn cmd_scenario(args: &Args) {
 fn cmd_erlang(args: &Args) {
     let svbr = args.get_f64("svbr").unwrap_or_else(|| {
         eprintln!("--svbr is required");
-        usage()
+        exit(2)
     });
     if !(svbr >= 1.0 && svbr.is_finite()) {
         eprintln!("--svbr expects a number of at least 1, got {svbr}");

@@ -231,9 +231,12 @@ fn invalid_config_file_exits_2_with_one_diagnostic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A config file written while the loop could be sharded still carries
-/// a `"shards"` key. The key never changed an outcome, so such a file
-/// parses and runs exactly like the same file without it.
+/// A config file written by an older build may carry a key the config
+/// no longer has: `"shards"`, from when the loop could be sharded, or
+/// one of the two observation knobs, for windowed utilization and
+/// per-video counts, which are probes now. None of them is part of what
+/// is simulated, so each such file parses and runs exactly like the same
+/// file without the key.
 #[test]
 fn config_file_with_a_shards_key_runs_unchanged() {
     let out = sctsim(&[
@@ -241,16 +244,9 @@ fn config_file_with_a_shards_key_runs_unchanged() {
     ]);
     assert!(out.status.success());
     let plain = String::from_utf8(out.stdout).unwrap();
-    let with_shards = plain.replacen(
-        "\"track_per_video\"",
-        "\"shards\": 4,\n  \"track_per_video\"",
-        1,
-    );
-    assert!(with_shards.contains("\"shards\": 4"), "{with_shards}");
     let dir = std::env::temp_dir().join(format!("sctsim-oldcfg-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut outcomes = Vec::new();
-    for (name, text) in [("plain.json", &plain), ("sharded.json", &with_shards)] {
+    let run = |name: &str, text: &str| {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
         let out = sctsim(&["run", "--config", path.to_str().unwrap(), "--trials", "2"]);
@@ -259,13 +255,23 @@ fn config_file_with_a_shards_key_runs_unchanged() {
             "{name}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        outcomes.push(out.stdout);
+        out.stdout
+    };
+    let want = run("plain.json", &plain);
+    assert!(!want.is_empty());
+    for retired in [
+        "\"shards\": 4",
+        "\"sample_interval_secs\": 900",
+        "\"track_per_video\": true",
+    ] {
+        let old = plain.replacen("\"seed\"", &format!("{retired},\n  \"seed\""), 1);
+        assert!(old.contains(retired), "{old}");
+        assert_eq!(
+            run("old.json", &old),
+            want,
+            "the retired key {retired} changed the outcome"
+        );
     }
-    assert!(!outcomes[0].is_empty());
-    assert_eq!(
-        outcomes[0], outcomes[1],
-        "the shards key changed the outcome"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -341,8 +347,8 @@ fn old_recordings_and_snapshots_with_shard_sections_still_read() {
 
 /// The optional specs a `--config` file carries are checked like the
 /// flags are: each bad one gives one `invalid configuration:` line and
-/// exit 2. Before, some panicked, `sample_interval_secs: 0` never
-/// terminated, and a bad pause model or waitlist ran to an outcome.
+/// exit 2. Before, some panicked and a bad pause model or waitlist ran
+/// to an outcome.
 #[test]
 fn invalid_nested_specs_in_a_config_file_exit_2_with_one_line() {
     let out = sctsim(&["scenario", "--system", "tiny", "--hours", "1"]);
@@ -379,16 +385,6 @@ fn invalid_nested_specs_in_a_config_file_exit_2_with_one_line() {
             "\"replication\": null",
             "\"replication\": {\"copy_rate_mbps\": 0, \"max_concurrent\": 2, \"cooldown_secs\": 600, \"source\": \"Tertiary\"}",
             "replication needs a positive copy_rate_mbps",
-        ),
-        (
-            "\"sample_interval_secs\": null",
-            "\"sample_interval_secs\": -5",
-            "sample_interval_secs must be positive",
-        ),
-        (
-            "\"sample_interval_secs\": null",
-            "\"sample_interval_secs\": 0",
-            "sample_interval_secs must be positive",
         ),
     ];
     let dir = std::env::temp_dir().join(format!("sctsim-badspec-{}", std::process::id()));
@@ -458,6 +454,13 @@ fn erlang_and_trace_reject_bad_numbers() {
         assert!(err.contains(args[args.len() - 2]), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    // A missing `--svbr` is one line naming it, not the whole usage.
+    let out = sctsim(&["erlang"]);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "erlang ran without --svbr");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("--svbr"), "{err}");
 }
 
 #[test]

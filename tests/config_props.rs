@@ -26,7 +26,6 @@ struct Knobs {
     diurnal: Option<(f64, f64)>,
     waitlist: Option<(f64, usize)>,
     replication: Option<(f64, usize, f64)>,
-    sample_interval_secs: Option<f64>,
     seed: u64,
 }
 
@@ -74,7 +73,6 @@ fn knobs() -> impl Strategy<Value = Knobs> {
             0usize..4,
             or_bad(0.0..900.0, &[-1.0, NAN]),
         )),
-        maybe(or_bad(60.0..900.0, &[0.0, -5.0, NAN])),
         any::<u64>(),
     );
     (schedule, extensions).prop_map(
@@ -88,16 +86,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 (staging_kind, fraction),
                 receive_cap,
             ),
-            (
-                spread,
-                failures,
-                interactivity,
-                diurnal,
-                waitlist,
-                replication,
-                sample_interval_secs,
-                seed,
-            ),
+            (spread, failures, interactivity, diurnal, waitlist, replication, seed),
         )| Knobs {
             scheduler: SchedulerKind::ALL[kind],
             migrate,
@@ -116,7 +105,6 @@ fn knobs() -> impl Strategy<Value = Knobs> {
             diurnal,
             waitlist,
             replication,
-            sample_interval_secs,
             seed,
         },
     )
@@ -159,9 +147,6 @@ fn builder(k: &Knobs) -> SimConfigBuilder {
             cooldown_secs,
             source: CopySource::Tertiary,
         });
-    }
-    if let Some(secs) = k.sample_interval_secs {
-        b = b.sample_interval_secs(secs);
     }
     b
 }

@@ -4,6 +4,7 @@
 use sct_admission::{MigrationPolicy, ReplicationSpec, WaitlistSpec};
 use sct_core::config::SimConfig;
 use sct_core::simulation::Simulation;
+use sct_core::TimeSeriesProbe;
 use sct_workload::{HeterogeneityKind, SystemSpec};
 
 fn drm() -> MigrationPolicy {
@@ -98,30 +99,38 @@ fn batching_composes_with_diurnal() {
 #[test]
 fn kitchen_sink_composition() {
     for seed in [1u64, 2, 3] {
-        let out = Simulation::run(
-            &base()
-                .theta(-0.25)
-                .migration(drm())
-                .heterogeneity(HeterogeneityKind::Bandwidth, 0.5)
-                .failures(2.0, 0.25)
-                .interactivity(0.3, 60.0, 300.0)
-                .replication(ReplicationSpec::default_paper_scale())
-                .waitlist_spec(WaitlistSpec::batching(300.0, 10_000))
-                .diurnal(0.75, 3.0)
-                .sample_interval_secs(600.0)
-                .track_per_video(true)
-                .seed(seed)
-                .build(),
-        );
+        let cfg = base()
+            .theta(-0.25)
+            .migration(drm())
+            .heterogeneity(HeterogeneityKind::Bandwidth, 0.5)
+            .failures(2.0, 0.25)
+            .interactivity(0.3, 60.0, 300.0)
+            .replication(ReplicationSpec::default_paper_scale())
+            .waitlist_spec(WaitlistSpec::batching(300.0, 10_000))
+            .diurnal(0.75, 3.0)
+            .seed(seed)
+            .build();
+        let mut recorder = TimeSeriesProbe::new(&cfg, 600.0);
+        let out = Simulation::run_with_probes(&cfg, &mut [&mut recorder]);
+        let windows = recorder.finish().windows;
         out.stats.check();
         assert!(out.utilization > 0.0 && out.utilization <= 1.0 + 1e-9);
-        // Per-video counters still reconcile with the waitlist-adjusted
-        // totals.
-        let arrivals: u64 = out.per_video_arrivals.iter().map(|&x| x as u64).sum();
+        // The recorder's arrivals, counted as they are admitted or
+        // turned away, reconcile with the waitlist-adjusted totals.
+        let arrivals: u64 = windows.iter().map(|w| w.arrivals).sum();
         assert_eq!(arrivals, out.stats.arrivals);
-        // Sampled windows average to the headline utilization.
-        let mean: f64 =
-            out.window_utilization.iter().sum::<f64>() / out.window_utilization.len() as f64;
-        assert!((mean - out.utilization).abs() < 1e-9);
+        // Recorded windows average to the headline utilization, each
+        // weighted by its measured seconds.
+        let measured: f64 = windows.iter().map(|w| w.measured_secs).sum();
+        let mean = windows
+            .iter()
+            .map(|w| w.utilization * w.measured_secs)
+            .sum::<f64>()
+            / measured;
+        assert!(
+            (mean - out.utilization).abs() < 1e-9,
+            "windows {mean} vs total {}",
+            out.utilization
+        );
     }
 }

@@ -6,12 +6,14 @@
 //! `SimOutcome` must round-trip exactly (the vendored serde_json always
 //! uses shortest-exact float formatting). Any change to event ordering,
 //! RNG draw order, or the per-engine integration step sequence shows up
-//! here as a diff, not as a silent drift.
+//! here as a diff, not as a silent drift. `small_no_migration` was
+//! re-baselined once, when windowed sampling left the loop: its 10
+//! sample events had split the engines' integration steps, so its
+//! utilization moved in the last bits and its event count fell by 10.
 //!
 //! The four configs cover both paper systems, migration on and off, and
 //! between them exercise every event kind the loop handles: failures,
-//! pause/resume, replication copies, waitlist service, and window
-//! sampling.
+//! pause/resume, replication copies and waitlist service.
 
 use semi_continuous_vod::prelude::*;
 use std::path::PathBuf;
@@ -162,15 +164,12 @@ fn check_golden(name: &str, config: &SimConfig) {
     );
 }
 
-/// Small system, no migration, with window sampling and per-video
-/// counters — the paper's baseline configuration.
+/// Small system, no migration — the paper's baseline configuration.
 #[test]
 fn golden_small_no_migration() {
     let cfg = SimConfig::builder(SystemSpec::small_paper())
         .duration_hours(3.0)
         .warmup_hours(0.5)
-        .sample_interval_secs(900.0)
-        .track_per_video(true)
         .seed(1001)
         .build();
     check_golden("small_no_migration", &cfg);

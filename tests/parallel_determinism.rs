@@ -41,8 +41,6 @@ fn goldens() -> [SimConfig; 4] {
         SimConfig::builder(SystemSpec::small_paper())
             .duration_hours(3.0)
             .warmup_hours(0.5)
-            .sample_interval_secs(900.0)
-            .track_per_video(true)
             .seed(1001)
             .build(),
         SimConfig::builder(SystemSpec::small_paper())
@@ -188,8 +186,6 @@ fn flash_crowd() -> SimConfig {
         .theta(-0.5)
         .migration(MigrationPolicy::single_hop())
         .diurnal(0.9, 2.0)
-        .sample_interval_secs(600.0)
-        .track_per_video(true)
         .seed(2024)
         .duration_hours(3.0)
         .warmup_hours(0.5)

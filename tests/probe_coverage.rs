@@ -19,7 +19,7 @@ use semi_continuous_vod::prelude::*;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Coverage {
     kind: &'static str,
-    /// `MetricsProbe` folds it into a counter/sample.
+    /// `MetricsProbe` folds it into a counter.
     metrics: bool,
     /// `SpanProbe` folds it into a span, segment, edge, or mark.
     spans: bool,
@@ -32,12 +32,12 @@ fn coverage(event: &SimEvent) -> Coverage {
     match event {
         SimEvent::Admitted { .. } => Coverage {
             kind: "Admitted",
-            metrics: true, // per-video arrival counters
-            spans: true,   // opens the viewer span
+            metrics: false, // arrival totals live in AdmissionStats
+            spans: true,    // opens the viewer span
         },
         SimEvent::Rejected { .. } => Coverage {
             kind: "Rejected",
-            metrics: true,
+            metrics: false,
             spans: true,
         },
         SimEvent::Completed { .. } => Coverage {
@@ -94,11 +94,6 @@ fn coverage(event: &SimEvent) -> Coverage {
             kind: "WaitlistExpired",
             metrics: false,
             spans: true, // closes the longest-waiting spans
-        },
-        SimEvent::WindowSample { .. } => Coverage {
-            kind: "WindowSample",
-            metrics: true, // windowed-utilization series
-            spans: false,  // no request is involved
         },
     }
 }
@@ -161,10 +156,6 @@ fn sample() -> Vec<SimEvent> {
             waited_secs: 5.0,
         },
         SimEvent::WaitlistExpired { count: 1 },
-        SimEvent::WindowSample {
-            index: 0,
-            utilization: 0.5,
-        },
     ]
 }
 
@@ -185,7 +176,7 @@ fn sample_covers_every_event_kind_exactly_once() {
 #[test]
 fn metrics_probe_folds_exactly_the_variants_it_claims() {
     for event in &sample() {
-        let mut probe = MetricsProbe::new(4, true);
+        let mut probe = MetricsProbe::default();
         let before = probe.clone();
         probe.on_event(SimTime::from_secs(1.0), event);
         let changed = probe != before;

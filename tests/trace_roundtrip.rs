@@ -27,8 +27,6 @@ fn trace_reconciles_with_outcome_on_a_plain_run() {
     let cfg = SimConfig::builder(SystemSpec::tiny_test())
         .duration_hours(2.0)
         .warmup_hours(0.25)
-        .sample_interval_secs(600.0)
-        .track_per_video(true)
         .seed(11)
         .build();
     let (out, trace) = traced_run(&cfg, "plain.jsonl");
@@ -42,17 +40,6 @@ fn trace_reconciles_with_outcome_on_a_plain_run() {
     assert_eq!(out.completions, trace.count("Completed"));
     assert_eq!(out.server_failures, trace.count("ServerDown"));
     assert_eq!(out.pauses_applied, trace.count("Paused"));
-    // Windowed samples appear once per interval and carry the same values
-    // the outcome reports.
-    let samples: Vec<&sct_analysis::TraceEvent> = trace.of_kind("WindowSample").collect();
-    assert_eq!(samples.len(), out.window_utilization.len());
-    for (i, (ev, &w)) in samples.iter().zip(&out.window_utilization).enumerate() {
-        assert_eq!(ev.num_field("index"), Some(i as f64));
-        assert_eq!(ev.num_field("utilization"), Some(w), "window {i}");
-    }
-    // Per-video counters fold the same Admitted/Rejected records.
-    let arrivals: u64 = out.per_video_arrivals.iter().map(|&x| x as u64).sum();
-    assert_eq!(arrivals, out.stats.arrivals);
     // The outcome the probe observed is the outcome a plain run computes.
     assert_eq!(out, Simulation::run(&cfg));
 }
