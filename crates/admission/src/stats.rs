@@ -3,12 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Counters maintained by the [`crate::Controller`] over one trial.
-///
-/// `Deserialize` is hand-written below rather than derived: the vendored
-/// minimal serde has no `#[serde(default)]`, and golden `SimOutcome`
-/// fixtures written before `restarted_on_failure` existed must keep
-/// deserializing (the missing counter defaults to 0).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionStats {
     /// Requests that arrived.
     pub arrivals: u64,
@@ -36,31 +31,6 @@ pub struct AdmissionStats {
     /// Streams lost because no replica holder could absorb them when their
     /// server failed.
     pub dropped_on_failure: u64,
-}
-
-impl Deserialize for AdmissionStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Map(m) = v else {
-            return Err(serde::DeError::expected("map", "AdmissionStats"));
-        };
-        let field = |name: &str| serde::map_field(m, name, "AdmissionStats");
-        Ok(AdmissionStats {
-            arrivals: Deserialize::from_value(field("arrivals")?)?,
-            accepted_direct: Deserialize::from_value(field("accepted_direct")?)?,
-            accepted_via_migration: Deserialize::from_value(field("accepted_via_migration")?)?,
-            chain2_migrations: Deserialize::from_value(field("chain2_migrations")?)?,
-            rejected: Deserialize::from_value(field("rejected")?)?,
-            requested_mb: Deserialize::from_value(field("requested_mb")?)?,
-            accepted_mb: Deserialize::from_value(field("accepted_mb")?)?,
-            relocated_on_failure: Deserialize::from_value(field("relocated_on_failure")?)?,
-            // Absent in fixtures that predate the counter: default to 0.
-            restarted_on_failure: match field("restarted_on_failure") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            dropped_on_failure: Deserialize::from_value(field("dropped_on_failure")?)?,
-        })
-    }
 }
 
 impl AdmissionStats {

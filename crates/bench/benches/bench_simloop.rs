@@ -29,7 +29,8 @@ struct ScenarioInfo {
 }
 
 /// One cell's timing over its repetitions: the minimum wall time, which
-/// `events_per_sec` and the ratchets use, and the median beside it.
+/// `events_per_sec` uses, and the median beside it, which raises the
+/// ratchets.
 #[derive(Serialize)]
 struct GridRow {
     scheduler: &'static str,
@@ -66,15 +67,17 @@ struct Report {
     grid: Vec<GridRow>,
     huge: HugeReport,
     /// Monotone throughput ratchet: the highest `RATCHET_FRACTION ×
-    /// min(grid events/s)` any committed run has observed. CI fails when
-    /// a run's slowest cell drops below this floor (after its own
-    /// machine-variance allowance — see the workflow), so hot-path
-    /// regressions cannot land silently; the floor only ever rises.
+    /// min(grid events / median wall)` any committed run has observed.
+    /// CI fails when a run's slowest cell drops below this floor (after
+    /// its own machine-variance allowance — see the workflow), so
+    /// hot-path regressions cannot land silently; the floor only ever
+    /// rises. It rises from the median rep, not the fastest, so one fast
+    /// moment of a shared host cannot lift it for good.
     floor_events_per_sec: f64,
     /// Ratchet for the Huge (million-slot) scenario, maintained the same
-    /// way over its events/s. Huge trials run seconds, not milliseconds,
-    /// so it takes the better of two runs and the CI allowance (see the
-    /// workflow) absorbs the extra jitter.
+    /// way over its events / median wall. Huge trials run seconds, not
+    /// milliseconds, so the CI allowance (see the workflow) absorbs the
+    /// extra jitter.
     huge_floor_events_per_sec: f64,
 }
 
@@ -92,9 +95,8 @@ const SEED: u64 = 5;
 const HUGE_SIM_HOURS: f64 = 0.05;
 const RESULT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_sim.json");
 
-/// Fraction of the measured minimum used when advancing the floor: a
-/// guard band so an immediate same-machine rerun (min-of-3 jitter) still
-/// clears its own ratchet.
+/// Fraction of the measured median used when advancing a floor: a guard
+/// band so an immediate same-machine rerun still clears its own ratchet.
 const RATCHET_FRACTION: f64 = 0.9;
 
 /// The floor recorded by the previous run, if the results file exists
@@ -202,9 +204,9 @@ fn main() {
         }
     }
 
-    // The million-slot Huge scenario. A trial costs seconds, so it takes
-    // the better of two runs — enough to shed the worst host-jitter
-    // outliers without doubling the bench.
+    // The million-slot Huge scenario. A trial costs seconds, so it runs
+    // twice: `events_per_sec` reports the faster run, the ratchet the
+    // mean of both (the median of two).
     let (huge_wall_secs, huge_median_wall_secs, huge_events) = measure(&huge_config(), HUGE_REPS);
     let huge_eps = huge_events as f64 / huge_wall_secs;
     println!(
@@ -212,18 +214,22 @@ fn main() {
          ({huge_eps:.0} events/s)"
     );
 
-    let min_eps = grid
+    let min_median_eps = grid
         .iter()
-        .map(|row| row.events_per_sec)
+        .map(|row| row.events as f64 / row.median_wall_secs)
         .fold(f64::INFINITY, f64::min);
-    let floor_events_per_sec = prior_floor().unwrap_or(0.0).max(RATCHET_FRACTION * min_eps);
+    let floor_events_per_sec = prior_floor()
+        .unwrap_or(0.0)
+        .max(RATCHET_FRACTION * min_median_eps);
     println!(
-        "simloop: grid floor {min_eps:.0} events/s, ratchet {floor_events_per_sec:.0} events/s"
+        "simloop: grid floor {min_median_eps:.0} events/s at the median, \
+         ratchet {floor_events_per_sec:.0} events/s"
     );
 
+    let huge_median_eps = huge_events as f64 / huge_median_wall_secs;
     let huge_floor_events_per_sec = prior_huge_floor()
         .unwrap_or(0.0)
-        .max(RATCHET_FRACTION * huge_eps);
+        .max(RATCHET_FRACTION * huge_median_eps);
     println!("simloop: huge ratchet {huge_floor_events_per_sec:.0} events/s");
 
     let report = Report {

@@ -2,29 +2,46 @@
 //!
 //! The event loop in [`crate::simulation`] narrates everything observable
 //! that happens during a trial as a stream of [`SimEvent`] records. A
-//! [`Probe`] subscribes to that stream: the built-in [`MetricsProbe`]
-//! folds it into the counters that [`crate::simulation::SimOutcome`]
-//! reports, and [`JsonlTraceProbe`] exports it as a replayable JSONL
-//! trace (one `{"t": seconds, "event": {...}}` object per line,
-//! externally-tagged variant encoding) for post-hoc analysis with the
-//! `sct-analysis` trace reader.
+//! [`Probe`] subscribes to that stream; [`JsonlTraceProbe`] exports it as
+//! a replayable JSONL trace (one `{"t": seconds, "event": {...}}` object
+//! per line, externally-tagged variant encoding) for post-hoc analysis
+//! with the `sct-analysis` trace reader.
+//!
+//! Each record names the causes the loop held when it emitted it: a
+//! migrated or chained [`SimEvent::Admitted`] names the victims it
+//! displaced, an emergency [`SimEvent::Migrated`] names the failed server
+//! it left, and [`SimEvent::WaitlistServed`] names the completion, copy
+//! or repair that freed its capacity. A reader links an effect to its
+//! cause from the record alone, without relying on the order of records
+//! within one instant.
 //!
 //! Probes observe; they never steer. The simulation's behaviour is
 //! bit-identical with any set of probes attached, including none.
 
+use sct_analysis::spans::EdgeEnd;
 use sct_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 
-/// How an accepted request obtained its slot.
+/// How an accepted request obtained its slot, naming the streams its
+/// admission displaced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdmitPath {
     /// A replica holder had a free slot.
     Direct,
     /// A single victim migration freed the slot (DRM).
-    Migrated,
+    Migrated {
+        /// The stream moved off the admitting server.
+        victim: u64,
+    },
     /// A two-step migration chain freed the slot.
-    Chained,
+    Chained {
+        /// The stream moved off the admitting server.
+        outer: u64,
+        /// The stream moved off the outer victim's target to make room
+        /// for it.
+        inner: u64,
+    },
 }
 
 /// One observable simulation occurrence, stamped by the loop with the
@@ -60,8 +77,10 @@ pub enum SimEvent {
         /// Server it finished on.
         server: u16,
     },
-    /// An active stream moved between servers (DRM victim hand-off or
-    /// emergency evacuation).
+    /// An active stream moved between servers: a DRM victim hand-off
+    /// (named by the `Admitted` record that displaced it, at the same
+    /// instant) or an emergency evacuation (caused by the failure of
+    /// `from`, whose `ServerDown` record follows its evacuations).
     Migrated {
         /// The relocated stream.
         stream: u64,
@@ -73,7 +92,8 @@ pub enum SimEvent {
         /// admission-time DRM hand-off.
         emergency: bool,
     },
-    /// A server failed; its streams were evacuated or dropped.
+    /// A server failed; its streams were evacuated (each one narrated by
+    /// an emergency `Migrated` record before this one) or dropped.
     ServerDown {
         /// The failed server.
         server: u16,
@@ -137,6 +157,10 @@ pub enum SimEvent {
         batched: bool,
         /// How long the viewer waited, seconds.
         waited_secs: f64,
+        /// What freed the capacity at this instant: the last stream the
+        /// server reaped (a `Completed` viewer or a `CopyDone` copy), or
+        /// the repaired server (`ServerUp`).
+        cause: EdgeEnd,
     },
     /// Waiters ran out of patience and left the queue.
     WaitlistExpired {
@@ -216,38 +240,6 @@ pub(crate) fn emit(probes: &mut [&mut dyn Probe], now: SimTime, event: &SimEvent
     }
 }
 
-/// The accounting probe: folds the event stream into the event-driven
-/// counters of [`crate::simulation::SimOutcome`].
-///
-/// (Quantities that are integrals of engine state — utilization, goodput,
-/// per-server megabits — are computed by the epilogue from the engines
-/// themselves; they are not events. The windowed view is the flight
-/// recorder, [`crate::TimeSeriesProbe`].)
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsProbe {
-    /// Viewer streams that finished transmission.
-    pub completions: u64,
-    /// Server failures observed.
-    pub server_failures: u64,
-    /// Pauses applied to live streams.
-    pub pauses_applied: u64,
-}
-
-impl Probe for MetricsProbe {
-    fn on_event(&mut self, _now: SimTime, event: &SimEvent) {
-        match *event {
-            SimEvent::Completed { .. } => self.completions += 1,
-            SimEvent::ServerDown { .. } => self.server_failures += 1,
-            SimEvent::Paused { .. } => self.pauses_applied += 1,
-            _ => {}
-        }
-    }
-
-    fn uses_state(&self) -> bool {
-        false
-    }
-}
-
 /// Streams the event record to a file as JSON Lines: one
 /// `{"t": <secs>, "event": {"<Kind>": {...}}}` object per line.
 ///
@@ -316,65 +308,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_probe_folds_counters() {
-        let mut m = MetricsProbe::default();
-        let t = SimTime::ZERO;
-        m.on_event(
-            t,
-            &SimEvent::Admitted {
-                stream: 0,
-                video: 1,
-                server: 0,
-                path: AdmitPath::Direct,
-            },
-        );
-        m.on_event(
-            t,
-            &SimEvent::Rejected {
-                stream: 1,
-                video: 1,
-            },
-        );
-        m.on_event(
-            t,
-            &SimEvent::Completed {
-                stream: 0,
-                server: 0,
-            },
-        );
-        m.on_event(
-            t,
-            &SimEvent::ServerDown {
-                server: 2,
-                relocated: 0,
-                dropped: 1,
-            },
-        );
-        m.on_event(
-            t,
-            &SimEvent::Paused {
-                stream: 5,
-                server: 1,
-            },
-        );
-        assert_eq!(
-            m,
-            MetricsProbe {
-                completions: 1,
-                server_failures: 1,
-                pauses_applied: 1,
-            }
-        );
-    }
-
-    #[test]
     fn sim_event_round_trips_through_json() {
         let events = [
             SimEvent::Admitted {
                 stream: 7,
                 video: 3,
                 server: 1,
-                path: AdmitPath::Chained,
+                path: AdmitPath::Chained { outer: 5, inner: 2 },
+            },
+            SimEvent::Admitted {
+                stream: 8,
+                video: 3,
+                server: 1,
+                path: AdmitPath::Migrated { victim: 6 },
+            },
+            SimEvent::Admitted {
+                stream: 9,
+                video: 0,
+                server: 0,
+                path: AdmitPath::Direct,
             },
             SimEvent::Migrated {
                 stream: 2,
@@ -388,6 +340,7 @@ mod tests {
                 server: 0,
                 batched: true,
                 waited_secs: 0.8734561234,
+                cause: EdgeEnd::Stream { stream: 3 },
             },
             SimEvent::WaitlistServed {
                 stream: 9,
@@ -395,8 +348,14 @@ mod tests {
                 server: 2,
                 batched: false,
                 waited_secs: 12.5,
+                cause: EdgeEnd::Server { server: 2 },
             },
         ];
+        assert_eq!(
+            serde_json::to_string(&events[0]).unwrap(),
+            "{\"Admitted\":{\"stream\":7,\"video\":3,\"server\":1,\
+             \"path\":{\"Chained\":{\"outer\":5,\"inner\":2}}}}"
+        );
         for ev in &events {
             let json = serde_json::to_string(ev).unwrap();
             assert!(json.contains(ev.kind()), "{json}");

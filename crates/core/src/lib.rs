@@ -12,15 +12,15 @@
 //!   admission control (with DRM) → per-server EFTF transmission engines →
 //!   utilization accounting.
 //! * [`events`] — the typed [`events::SimEvent`] record stream the loop
-//!   narrates, the [`events::Probe`] observer trait, and the built-in
-//!   probes (metrics accumulation, JSONL trace export).
+//!   narrates (each record naming its causes), the [`events::Probe`]
+//!   observer trait, and the JSONL trace export.
 //! * [`metrics`] — the telemetry layer: mergeable log-bucketed
 //!   histograms, exact time-weighted gauges, the
 //!   [`metrics::TelemetryProbe`], and the [`metrics::MetricsRegistry`]
 //!   it exports.
 //! * [`spans`] — the [`spans::SpanProbe`]: request-lifecycle spans with
-//!   causal edges (why *this* stream migrated), exported through
-//!   `sct_analysis::spans`.
+//!   causal edges (why *this* stream migrated) read from the causes the
+//!   events name, exported through `sct_analysis::spans`.
 //! * [`profile`] — the on-request [`profile::LoopProfiler`]: the loop's
 //!   one wall-clock layer, phase timers (dispatch / allocator / wake
 //!   scheduling / probe emission), enabled by
@@ -51,7 +51,7 @@ pub mod spans;
 pub mod timeseries;
 
 pub use config::{ConfigError, SimConfig, SimConfigBuilder, StagingSpec};
-pub use events::{AdmitPath, JsonlTraceProbe, MetricsProbe, Probe, SimEvent};
+pub use events::{AdmitPath, JsonlTraceProbe, Probe, SimEvent};
 pub use metrics::{Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge};
 pub use policies::Policy;
 pub use profile::{LoopProfile, LoopProfiler, PhaseStat};

@@ -747,8 +747,8 @@ impl Probe for TelemetryProbe {
         match *event {
             SimEvent::Admitted { path, .. } => match path {
                 AdmitPath::Direct => self.admitted_direct += 1,
-                AdmitPath::Migrated => self.admitted_drm += 1,
-                AdmitPath::Chained => self.admitted_chained += 1,
+                AdmitPath::Migrated { .. } => self.admitted_drm += 1,
+                AdmitPath::Chained { .. } => self.admitted_chained += 1,
             },
             SimEvent::Rejected { .. } => self.rejected += 1,
             SimEvent::Completed { .. } => self.completions += 1,

@@ -11,11 +11,13 @@
 //! The loop is event-sourced: a `SimWorld` pops queue entries and
 //! dispatches each `Event` variant to its own handler method. Handlers
 //! mutate world state and *narrate* what happened as typed [`SimEvent`]
-//! records delivered to every attached [`Probe`]. All `SimOutcome`
-//! accounting of discrete occurrences lives in the built-in
-//! [`MetricsProbe`]; quantities that are integrals of engine state
-//! (utilization, goodput) are computed by the epilogue from the engines
-//! themselves.
+//! records delivered to every attached [`Probe`]. Each record names the
+//! causes its handler holds: the victims an admission displaced, the
+//! failed server an evacuee left, the reaped stream or repaired server
+//! whose capacity served a waiter. The handlers that emit `Completed`,
+//! `ServerDown` and `Paused` also count them for the `SimOutcome`;
+//! quantities that are integrals of engine state (utilization, goodput)
+//! are computed by the epilogue from the engines themselves.
 //!
 //! Two kinds of entry dominate the queue:
 //!
@@ -34,12 +36,13 @@
 //! rate, so engines integrate state exactly (no time-stepping error).
 
 use crate::config::SimConfig;
-use crate::events::{AdmitPath, MetricsProbe, Probe, SimEvent};
+use crate::events::{AdmitPath, Probe, SimEvent};
 use crate::profile::{LoopProfile, LoopProfiler, Phase};
 use sct_admission::{
     Admission, AdmissionStats, Controller, CopyLaunch, ReplicationManager, ReplicationStats,
     Waitlist, WaitlistStats,
 };
+use sct_analysis::spans::EdgeEnd;
 use sct_cluster::{ClusterSpec, ReplicaMap, ServerId};
 use sct_media::{Catalog, ClientProfile};
 use sct_simcore::{EventQueue, Exponential, Popped, Rng, SimTime, ZipfLike};
@@ -221,6 +224,12 @@ struct SimWorld<'a> {
     loc_hint: HashMap<u64, u16>,
     next_stream_id: u64,
     events_processed: u64,
+    /// Viewer streams reaped as finished (`Completed` records).
+    completions: u64,
+    /// Server failures (`ServerDown` records).
+    server_failures: u64,
+    /// Pauses that landed on a live stream (`Paused` records).
+    pauses_applied: u64,
     last_time: SimTime,
     /// Wall-clock phase timers, enabled or disabled as a whole; see
     /// [`crate::profile`].
@@ -340,6 +349,9 @@ impl<'a> SimWorld<'a> {
             loc_hint: HashMap::new(),
             next_stream_id: 0,
             events_processed: 0,
+            completions: 0,
+            server_failures: 0,
+            pauses_applied: 0,
             last_time: SimTime::ZERO,
             prof: if profile {
                 LoopProfiler::new()
@@ -351,9 +363,9 @@ impl<'a> SimWorld<'a> {
         }
     }
 
-    /// Pops and dispatches entries until the queue drains. Every popped
-    /// wake is live (the wake slots never hold a superseded one), so
-    /// every pop is an event.
+    /// Pops and dispatches entries until the queue drains, narrating to
+    /// `probes`. Every popped wake is live (the wake slots never hold a
+    /// superseded one), so every pop is an event.
     fn run_loop(&mut self, probes: &mut [&mut dyn Probe]) {
         while let Some(entry) = self.sched.queue.pop_next() {
             #[cfg(test)]
@@ -467,7 +479,7 @@ impl<'a> SimWorld<'a> {
                         stream: stream_id,
                         video: vid,
                         server: server.0,
-                        path: AdmitPath::Migrated,
+                        path: AdmitPath::Migrated { victim: victim.0 },
                     },
                 );
                 crate::events::emit(
@@ -498,7 +510,10 @@ impl<'a> SimWorld<'a> {
                         stream: stream_id,
                         video: vid,
                         server: server.0,
-                        path: AdmitPath::Chained,
+                        path: AdmitPath::Chained {
+                            outer: first.0 .0,
+                            inner: second.0 .0,
+                        },
                     },
                 );
                 crate::events::emit(
@@ -621,16 +636,17 @@ impl<'a> SimWorld<'a> {
     }
 
     /// A live wake: integrate the server, reap finished streams, feed the
-    /// waitlist with any freed slots, and re-arm.
+    /// waitlist with any freed slots (the last stream reaped is their
+    /// cause), and re-arm.
     fn on_wake(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         let t0 = self.prof.stamp();
         let e = &mut self.engines[server as usize];
         e.advance_to(now);
         self.prof.add(Phase::Alloc, t0);
         let e = &mut self.engines[server as usize];
-        let mut slots_freed = false;
+        let mut freed_by = None;
         for done in e.reap_finished(now) {
-            slots_freed = true;
+            freed_by = Some(EdgeEnd::Stream { stream: done.id.0 });
             if done.is_copy() {
                 let installed = self
                     .replication
@@ -647,6 +663,7 @@ impl<'a> SimWorld<'a> {
                 );
             } else {
                 self.loc_hint.remove(&done.id.0);
+                self.completions += 1;
                 crate::events::emit(
                     probes,
                     now,
@@ -657,17 +674,17 @@ impl<'a> SimWorld<'a> {
                 );
             }
         }
-        if slots_freed {
-            self.serve_from_waitlist(now, probes);
+        if let Some(cause) = freed_by {
+            self.serve_from_waitlist(now, cause, probes);
         }
         self.sched
             .rearm(&mut self.engines[server as usize], now, &self.prof);
     }
 
-    /// Expires impatient waiters, then retries the queue against freed
-    /// slots, re-arming every server that took a stream. Shared by the
-    /// wake and repair paths.
-    fn serve_from_waitlist(&mut self, now: SimTime, probes: &mut [&mut dyn Probe]) {
+    /// Expires impatient waiters, then retries the queue against the
+    /// capacity `cause` freed, re-arming every server that took a stream.
+    /// Shared by the wake and repair paths.
+    fn serve_from_waitlist(&mut self, now: SimTime, cause: EdgeEnd, probes: &mut [&mut dyn Probe]) {
         let Some(wl) = self.waitlist.as_mut() else {
             return;
         };
@@ -692,6 +709,7 @@ impl<'a> SimWorld<'a> {
                     server: w.server.0,
                     batched: w.batched,
                     waited_secs: w.waited_secs,
+                    cause,
                 },
             );
         }
@@ -715,18 +733,11 @@ impl<'a> SimWorld<'a> {
             &self.replica_map,
             now,
         );
-        crate::events::emit(
-            probes,
-            now,
-            &SimEvent::ServerDown {
-                server,
-                relocated: (evac.relocated.len() + evac.restarted.len()) as u32,
-                dropped: evac.dropped.len() as u32,
-            },
-        );
         // Best-effort restarts are relocations too (just non-seamless),
         // so they share the emergency-migration event; the stats split
-        // them out via `restarted_on_failure`.
+        // them out via `restarted_on_failure`. The summary follows its
+        // evacuations, so whatever a reader still holds on the failed
+        // server when it arrives was dropped.
         for &(stream, to) in evac.relocated.iter().chain(&evac.restarted) {
             crate::events::emit(
                 probes,
@@ -739,6 +750,16 @@ impl<'a> SimWorld<'a> {
                 },
             );
         }
+        self.server_failures += 1;
+        crate::events::emit(
+            probes,
+            now,
+            &SimEvent::ServerDown {
+                server,
+                relocated: (evac.relocated.len() + evac.restarted.len()) as u32,
+                dropped: evac.dropped.len() as u32,
+            },
+        );
         for stream in &evac.dropped {
             self.loc_hint.remove(&stream.0);
         }
@@ -759,7 +780,7 @@ impl<'a> SimWorld<'a> {
     fn on_server_up(&mut self, now: SimTime, server: u16, probes: &mut [&mut dyn Probe]) {
         self.engines[server as usize].repair(now);
         crate::events::emit(probes, now, &SimEvent::ServerUp { server });
-        self.serve_from_waitlist(now, probes);
+        self.serve_from_waitlist(now, EdgeEnd::Server { server }, probes);
         let up_time = self
             .failure_dists
             .as_ref()
@@ -830,15 +851,13 @@ impl<'a> SimWorld<'a> {
             }
         }
         if let Some(server) = found {
-            crate::events::emit(
-                probes,
-                now,
-                &if paused {
-                    SimEvent::Paused { stream: id, server }
-                } else {
-                    SimEvent::Resumed { stream: id, server }
-                },
-            );
+            let event = if paused {
+                self.pauses_applied += 1;
+                SimEvent::Paused { stream: id, server }
+            } else {
+                SimEvent::Resumed { stream: id, server }
+            };
+            crate::events::emit(probes, now, &event);
             self.sched
                 .rearm(&mut self.engines[server as usize], now, &self.prof);
         } else {
@@ -848,23 +867,9 @@ impl<'a> SimWorld<'a> {
         }
     }
 
-    /// Runs the loop with the built-in [`MetricsProbe`] first in the hub,
-    /// then `extra`, and returns the metrics probe for [`SimWorld::finish`].
-    fn run_probed(&mut self, extra: &mut [&mut dyn Probe]) -> MetricsProbe {
-        let mut metrics = MetricsProbe::default();
-        let mut hub: Vec<&mut dyn Probe> = Vec::with_capacity(1 + extra.len());
-        hub.push(&mut metrics);
-        for p in extra.iter_mut() {
-            hub.push(&mut **p);
-        }
-        self.run_loop(&mut hub);
-        drop(hub);
-        metrics
-    }
-
     /// Integrates the tail of every engine to the horizon and reduces the
-    /// world plus the accumulated metrics to a [`SimOutcome`].
-    fn finish(mut self, metrics: MetricsProbe) -> SimOutcome {
+    /// world to a [`SimOutcome`].
+    fn finish(mut self) -> SimOutcome {
         let end = self.sched.end;
         for e in &mut self.engines {
             e.advance_to(end);
@@ -917,12 +922,12 @@ impl<'a> SimWorld<'a> {
             utilization,
             per_server_utilization,
             stats: self.controller.stats,
-            completions: metrics.completions,
+            completions: self.completions,
             events_processed: self.events_processed,
             measured_hours: measured_secs / 3600.0,
             total_copies: self.total_copies,
-            server_failures: metrics.server_failures,
-            pauses_applied: metrics.pauses_applied,
+            server_failures: self.server_failures,
+            pauses_applied: self.pauses_applied,
             replication: rep_stats,
             waitlist: wl_stats,
             goodput: goodput.max(0.0),
@@ -940,16 +945,15 @@ impl Simulation {
         Self::run_with_probes(config, &mut [])
     }
 
-    /// Runs one trial with extra [`Probe`] observers attached alongside
-    /// the built-in metrics probe. Probes see every
-    /// [`SimEvent`] in simulation-time order and
-    /// cannot perturb the run: the returned outcome is bit-identical to
-    /// [`Simulation::run`] on the same config. The loop's profilers are
-    /// disabled, so no event reads the wall clock.
-    pub fn run_with_probes(config: &SimConfig, extra: &mut [&mut dyn Probe]) -> SimOutcome {
+    /// Runs one trial with [`Probe`] observers attached. Probes see every
+    /// [`SimEvent`] in simulation-time order and cannot perturb the run:
+    /// the returned outcome is bit-identical to [`Simulation::run`] on the
+    /// same config. The loop's profilers are disabled, so no event reads
+    /// the wall clock.
+    pub fn run_with_probes(config: &SimConfig, probes: &mut [&mut dyn Probe]) -> SimOutcome {
         let mut world = SimWorld::new(config, false);
-        let metrics = world.run_probed(extra);
-        world.finish(metrics)
+        world.run_loop(probes);
+        world.finish()
     }
 
     /// Like [`Simulation::run_with_probes`], but with the event loop's
@@ -960,12 +964,12 @@ impl Simulation {
     /// enforces this across the golden scenarios).
     pub fn run_instrumented(
         config: &SimConfig,
-        extra: &mut [&mut dyn Probe],
+        probes: &mut [&mut dyn Probe],
     ) -> (SimOutcome, LoopProfile) {
         let mut world = SimWorld::new(config, true);
-        let metrics = world.run_probed(extra);
+        world.run_loop(probes);
         let profile = world.prof.report();
-        (world.finish(metrics), profile)
+        (world.finish(), profile)
     }
 }
 
@@ -1064,7 +1068,7 @@ mod tests {
     fn default_path_never_profiles() {
         let cfg = quick_config(42);
         let mut world = SimWorld::new(&cfg, false);
-        world.run_probed(&mut []);
+        world.run_loop(&mut []);
         assert!(world.events_processed > 0);
         assert!(!world.prof.enabled());
         let report = world.prof.report();
@@ -1089,7 +1093,7 @@ mod tests {
             .seed(5)
             .build();
         let mut world = SimWorld::new(&cfg, false);
-        world.run_probed(&mut []);
+        world.run_loop(&mut []);
         assert!(world.events_processed > 5_000, "{}", world.events_processed);
         assert_eq!(world.pops, world.events_processed);
     }
@@ -1147,7 +1151,7 @@ mod tests {
             .check_invariants(true)
             .build();
         let mut world = SimWorld::new(&cfg, false);
-        world.run_probed(&mut []);
+        world.run_loop(&mut []);
         let in_engines: std::collections::HashSet<u64> = world
             .engines
             .iter()
@@ -1176,7 +1180,7 @@ mod tests {
     fn loc_hint_unused_without_interactivity() {
         let cfg = quick_config(42);
         let mut world = SimWorld::new(&cfg, false);
-        world.run_probed(&mut []);
+        world.run_loop(&mut []);
         assert!(
             world.loc_hint.is_empty(),
             "no interactivity: the hint map must never be populated"

@@ -4,7 +4,7 @@
 //! moved because an arrival was admitted, a chain-2 inner hop moved so
 //! the outer victim could land, an evacuation happened because a server
 //! failed, a waiter was served because a completion freed a slot. The
-//! aggregate counters ([`crate::events::MetricsProbe`]) and histograms
+//! aggregate counters ([`crate::simulation::SimOutcome`]) and histograms
 //! ([`crate::metrics::TelemetryProbe`]) can say *how many* of each
 //! happened, never *why this one*. The [`SpanProbe`] closes that gap: it
 //! folds the [`SimEvent`] stream into one [`Span`] per request (and per
@@ -18,29 +18,25 @@
 //!
 //! ## Causal attribution rules
 //!
-//! The loop's handlers emit events in a fixed order within one
-//! simulation instant, and the probe leans on that contract
-//! (`crate::simulation` is the single emission site for each rule):
+//! Every edge comes from the one record that names both of its ends:
 //!
-//! * `Admitted { path: Migrated }` is followed by exactly one
-//!   non-emergency `Migrated` — the displaced victim
-//!   ([`EdgeKind::Displaced`], admission → victim).
-//! * `Admitted { path: Chained }` is followed by exactly two: the outer
-//!   victim (a `Displaced` edge from the admission) and then the inner
-//!   victim ([`EdgeKind::ChainInner`], outer victim → inner victim).
-//! * `ServerDown { relocated, .. }` is followed by exactly `relocated`
-//!   emergency `Migrated`s ([`EdgeKind::Evacuated`], failed server →
-//!   rescued stream). Viewer spans still on the failed server after the
-//!   last evacuation lost service and close as
+//! * `Admitted { path: Migrated { victim } }` → a [`EdgeKind::Displaced`]
+//!   edge, admission → victim.
+//! * `Admitted { path: Chained { outer, inner } }` → a `Displaced` edge,
+//!   admission → outer victim, and an [`EdgeKind::ChainInner`] edge,
+//!   outer victim → inner victim.
+//! * An emergency `Migrated { from, .. }` → an [`EdgeKind::Evacuated`]
+//!   edge, failed server → rescued stream. The loop narrates a failure's
+//!   evacuations before its `ServerDown`, so viewer spans still on the
+//!   failed server at `ServerDown` lost service and close as
 //!   [`SpanOutcome::Dropped`]. (A stream that finished at the exact
-//!   failure instant but was not yet reaped would be misclassified
-//!   as dropped; completions are reaped by a same-instant wake, so this
+//!   failure instant but was not yet reaped would be misclassified as
+//!   dropped; completions are reaped by a same-instant wake, so this
 //!   needs an exact float tie between the finish time and the failure
 //!   draw.)
-//! * `WaitlistServed` only ever happens right after the capacity that
-//!   serves it appeared: the freeing `Completed`, slot-holding
-//!   `CopyDone`, or `ServerUp` at the same instant is the cause
-//!   ([`EdgeKind::FreedSlot`]).
+//! * `WaitlistServed { cause, .. }` → an [`EdgeKind::FreedSlot`] edge,
+//!   cause → served waiter, where the cause is the stream whose reaping
+//!   freed the capacity or the repaired server.
 //! * `WaitlistExpired` carries only a count; `Waitlist::expire` pops the
 //!   FIFO prefix whose patience ran out, so the probe attributes the
 //!   expiry to the `count` longest-waiting spans still queued.
@@ -63,41 +59,7 @@ use sct_analysis::spans::{
     SpanOutcome, SpanSet,
 };
 use sct_simcore::SimTime;
-use std::collections::{HashSet, VecDeque};
-
-/// Outstanding attribution context between events of one instant: what
-/// the last structural event promised would follow.
-#[derive(Clone, Copy, Debug)]
-enum Expect {
-    /// No emission contract outstanding.
-    Nothing,
-    /// One DRM victim hand-off follows this admission.
-    Victim {
-        /// The admitted stream that displaced the victim.
-        admitted: u64,
-    },
-    /// Two chained hand-offs follow this admission; the outer victim is
-    /// next.
-    ChainOuter {
-        /// The admitted stream at the head of the chain.
-        admitted: u64,
-    },
-    /// The chain's inner hop is next.
-    ChainInner {
-        /// The outer victim whose landing forced the inner hop.
-        outer: u64,
-    },
-    /// `remaining` evacuations follow this failure; once they are all
-    /// seen, whatever is left on `server` was dropped.
-    Evacuations {
-        /// The failed server.
-        server: u16,
-        /// Emergency migrations still to come.
-        remaining: u32,
-        /// Failure time (the drop time for unrescued streams).
-        at: f64,
-    },
-}
+use std::collections::VecDeque;
 
 /// Fold-time form of a [`Span`]: the scalar fields plus an intrusive
 /// segment chain into the probe's arena. Materialised into the wire
@@ -142,14 +104,8 @@ pub struct SpanProbe {
     by_stream: Vec<usize>,
     /// Queued waiters in waitlist order (expiry attribution).
     waiting: VecDeque<u64>,
-    /// Copies sourced from tertiary storage (they hold no server slot,
-    /// so their completion cannot free one).
-    tertiary: HashSet<u64>,
     edges: Vec<CausalEdge>,
     marks: Vec<ServerMark>,
-    expect: Expect,
-    /// The last slot-freeing occurrence, for `FreedSlot` edges.
-    last_freed: Option<(f64, EdgeEnd)>,
 }
 
 /// Sentinel in [`SpanProbe::by_stream`] for "no span yet".
@@ -171,11 +127,8 @@ impl SpanProbe {
             segs: Vec::with_capacity(2048),
             by_stream: Vec::with_capacity(2048),
             waiting: VecDeque::new(),
-            tertiary: HashSet::new(),
             edges: Vec::with_capacity(256),
             marks: Vec::new(),
-            expect: Expect::Nothing,
-            last_freed: None,
         }
     }
 
@@ -304,45 +257,20 @@ impl SpanProbe {
         }
     }
 
-    /// Enforces the emission contracts: an outstanding expectation not
-    /// met by `event` is abandoned (and, for evacuations, the leftover
-    /// streams on the failed server are dropped).
-    fn reconcile(&mut self, event: &SimEvent) {
-        match self.expect {
-            Expect::Nothing => {}
-            Expect::Victim { .. } | Expect::ChainOuter { .. } | Expect::ChainInner { .. } => {
-                if !matches!(
-                    event,
-                    SimEvent::Migrated {
-                        emergency: false,
-                        ..
-                    }
-                ) {
-                    self.expect = Expect::Nothing;
-                }
-            }
-            Expect::Evacuations { server, at, .. } => {
-                let matches = matches!(
-                    event,
-                    SimEvent::Migrated {
-                        emergency: true,
-                        from,
-                        ..
-                    } if *from == server
-                );
-                if !matches {
-                    self.drop_streams_on(server, at);
-                    self.expect = Expect::Nothing;
-                }
-            }
-        }
+    /// Records that `cause` made `effect` happen at `t`.
+    fn link(&mut self, kind: EdgeKind, t: f64, cause: EdgeEnd, effect: u64) {
+        self.edges.push(CausalEdge {
+            kind,
+            at_secs: t,
+            cause,
+            effect: EdgeEnd::Stream { stream: effect },
+        });
     }
 }
 
 impl Probe for SpanProbe {
     fn on_event(&mut self, now: SimTime, event: &SimEvent) {
         let t = now.as_secs();
-        self.reconcile(event);
         // Exhaustive on purpose: a new `SimEvent` variant must decide its
         // span semantics here (see `tests/probe_coverage.rs`).
         match *event {
@@ -353,17 +281,21 @@ impl Probe for SpanProbe {
                 path,
             } => {
                 let idx = self.open_span(stream, video, SpanKind::Viewer, t);
+                let admitted = EdgeEnd::Stream { stream };
                 self.spans[idx].admit_via = Some(match path {
                     AdmitPath::Direct => AdmitVia::Direct,
-                    AdmitPath::Migrated => AdmitVia::Migrated,
-                    AdmitPath::Chained => AdmitVia::Chained,
+                    AdmitPath::Migrated { victim } => {
+                        self.link(EdgeKind::Displaced, t, admitted, victim);
+                        AdmitVia::Migrated
+                    }
+                    AdmitPath::Chained { outer, inner } => {
+                        self.link(EdgeKind::Displaced, t, admitted, outer);
+                        let outer = EdgeEnd::Stream { stream: outer };
+                        self.link(EdgeKind::ChainInner, t, outer, inner);
+                        AdmitVia::Chained
+                    }
                 });
                 self.start_segment(idx, SegmentKind::Serve, Some(server), t);
-                self.expect = match path {
-                    AdmitPath::Direct => Expect::Nothing,
-                    AdmitPath::Migrated => Expect::Victim { admitted: stream },
-                    AdmitPath::Chained => Expect::ChainOuter { admitted: stream },
-                };
             }
             SimEvent::Rejected { stream, video } => {
                 let idx = self.open_span(stream, video, SpanKind::Viewer, t);
@@ -373,7 +305,6 @@ impl Probe for SpanProbe {
                 if let Some(idx) = self.span_of(stream) {
                     self.close_span(idx, t, SpanOutcome::Completed);
                 }
-                self.last_freed = Some((t, EdgeEnd::Stream { stream }));
             }
             SimEvent::Migrated {
                 stream,
@@ -381,58 +312,9 @@ impl Probe for SpanProbe {
                 to,
                 emergency,
             } => {
-                let mut evac_done = None;
-                match self.expect {
-                    Expect::Victim { admitted } => {
-                        self.edges.push(CausalEdge {
-                            kind: EdgeKind::Displaced,
-                            at_secs: t,
-                            cause: EdgeEnd::Stream { stream: admitted },
-                            effect: EdgeEnd::Stream { stream },
-                        });
-                        self.expect = Expect::Nothing;
-                    }
-                    Expect::ChainOuter { admitted } => {
-                        self.edges.push(CausalEdge {
-                            kind: EdgeKind::Displaced,
-                            at_secs: t,
-                            cause: EdgeEnd::Stream { stream: admitted },
-                            effect: EdgeEnd::Stream { stream },
-                        });
-                        self.expect = Expect::ChainInner { outer: stream };
-                    }
-                    Expect::ChainInner { outer } => {
-                        self.edges.push(CausalEdge {
-                            kind: EdgeKind::ChainInner,
-                            at_secs: t,
-                            cause: EdgeEnd::Stream { stream: outer },
-                            effect: EdgeEnd::Stream { stream },
-                        });
-                        self.expect = Expect::Nothing;
-                    }
-                    Expect::Evacuations {
-                        server,
-                        remaining,
-                        at,
-                    } if emergency && from == server => {
-                        self.edges.push(CausalEdge {
-                            kind: EdgeKind::Evacuated,
-                            at_secs: t,
-                            cause: EdgeEnd::Server { server },
-                            effect: EdgeEnd::Stream { stream },
-                        });
-                        if remaining <= 1 {
-                            evac_done = Some((server, at));
-                            self.expect = Expect::Nothing;
-                        } else {
-                            self.expect = Expect::Evacuations {
-                                server,
-                                remaining: remaining - 1,
-                                at,
-                            };
-                        }
-                    }
-                    _ => {}
+                if emergency {
+                    let failed = EdgeEnd::Server { server: from };
+                    self.link(EdgeKind::Evacuated, t, failed, stream);
                 }
                 if let Some(idx) = self.span_of(stream) {
                     let kind = self
@@ -442,9 +324,6 @@ impl Probe for SpanProbe {
                     self.end_segment(idx, t);
                     self.start_segment(idx, kind, Some(to), t);
                     self.spans[idx].hops += 1;
-                }
-                if let Some((server, at)) = evac_done {
-                    self.drop_streams_on(server, at);
                 }
             }
             SimEvent::ServerDown {
@@ -459,15 +338,7 @@ impl Probe for SpanProbe {
                     relocated,
                     dropped,
                 });
-                if relocated == 0 {
-                    self.drop_streams_on(server, t);
-                } else {
-                    self.expect = Expect::Evacuations {
-                        server,
-                        remaining: relocated,
-                        at: t,
-                    };
-                }
+                self.drop_streams_on(server, t);
             }
             SimEvent::ServerUp { server } => {
                 self.marks.push(ServerMark {
@@ -477,7 +348,6 @@ impl Probe for SpanProbe {
                     relocated: 0,
                     dropped: 0,
                 });
-                self.last_freed = Some((t, EdgeEnd::Server { server }));
             }
             SimEvent::Paused { stream, server } => {
                 if let Some(idx) = self.span_of(stream) {
@@ -491,16 +361,9 @@ impl Probe for SpanProbe {
                     self.start_segment(idx, SegmentKind::Serve, Some(server), t);
                 }
             }
-            SimEvent::CopyStarted {
-                copy,
-                video,
-                tertiary,
-            } => {
+            SimEvent::CopyStarted { copy, video, .. } => {
                 let idx = self.open_span(copy, video, SpanKind::Copy, t);
                 self.start_segment(idx, SegmentKind::Serve, None, t);
-                if tertiary {
-                    self.tertiary.insert(copy);
-                }
             }
             SimEvent::CopyDone { copy, installed } => {
                 if let Some(idx) = self.span_of(copy) {
@@ -510,10 +373,6 @@ impl Probe for SpanProbe {
                         SpanOutcome::Dropped
                     };
                     self.close_span(idx, t, outcome);
-                }
-                if !self.tertiary.remove(&copy) {
-                    // A reaped engine copy frees its server slot.
-                    self.last_freed = Some((t, EdgeEnd::Stream { stream: copy }));
                 }
             }
             SimEvent::WaitlistQueued { stream, video } => {
@@ -530,7 +389,12 @@ impl Probe for SpanProbe {
                 self.start_segment(idx, SegmentKind::Wait, None, t);
                 self.waiting.push_back(stream);
             }
-            SimEvent::WaitlistServed { stream, server, .. } => {
+            SimEvent::WaitlistServed {
+                stream,
+                server,
+                cause,
+                ..
+            } => {
                 if let Some(pos) = self.waiting.iter().position(|&s| s == stream) {
                     self.waiting.remove(pos);
                 }
@@ -539,16 +403,7 @@ impl Probe for SpanProbe {
                     self.spans[idx].admit_via = Some(AdmitVia::Waitlist);
                     self.start_segment(idx, SegmentKind::Serve, Some(server), t);
                 }
-                if let Some((freed_at, cause)) = self.last_freed {
-                    if freed_at == t {
-                        self.edges.push(CausalEdge {
-                            kind: EdgeKind::FreedSlot,
-                            at_secs: t,
-                            cause,
-                            effect: EdgeEnd::Stream { stream },
-                        });
-                    }
-                }
+                self.link(EdgeKind::FreedSlot, t, cause, stream);
             }
             SimEvent::WaitlistExpired { count } => {
                 for _ in 0..count {
@@ -638,7 +493,7 @@ mod tests {
                     stream: 9,
                     video: 0,
                     server: 0,
-                    path: AdmitPath::Migrated,
+                    path: AdmitPath::Migrated { victim: 5 },
                 },
             ),
             (
@@ -689,7 +544,7 @@ mod tests {
                     stream: 3,
                     video: 0,
                     server: 0,
-                    path: AdmitPath::Chained,
+                    path: AdmitPath::Chained { outer: 1, inner: 2 },
                 },
             ),
             (
@@ -754,19 +609,19 @@ mod tests {
             ),
             (
                 7.0,
-                SimEvent::ServerDown {
-                    server: 0,
-                    relocated: 1,
-                    dropped: 1,
-                },
-            ),
-            (
-                7.0,
                 SimEvent::Migrated {
                     stream: 1,
                     from: 0,
                     to: 1,
                     emergency: true,
+                },
+            ),
+            (
+                7.0,
+                SimEvent::ServerDown {
+                    server: 0,
+                    relocated: 1,
+                    dropped: 1,
                 },
             ),
         ]);
@@ -853,6 +708,7 @@ mod tests {
                     server: 0,
                     batched: false,
                     waited_secs: 19.0,
+                    cause: EdgeEnd::Stream { stream: 0 },
                 },
             ),
         ]);
@@ -948,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_lifecycle_and_tertiary_slot_accounting() {
+    fn copy_lifecycle_closes_copy_spans() {
         let probe = feed(&[
             (
                 0.0,
@@ -981,11 +837,6 @@ mod tests {
                 },
             ),
         ]);
-        // A tertiary copy's completion must not register as a freed slot.
-        assert!(matches!(
-            probe.last_freed,
-            Some((60.0, EdgeEnd::Stream { stream: 11 }))
-        ));
         let set = probe.finish(100.0);
         assert_eq!(set.span(10).unwrap().kind, SpanKind::Copy);
         assert_eq!(set.span(10).unwrap().outcome, SpanOutcome::Completed);

@@ -272,8 +272,8 @@ impl Probe for TimeSeriesProbe {
                 c.arrivals += 1;
                 match path {
                     AdmitPath::Direct => c.admitted += 1,
-                    AdmitPath::Migrated => c.admitted_drm += 1,
-                    AdmitPath::Chained => c.admitted_chained += 1,
+                    AdmitPath::Migrated { .. } => c.admitted_drm += 1,
+                    AdmitPath::Chained { .. } => c.admitted_chained += 1,
                 }
             }
             SimEvent::Rejected { .. } => {

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use sct_core::config::{
         ConfigError, FailureSpec, PauseSpec, SimConfig, SimConfigBuilder, StagingSpec,
     };
-    pub use sct_core::events::{AdmitPath, JsonlTraceProbe, MetricsProbe, Probe, SimEvent};
+    pub use sct_core::events::{AdmitPath, JsonlTraceProbe, Probe, SimEvent};
     pub use sct_core::experiments;
     pub use sct_core::metrics::{
         Histogram, MetricsRegistry, StateView, TelemetryProbe, TimeWeightedGauge,

@@ -1,5 +1,6 @@
-//! Paper-fidelity soak tests, `#[ignore]`d by default (minutes each).
-//! Run with:
+//! Paper-fidelity soak tests, `#[ignore]`d by default: 1000 simulated
+//! hours each, about 14 s for both in a release build on a 2-vCPU x86-64
+//! host. CI's soak job runs them with:
 //!
 //! ```text
 //! cargo test --release --test paper_fidelity_soak -- --ignored

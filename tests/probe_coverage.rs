@@ -1,26 +1,23 @@
 //! Exhaustiveness guard: every [`SimEvent`] variant must decide its
-//! probe semantics.
+//! span semantics.
 //!
-//! The built-in folds — [`MetricsProbe`] (aggregate counters) and
-//! [`SpanProbe`] (request-lifecycle spans) — each consume a specific
+//! The [`SpanProbe`] (request-lifecycle spans) consumes a specific
 //! subset of the event stream. Nothing in the type system forces a new
-//! variant through that decision: `MetricsProbe` ends its match with a
-//! wildcard, and a probe that simply ignores an event compiles fine.
-//! This test closes the gap with a wildcard-free `match`: adding a
-//! variant to `SimEvent` fails compilation here until someone states,
-//! in [`coverage`], which probes fold it (or that ignoring it is
-//! deliberate), and extends [`sample`] so the runtime checks exercise
-//! the new arm.
+//! variant through that decision: a probe that simply ignores an event
+//! compiles fine. This test closes the gap with a wildcard-free `match`:
+//! adding a variant to `SimEvent` fails compilation here until someone
+//! states, in [`coverage`], whether the span probe folds it (or that
+//! ignoring it is deliberate), and extends [`sample`] so the runtime
+//! check exercises the new arm.
 
+use sct_analysis::spans::EdgeEnd;
 use sct_simcore::SimTime;
 use semi_continuous_vod::prelude::*;
 
-/// What each built-in probe does with one event variant.
+/// What the span probe does with one event variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Coverage {
     kind: &'static str,
-    /// `MetricsProbe` folds it into a counter.
-    metrics: bool,
     /// `SpanProbe` folds it into a span, segment, edge, or mark.
     spans: bool,
 }
@@ -32,67 +29,54 @@ fn coverage(event: &SimEvent) -> Coverage {
     match event {
         SimEvent::Admitted { .. } => Coverage {
             kind: "Admitted",
-            metrics: false, // arrival totals live in AdmissionStats
-            spans: true,    // opens the viewer span
+            spans: true, // opens the viewer span + DRM edges
         },
         SimEvent::Rejected { .. } => Coverage {
             kind: "Rejected",
-            metrics: false,
             spans: true,
         },
         SimEvent::Completed { .. } => Coverage {
             kind: "Completed",
-            metrics: true,
             spans: true,
         },
         SimEvent::Migrated { .. } => Coverage {
             kind: "Migrated",
-            metrics: false, // aggregate hop counts live in AdmissionStats
-            spans: true,    // hop segment + causal edge
+            spans: true, // hop segment (+ evacuation edge)
         },
         SimEvent::ServerDown { .. } => Coverage {
             kind: "ServerDown",
-            metrics: true,
-            spans: true, // mark + evacuation/drop attribution
+            spans: true, // mark + drops the spans left on the server
         },
         SimEvent::ServerUp { .. } => Coverage {
             kind: "ServerUp",
-            metrics: false,
-            spans: true, // mark + freed-capacity cause
+            spans: true, // mark
         },
         SimEvent::Paused { .. } => Coverage {
             kind: "Paused",
-            metrics: true,
             spans: true,
         },
         SimEvent::Resumed { .. } => Coverage {
             kind: "Resumed",
-            metrics: false, // resume count equals pause count
             spans: true,
         },
         SimEvent::CopyStarted { .. } => Coverage {
             kind: "CopyStarted",
-            metrics: false, // replication totals live in AdmissionStats
-            spans: true,    // opens the copy span
+            spans: true, // opens the copy span
         },
         SimEvent::CopyDone { .. } => Coverage {
             kind: "CopyDone",
-            metrics: false,
             spans: true,
         },
         SimEvent::WaitlistQueued { .. } => Coverage {
             kind: "WaitlistQueued",
-            metrics: false, // waitlist totals live in WaitlistStats
-            spans: true,    // wait segment
+            spans: true, // wait segment
         },
         SimEvent::WaitlistServed { .. } => Coverage {
             kind: "WaitlistServed",
-            metrics: false,
             spans: true, // serve segment + FreedSlot edge
         },
         SimEvent::WaitlistExpired { .. } => Coverage {
             kind: "WaitlistExpired",
-            metrics: false,
             spans: true, // closes the longest-waiting spans
         },
     }
@@ -154,6 +138,7 @@ fn sample() -> Vec<SimEvent> {
             server: 0,
             batched: false,
             waited_secs: 5.0,
+            cause: EdgeEnd::Server { server: 1 },
         },
         SimEvent::WaitlistExpired { count: 1 },
     ]
@@ -170,22 +155,6 @@ fn sample_covers_every_event_kind_exactly_once() {
     // The decision table agrees with the canonical kind strings.
     for event in &sample() {
         assert_eq!(coverage(event).kind, event.kind());
-    }
-}
-
-#[test]
-fn metrics_probe_folds_exactly_the_variants_it_claims() {
-    for event in &sample() {
-        let mut probe = MetricsProbe::default();
-        let before = probe.clone();
-        probe.on_event(SimTime::from_secs(1.0), event);
-        let changed = probe != before;
-        assert_eq!(
-            changed,
-            coverage(event).metrics,
-            "{}: MetricsProbe fold disagrees with the coverage table",
-            event.kind()
-        );
     }
 }
 

@@ -148,6 +148,11 @@ fn evacuated_edges_come_from_marked_failures() {
         };
         let rescued = set.span(stream).expect("rescued span exists");
         assert!(rescued.hops >= 1, "rescued stream never hopped");
+        assert_ne!(
+            rescued.end_secs,
+            Some(edge.at_secs),
+            "rescued stream {stream} closed at its own evacuation: {rescued:?}"
+        );
     }
     // Mark payloads agree with the aggregate failure accounting.
     let relocated: u32 = set

@@ -2,12 +2,15 @@
 //! JSONL probe attached, parse the file with the sct-analysis reader, and
 //! reconcile the event counts against the trial's own `SimOutcome` — the
 //! trace and the summary are two views of one run and must agree exactly.
+//! The records also name their causes, so the last test links every
+//! effect to its cause from the file alone.
 
+use sct_analysis::spans::EdgeEnd;
 use sct_analysis::Trace;
 use sct_workload::SystemSpec;
 use semi_continuous_vod::core::config::SimConfig;
 use semi_continuous_vod::core::simulation::Simulation;
-use semi_continuous_vod::core::JsonlTraceProbe;
+use semi_continuous_vod::core::{AdmitPath, JsonlTraceProbe, SimEvent};
 
 fn traced_run(cfg: &SimConfig, name: &str) -> (semi_continuous_vod::core::SimOutcome, Trace) {
     let dir = std::env::temp_dir().join("sct-trace-roundtrip");
@@ -143,4 +146,116 @@ fn trace_reconciles_failures_and_replication() {
         trace.count("CopyDone") <= trace.count("CopyStarted"),
         "copies finish at most once"
     );
+}
+
+/// One trace line, read back as the typed record it was written from.
+#[derive(serde::Deserialize)]
+struct Line {
+    t: f64,
+    event: SimEvent,
+}
+
+#[test]
+fn trace_records_name_their_causes() {
+    use semi_continuous_vod::prelude::MigrationPolicy;
+    let cfg = SimConfig::builder(SystemSpec::small_paper())
+        .theta(0.0)
+        .migration(MigrationPolicy::chain2())
+        .failures(6.0, 0.4)
+        .waitlist(180.0, 50)
+        .duration_hours(6.0)
+        .warmup_hours(0.5)
+        .seed(99)
+        .build();
+    let dir = std::env::temp_dir().join("sct-trace-roundtrip");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("causes.jsonl");
+    let mut probe = JsonlTraceProbe::create(&path).unwrap();
+    let out = Simulation::run_with_probes(&cfg, &mut [&mut probe]);
+    probe.finish().unwrap();
+    let lines: Vec<Line> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("a trace line parses as a SimEvent"))
+        .collect();
+    // The run exercises every named cause.
+    assert!(out.stats.chain2_migrations > 0, "no chain-2 admissions");
+    assert!(out.stats.relocated_on_failure > 0, "no evacuations");
+    assert!(out.waitlist.served > 0, "no waitlist service");
+
+    let (mut victims, mut evacuations, mut served, mut after_repair) = (0, 0, 0, 0);
+    for (i, line) in lines.iter().enumerate() {
+        // The records of this instant just before and just after it.
+        let before = || lines[..i].iter().rev().take_while(|l| l.t == line.t);
+        let after = || lines[i + 1..].iter().take_while(|l| l.t == line.t);
+        match line.event {
+            SimEvent::Admitted { path, .. } => {
+                let named = match path {
+                    AdmitPath::Direct => vec![],
+                    AdmitPath::Migrated { victim } => vec![victim],
+                    AdmitPath::Chained { outer, inner } => vec![outer, inner],
+                };
+                for victim in named {
+                    victims += 1;
+                    assert!(
+                        after().any(|l| matches!(
+                            l.event,
+                            SimEvent::Migrated { stream, emergency: false, .. } if stream == victim
+                        )),
+                        "victim {victim} of {:?} at t={} never migrated",
+                        line.event,
+                        line.t
+                    );
+                }
+            }
+            SimEvent::ServerDown {
+                server, relocated, ..
+            } => {
+                let evacuated = before()
+                    .take_while(|l| {
+                        matches!(
+                            l.event,
+                            SimEvent::Migrated { from, emergency: true, .. } if from == server
+                        )
+                    })
+                    .count();
+                assert_eq!(
+                    evacuated, relocated as usize,
+                    "ServerDown of {server} at t={} follows {evacuated} evacuations",
+                    line.t
+                );
+                evacuations += evacuated;
+            }
+            SimEvent::WaitlistServed { cause, .. } => {
+                served += 1;
+                after_repair += u64::from(matches!(cause, EdgeEnd::Server { .. }));
+                let freed = |l: &Line| match (cause, &l.event) {
+                    (EdgeEnd::Stream { stream }, SimEvent::Completed { stream: s, .. }) => {
+                        *s == stream
+                    }
+                    (EdgeEnd::Stream { stream }, SimEvent::CopyDone { copy, .. }) => {
+                        *copy == stream
+                    }
+                    (EdgeEnd::Server { server }, SimEvent::ServerUp { server: s }) => *s == server,
+                    _ => false,
+                };
+                assert!(
+                    before().any(freed),
+                    "{cause:?} served a waiter at t={} but freed nothing then",
+                    line.t
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        victims,
+        out.stats.accepted_via_migration + out.stats.chain2_migrations
+    );
+    assert_eq!(
+        evacuations as u64,
+        out.stats.relocated_on_failure + out.stats.restarted_on_failure
+    );
+    assert_eq!(served, out.waitlist.served);
+    assert!(after_repair > 0, "no waiter was served by a repair");
 }
