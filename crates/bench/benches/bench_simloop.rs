@@ -3,10 +3,12 @@
 //! own [`sct_core::LoopProfiler`].
 //!
 //! The run records the full grid and the million-slot `huge` trial into
-//! `results/BENCH_sim.json`, each cell with its repetitions and its
-//! minimum and median wall time, under the git revision and the host's
-//! available parallelism it ran with. CI fails if any cell stops
-//! producing events or if a throughput ratchet is missed (see
+//! `results/BENCH_sim.json`, each cell with its repetitions, its minimum
+//! and median wall time, and the engines' walks over their streams and
+//! the streams visited per event (exact counts, the same every run),
+//! under the git revision and the host's available parallelism it ran
+//! with. CI fails if any cell stops producing events, walks a server more
+//! than 1.1 times per event, or misses a throughput ratchet (see
 //! .github/workflows). What a probe costs per event is gated by exact
 //! counts in the test suite, and timed by sctbench. Run it with
 //! `cargo bench -p sct-bench --bench bench_simloop`.
@@ -40,6 +42,8 @@ struct GridRow {
     wall_secs: f64,
     median_wall_secs: f64,
     events_per_sec: f64,
+    walks_per_event: f64,
+    visits_per_event: f64,
 }
 
 #[derive(Serialize)]
@@ -53,6 +57,8 @@ struct HugeReport {
     wall_secs: f64,
     median_wall_secs: f64,
     events_per_sec: f64,
+    walks_per_event: f64,
+    visits_per_event: f64,
 }
 
 #[derive(Serialize)]
@@ -159,19 +165,34 @@ fn git_rev() -> String {
         .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
 
-/// Minimum and median of `n` wall times as seen by the loop's own
-/// profiler, plus the (deterministic) live-event count.
-fn measure(cfg: &SimConfig, n: usize) -> (f64, f64, u64) {
+/// One cell's measurement: minimum and median of its wall times as seen
+/// by the loop's own profiler, and the (deterministic) live-event count
+/// and engine work.
+struct Cell {
+    wall_secs: f64,
+    median_wall_secs: f64,
+    events: u64,
+    walks_per_event: f64,
+    visits_per_event: f64,
+}
+
+fn measure(cfg: &SimConfig, n: usize) -> Cell {
     let mut walls = Vec::with_capacity(n);
-    let mut events = 0;
+    let mut last = None;
     for _ in 0..n {
         let (_, profile) = Simulation::run_instrumented(black_box(cfg), &mut []);
         walls.push(profile.wall_secs);
-        events = profile.events;
+        last = Some(profile);
     }
     walls.sort_by(f64::total_cmp);
-    let median = (walls[(n - 1) / 2] + walls[n / 2]) / 2.0;
-    (walls[0], median, events)
+    let profile = last.expect("at least one repetition");
+    Cell {
+        wall_secs: walls[0],
+        median_wall_secs: (walls[(n - 1) / 2] + walls[n / 2]) / 2.0,
+        events: profile.events,
+        walks_per_event: profile.walks_per_event(),
+        visits_per_event: profile.visits_per_event(),
+    }
 }
 
 fn main() {
@@ -184,22 +205,27 @@ fn main() {
     for scheduler in SchedulerKind::ALL {
         for (mig_name, mig) in &migrations {
             let cfg = grid_config(scheduler, *mig);
-            let (wall_secs, median_wall_secs, events) = measure(&cfg, GRID_REPS);
+            let cell = measure(&cfg, GRID_REPS);
+            let (events, wall_secs) = (cell.events, cell.wall_secs);
             grid.push(GridRow {
                 scheduler: scheduler.name(),
                 migration: mig_name,
                 events,
                 reps: GRID_REPS,
                 wall_secs,
-                median_wall_secs,
+                median_wall_secs: cell.median_wall_secs,
                 events_per_sec: events as f64 / wall_secs,
+                walks_per_event: cell.walks_per_event,
+                visits_per_event: cell.visits_per_event,
             });
             println!(
                 "simloop: {:<5} migration={:<10} {events:>8} events  {wall_secs:.4} s  \
-                 ({:.0} events/s)",
+                 ({:.0} events/s, {:.3} walks and {:.1} stream visits per event)",
                 scheduler.name(),
                 mig_name,
-                events as f64 / wall_secs
+                events as f64 / wall_secs,
+                cell.walks_per_event,
+                cell.visits_per_event
             );
         }
     }
@@ -207,11 +233,13 @@ fn main() {
     // The million-slot Huge scenario. A trial costs seconds, so it runs
     // twice: `events_per_sec` reports the faster run, the ratchet the
     // mean of both (the median of two).
-    let (huge_wall_secs, huge_median_wall_secs, huge_events) = measure(&huge_config(), HUGE_REPS);
+    let huge = measure(&huge_config(), HUGE_REPS);
+    let (huge_events, huge_wall_secs) = (huge.events, huge.wall_secs);
     let huge_eps = huge_events as f64 / huge_wall_secs;
     println!(
         "simloop: huge {huge_events:>8} events  {huge_wall_secs:.4} s  \
-         ({huge_eps:.0} events/s)"
+         ({huge_eps:.0} events/s, {:.3} walks and {:.1} stream visits per event)",
+        huge.walks_per_event, huge.visits_per_event
     );
 
     let min_median_eps = grid
@@ -226,7 +254,7 @@ fn main() {
          ratchet {floor_events_per_sec:.0} events/s"
     );
 
-    let huge_median_eps = huge_events as f64 / huge_median_wall_secs;
+    let huge_median_eps = huge_events as f64 / huge.median_wall_secs;
     let huge_floor_events_per_sec = prior_huge_floor()
         .unwrap_or(0.0)
         .max(RATCHET_FRACTION * huge_median_eps);
@@ -253,8 +281,10 @@ fn main() {
             events: huge_events,
             reps: HUGE_REPS,
             wall_secs: huge_wall_secs,
-            median_wall_secs: huge_median_wall_secs,
+            median_wall_secs: huge.median_wall_secs,
             events_per_sec: huge_eps,
+            walks_per_event: huge.walks_per_event,
+            visits_per_event: huge.visits_per_event,
         },
         floor_events_per_sec,
         huge_floor_events_per_sec,

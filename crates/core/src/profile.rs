@@ -5,8 +5,11 @@
 //!
 //! * **dispatch** — one window per popped event, covering its handler
 //!   and the state publication (everything below nests inside it);
-//! * **alloc** — allocator recompute: engine integration
-//!   (`advance_to`) plus schedule recomputation (`reschedule`);
+//! * **alloc** — the engine walks the loop times on their own: a wake's
+//!   integrate-reap-reallocate walk (`ServerEngine::wake`), and a pause
+//!   or resume's lookup and reallocation (`ServerEngine::set_paused`),
+//!   one window each (an admission's walk runs inside the controller's
+//!   pick and is not split out);
 //! * **wake** — arming a server's wake slot in the event queue;
 //! * **probe** — the per-event [`crate::metrics::StateView`]
 //!   publication (the `SimEvent` fan-out rides inside dispatch: timing
@@ -45,9 +48,9 @@ use std::time::Instant;
 pub enum Phase {
     /// Whole-event handler window (parent of the rest).
     Dispatch,
-    /// Engine integration + schedule recompute.
+    /// Engine walks: a wake's, or a pause's or resume's.
     Alloc,
-    /// Wake-slot arms from the re-arm site.
+    /// Wake-slot arms.
     Wake,
     /// Per-event state publication to the attached probes.
     Probe,
@@ -136,7 +139,8 @@ impl LoopProfiler {
 
     /// Reduces the counters to a serialisable report. The event count is
     /// the number of dispatch windows (one per live event); a disabled
-    /// profiler reports all zeros.
+    /// profiler reports all zeros. The engine counts are left at zero for
+    /// the loop to fill in from its engines.
     pub fn report(&self) -> LoopProfile {
         let wall_secs = self.start.map_or(0.0, |t| t.elapsed().as_secs_f64());
         let stat = |p: Phase| {
@@ -160,6 +164,8 @@ impl LoopProfiler {
             alloc: stat(Phase::Alloc),
             wake: stat(Phase::Wake),
             probe: stat(Phase::Probe),
+            engine_walks: 0,
+            stream_visits: 0,
         }
     }
 }
@@ -184,12 +190,18 @@ pub struct LoopProfile {
     pub events_per_sec: f64,
     /// Whole-handler windows (alloc/wake/probe nest inside).
     pub dispatch: PhaseStat,
-    /// Engine integration + schedule recompute.
+    /// Engine walks: a wake's, or a pause's or resume's.
     pub alloc: PhaseStat,
     /// Wake-slot arms.
     pub wake: PhaseStat,
     /// Per-event state publication to the attached probes.
     pub probe: PhaseStat,
+    /// Full walks the engines made over their streams during the loop
+    /// (`ServerEngine::walks`): an exact count of engine work, read from
+    /// the engines rather than the clock.
+    pub engine_walks: u64,
+    /// Streams those walks visited (`ServerEngine::stream_visits`).
+    pub stream_visits: u64,
 }
 
 impl LoopProfile {
@@ -220,7 +232,19 @@ impl LoopProfile {
             alloc: add(|p| p.alloc),
             wake: add(|p| p.wake),
             probe: add(|p| p.probe),
+            engine_walks: trials.iter().map(|p| p.engine_walks).sum(),
+            stream_visits: trials.iter().map(|p| p.stream_visits).sum(),
         }
+    }
+
+    /// Engine walks per live event (0 without events).
+    pub fn walks_per_event(&self) -> f64 {
+        per_event(self.engine_walks, self.events)
+    }
+
+    /// Streams visited per live event (0 without events).
+    pub fn visits_per_event(&self) -> f64 {
+        per_event(self.stream_visits, self.events)
     }
 
     /// Converts to the `sct-analysis` wire form, for attaching to a
@@ -258,7 +282,22 @@ impl LoopProfile {
         out.push_str(&row("wake", &self.wake));
         out.push_str(&row("probe", &self.probe));
         out.push_str(&format!("  {:<10} {:>10.6} s\n", "self", self.self_secs()));
+        out.push_str(&format!(
+            "  engine     {} walks, {} stream visits ({:.3} walks, {:.1} visits per event)\n",
+            self.engine_walks,
+            self.stream_visits,
+            self.walks_per_event(),
+            self.visits_per_event()
+        ));
         out
+    }
+}
+
+fn per_event(count: u64, events: u64) -> f64 {
+    if events == 0 {
+        0.0
+    } else {
+        count as f64 / events as f64
     }
 }
 
@@ -329,6 +368,8 @@ mod tests {
                 secs: 0.0,
                 calls: 0,
             },
+            engine_walks: 0,
+            stream_visits: 0,
         };
         assert_eq!(profile.self_secs(), 0.0);
     }
@@ -344,6 +385,8 @@ mod tests {
             alloc: stat(0.2, 10),
             wake: stat(0.1, 10),
             probe: stat(0.05, 10),
+            engine_walks: 11,
+            stream_visits: 300,
         };
         let b = LoopProfile {
             wall_secs: 1.5,
@@ -353,6 +396,8 @@ mod tests {
             alloc: stat(0.1, 6),
             wake: stat(0.05, 6),
             probe: stat(0.02, 6),
+            engine_walks: 6,
+            stream_visits: 200,
         };
         let t = LoopProfile::total(&[a, b]);
         assert_eq!(t.wall_secs, 3.5);
@@ -360,12 +405,16 @@ mod tests {
         assert_eq!(t.events_per_sec, 16.0 / 3.5);
         assert_eq!(t.dispatch.calls, 16);
         assert!((t.dispatch.secs - 0.75).abs() < 1e-12);
+        assert_eq!((t.engine_walks, t.stream_visits), (17, 500));
+        assert_eq!(t.walks_per_event(), 17.0 / 16.0);
+        assert_eq!(t.visits_per_event(), 500.0 / 16.0);
         assert_eq!(LoopProfile::total(&[a]), a, "one trial is its own total");
         let none = LoopProfile::total(&[]);
         assert_eq!(
             (none.wall_secs, none.events, none.events_per_sec),
             (0.0, 0, 0.0)
         );
+        assert_eq!(none.walks_per_event(), 0.0);
     }
 
     #[test]
@@ -379,6 +428,8 @@ mod tests {
             alloc: stat(0.3, 4),
             wake: stat(0.2, 4),
             probe: stat(0.1, 4),
+            engine_walks: 4,
+            stream_visits: 40,
         };
         let snap = p.snapshot();
         assert_eq!(snap.wall_secs, 1.0);
@@ -401,5 +452,6 @@ mod tests {
         assert!(text.contains("events/s"), "{text}");
         assert!(text.contains("dispatch"), "{text}");
         assert!(text.contains("probe"), "{text}");
+        assert!(text.contains("walks"), "{text}");
     }
 }

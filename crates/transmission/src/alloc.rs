@@ -18,6 +18,11 @@
 //!
 //! [`allocate`] mutates the streams' rates in place and returns the spare
 //! bandwidth that could not be used (all buffers full / caps reached).
+//! It is the specification. The engine runs [`allocate_incremental`]'s
+//! walk, which gives the same rates bit for bit with less work, takes a
+//! pre-step that brings each stream up to `now` inside the minimum-flow
+//! pass, and leaves in its [`AllocScratch`] what the engine's wake fold
+//! needs.
 
 use crate::stream::{Stream, StreamId};
 use crate::EPS_MB;
@@ -165,11 +170,20 @@ pub struct AllocScratch {
     /// they can receive workahead; every other stream stays at its
     /// minimum flow.
     open: Vec<Open>,
-    /// The earliest event among the streams that are not candidates, or
-    /// every stream when the scheduler hands out no workahead: each
-    /// completes at `b_view` or, paused, never, and none has a buffer
-    /// that can grow.
-    settled_wake: Option<SimTime>,
+    /// The earliest completion at minimum flow, `now` plus `finish_in`,
+    /// over the playing streams whose events this call already knows,
+    /// paired with the index of the stream that completes then. That is
+    /// every stream that is not a candidate: it stays at `b_view`, where
+    /// its buffer cannot grow, so completion is its only event (a paused
+    /// one has none). Under EFTF and LFF it is every candidate too: the
+    /// greedy walk only speeds a stream up, so its completion can only
+    /// come earlier, and the wake fold revisits the walked ones.
+    settled_wake: Option<(SimTime, usize)>,
+    /// Under EFTF and LFF, how far the spare walk went: only
+    /// `head[..walked]` left their minimum flow, so the wake fold
+    /// revisits just them. `None` under the other schedulers, whose fold
+    /// revisits every candidate.
+    walked: Option<usize>,
     /// The head of this call's spare order, `(key, index)`: the
     /// candidates at or before `cutoff`, sorted.
     head: Vec<(Key, u32)>,
@@ -197,35 +211,65 @@ struct Open {
 }
 
 impl AllocScratch {
-    /// When the streams the last [`allocate_incremental`] call allocated
-    /// next change state on their own: the earliest completion or buffer
-    /// fill, as [`crate::ServerEngine::next_event_after`] finds it. That
-    /// call folded every stream but the candidates; this visits just
-    /// them. Each time comes from the same operands as the reference
-    /// computes it, and the earliest of a set does not depend on the
-    /// order it is scanned in, so the result is bit-identical.
-    pub(crate) fn next_wake(&self, now: SimTime, streams: &[Stream]) -> Option<SimTime> {
-        let mut wake = self.settled_wake;
-        let mut consider = |dt: Option<f64>| {
+    /// When the streams the last allocation walk allocated next change
+    /// state on their own: the earliest completion or buffer fill, as
+    /// [`crate::ServerEngine::next_event_after`] finds it. That walk
+    /// folded every stream whose events it knew; this visits the streams
+    /// the spare may have moved: the walked head of the spare order, or
+    /// every candidate of the waterfill. Each time comes from the same
+    /// operands as the reference computes it, and the earliest of a set
+    /// does not depend on the order it is scanned in, so the time is
+    /// bit-identical. (A walked stream's completion at `b_view`, which
+    /// the walk folded too, is never earlier than its completion at its
+    /// faster rate, so it cannot move the minimum.)
+    ///
+    /// Also names the stream whose completion the fold picked, if the
+    /// earliest event is a completion (the first one met on a tie): the
+    /// finisher the engine's next wake expects. It is only a prediction;
+    /// the wake checks it.
+    pub(crate) fn next_wake(
+        &self,
+        now: SimTime,
+        streams: &[Stream],
+    ) -> (Option<SimTime>, Option<usize>) {
+        let (mut wake, mut finisher) = match self.settled_wake {
+            Some((t, i)) => (Some(t), Some(i)),
+            None => (None, None),
+        };
+        let mut consider = |dt: Option<f64>, completes: Option<usize>| {
             if let Some(dt) = dt {
                 let t = now + dt;
                 if wake.is_none_or(|w| t < w) {
                     wake = Some(t);
+                    finisher = completes;
                 }
             }
         };
-        for c in &self.open {
-            let s = &streams[c.index];
-            // A candidate the walk left at `b_view` completes in
-            // `remaining / b_view`, the quotient the allocator took.
-            consider(if s.rate() == s.view_rate {
-                Some(c.finish_in)
-            } else {
-                s.time_to_completion()
-            });
-            consider(s.time_to_fill(|| c.staged));
+        match self.walked {
+            Some(walked) => {
+                for &(_, i) in &self.head[..walked] {
+                    let s = &streams[i as usize];
+                    consider(s.time_to_completion(), Some(i as usize));
+                    consider(s.time_to_buffer_full(now), None);
+                }
+            }
+            None => {
+                for c in &self.open {
+                    let s = &streams[c.index];
+                    // A candidate the waterfill left at `b_view` completes
+                    // in `remaining / b_view`, the quotient the allocator
+                    // took.
+                    let completion = if s.rate() == s.view_rate {
+                        Some(c.finish_in)
+                    } else {
+                        s.time_to_completion()
+                    };
+                    consider(completion, Some(c.index));
+                    consider(s.time_to_fill(|| c.staged), None);
+                }
+            }
         }
-        wake
+        (wake, finisher)
     }
 }
 
@@ -263,7 +307,28 @@ pub fn allocate_incremental(
     streams: &mut [Stream],
     scratch: &mut AllocScratch,
 ) -> f64 {
-    let idle = allocate_incremental_inner(kind, capacity_mbps, now, streams, scratch);
+    allocate_walk(kind, capacity_mbps, now, streams, scratch, |_, _| true)
+        .expect("a walk without a pre-step runs to the end")
+}
+
+/// [`allocate_incremental`] with a pre-step: the minimum-flow pass calls
+/// `pre(i, stream)` on each stream before reading it, so the engine can
+/// bring the stream up to `now` in the same walk. A pre-step that
+/// returns `false` abandons the walk at that stream and the call returns
+/// `None`: the streams before it have had their pre-step and their
+/// minimum flow, the rest are untouched, and the scratch holds no
+/// result. A walk that runs to the end (the engine calls it committed)
+/// must meet no finished stream; debug builds assert it.
+#[inline(always)]
+pub(crate) fn allocate_walk(
+    kind: SchedulerKind,
+    capacity_mbps: f64,
+    now: SimTime,
+    streams: &mut [Stream],
+    scratch: &mut AllocScratch,
+    pre: impl FnMut(usize, &mut Stream) -> bool,
+) -> Option<f64> {
+    let idle = allocate_incremental_inner(kind, capacity_mbps, now, streams, scratch, pre)?;
     #[cfg(debug_assertions)]
     {
         let mut full: Vec<Stream> = streams.to_vec();
@@ -282,19 +347,22 @@ pub fn allocate_incremental(
             );
         }
     }
-    idle
+    Some(idle)
 }
 
+#[inline(always)]
 fn allocate_incremental_inner(
     kind: SchedulerKind,
     capacity_mbps: f64,
     now: SimTime,
     streams: &mut [Stream],
     scratch: &mut AllocScratch,
-) -> f64 {
+    mut pre: impl FnMut(usize, &mut Stream) -> bool,
+) -> Option<f64> {
     let AllocScratch {
         open,
         settled_wake,
+        walked: walked_out,
         head,
         rest,
         cutoff,
@@ -308,11 +376,15 @@ fn allocate_incremental_inner(
     open.clear();
     head.clear();
     // Phase 1: minimum flow — identical to `allocate` — fused with the
-    // gather of the candidates (and, for the ordered schedulers, of the
-    // spare order's head) and with the wake fold over everyone else.
-    let mut settled: Option<SimTime> = None;
+    // caller's pre-step, the gather of the candidates (and, for the
+    // ordered schedulers, of the spare order's head) and the wake fold
+    // at minimum flow (see `settled_wake`).
+    let mut settled: Option<(SimTime, usize)> = None;
     let mut used = 0.0;
     for (i, s) in streams.iter_mut().enumerate() {
+        if !pre(i, s) {
+            return None;
+        }
         debug_assert!(!s.is_finished(), "finished streams must be reaped first");
         let min = if s.is_paused() { 0.0 } else { s.view_rate };
         s.set_rate(min);
@@ -321,7 +393,8 @@ fn allocate_incremental_inner(
         // `Stream::time_to_completion` is this quotient at `b_view`.
         let finish_in = s.remaining_mb() / s.view_rate;
         let staged = if gather { s.staged_mb(now) } else { 0.0 };
-        if gather && !s.is_full_at(staged) {
+        let candidate = gather && !s.is_full_at(staged);
+        if candidate {
             open.push(Open {
                 index: i,
                 finish_in,
@@ -333,24 +406,23 @@ fn allocate_incremental_inner(
                     head.push((k, i as u32));
                 }
             }
-        } else if !s.is_paused() {
-            // Stays at `b_view`, where its buffer cannot grow: its only
-            // event is completion. (A paused one stays at zero and has
-            // none.)
+        }
+        if !s.is_paused() && (ordered || !candidate) {
             let t = now + finish_in;
-            if settled.is_none_or(|w| t < w) {
-                settled = Some(t);
+            if settled.is_none_or(|(w, _)| t < w) {
+                settled = Some((t, i));
             }
         }
     }
     *settled_wake = settled;
+    *walked_out = ordered.then_some(0);
     let mut spare = capacity_mbps - used;
     debug_assert!(
         spare >= -EPS_MB,
         "admission let through too many streams: used {used} of {capacity_mbps}"
     );
     if spare <= EPS_MB {
-        return spare.max(0.0);
+        return Some(spare.max(0.0));
     }
 
     match kind {
@@ -391,6 +463,7 @@ fn allocate_incremental_inner(
                 head.extend(rest.drain(..take));
             }
             rest.clear();
+            *walked_out = Some(walked);
             // The next head: twice this walk's depth, plus slack.
             *cutoff = head
                 .get((2 * walked + HEAD_SLACK).min(head.len().saturating_sub(1)))
@@ -405,7 +478,7 @@ fn allocate_incremental_inner(
             spare -= waterfill(spare, now, streams, indices);
         }
     }
-    spare.max(0.0)
+    Some(spare.max(0.0))
 }
 
 /// Exact waterfill: finds the common extra rate `r` such that

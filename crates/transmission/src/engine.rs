@@ -2,26 +2,37 @@
 //!
 //! A [`ServerEngine`] owns the streams currently served by one data source
 //! and advances them between events. The global simulation drives it with
-//! three operations:
+//! four operations, each of which walks the server's streams once:
 //!
-//! 1. [`ServerEngine::advance_to`] — integrate all stream states (and the
-//!    transmitted-megabits meter) up to the current time;
-//! 2. mutations — [`admit`](ServerEngine::admit),
-//!    [`reap_finished`](ServerEngine::reap_finished),
-//!    [`remove_stream`](ServerEngine::remove_stream) (migration out);
-//! 3. [`ServerEngine::reschedule`] — re-run the bandwidth allocator and
-//!    report when this server next needs attention (earliest stream
-//!    completion or staging-buffer fill).
+//! 1. [`ServerEngine::admit`] — take a new stream and reallocate;
+//! 2. [`ServerEngine::wake`] — at the server's own next event, reap the
+//!    streams that finished and reallocate;
+//! 3. [`ServerEngine::set_paused`] — toggle a stream's playback and
+//!    reallocate;
+//! 4. [`ServerEngine::advance_to`] — integrate every stream (and the
+//!    transmitted-megabits meters) up to the current time without
+//!    reallocating, for readers that need the state at `now`.
+//!
+//! The first three bring each stream up to `now` as a pre-step of the
+//! allocator's minimum-flow pass, so the integration, the reap and the
+//! allocation share one walk. The separate steps stay available —
+//! [`advance_to`](ServerEngine::advance_to), then
+//! [`reap_finished`](ServerEngine::reap_finished) or
+//! [`remove_stream`](ServerEngine::remove_stream), then
+//! [`reschedule`](ServerEngine::reschedule) — and give bit-identical
+//! results: every stream sees the same arithmetic, and the meters add the
+//! same deltas in the same order.
 //!
 //! The engine only reports its next wake ([`ServerEngine::last_wake`]);
 //! the event loop keeps one wake slot per server and re-arms or clears
-//! it after every `reschedule`, `fail` or `repair`.
+//! it after every walk, `fail` or `repair`.
 
-use crate::alloc::{allocate_incremental, AllocScratch, SchedulerKind};
+use crate::alloc::{allocate_walk, AllocScratch, SchedulerKind};
 use crate::stream::{Stream, StreamId};
 use crate::{EPS_MB, EPS_SECS};
 use sct_cluster::ServerId;
 use sct_simcore::SimTime;
+use std::cell::Cell;
 
 /// What a scheduled wake-up is expected to handle (diagnostic only — the
 /// engine re-derives the actual state when woken).
@@ -41,29 +52,127 @@ pub struct ServerEngine {
     scheduler: SchedulerKind,
     streams: Vec<Stream>,
     clock: SimTime,
-    /// Megabits transmitted since the measurement start.
-    measured_mb: f64,
-    /// Megabits transmitted since t = 0 (includes warm-up).
-    transmitted_mb: f64,
+    meters: Meters,
     /// Transmission before this instant does not count toward utilization.
     measure_start: SimTime,
     /// Sum of admitted view rates — the minimum-flow commitment.
     committed_mbps: f64,
-    /// Sum of currently allocated transmission rates, recomputed in
-    /// stream order after every mutation so it is bit-identical to a
-    /// fresh fold over [`ServerEngine::streams`]. Lets observers read
-    /// the aggregate in O(1) instead of re-summing per state view.
-    allocated_mbps: f64,
+    /// Sum of currently allocated transmission rates, summed in stream
+    /// order when first read after a mutation and cached until the next
+    /// one (`None` while stale), so it is bit-identical to a fresh fold
+    /// over [`ServerEngine::streams`]. Only observers read it, so only
+    /// they pay for the walk. An engine that is new, failed or repaired
+    /// holds `+0.0`.
+    allocated_mbps: Cell<Option<f64>>,
     /// Whether the server is up. Offline servers admit nothing and hold no
     /// streams; see [`ServerEngine::fail`].
     online: bool,
     /// Incremental-allocation scratch (cached spare order + SoA columns).
     scratch: AllocScratch,
-    /// The wake time computed by the last [`ServerEngine::reschedule`]
-    /// (absolute, so it stays valid under pure time advancement). Lets
-    /// post-admission re-arm sites reuse the schedule instead of
-    /// re-scanning every stream.
+    /// The wake time computed by the last allocation walk (absolute, so
+    /// it stays valid under pure time advancement). Lets re-arm sites
+    /// reuse the schedule instead of re-scanning every stream.
     last_wake: Option<SimTime>,
+    /// The position of the stream whose completion `last_wake` is, as the
+    /// last wake fold found it: [`ServerEngine::wake`] reaps it in place.
+    finisher: Option<usize>,
+    /// Full walks over the streams (integration, allocation, reap scan or
+    /// rate sum) since construction, and the streams they visited. Lookups
+    /// by id stop at their stream and are not counted.
+    walks: Cell<u64>,
+    visits: Cell<u64>,
+}
+
+/// The engine's transmitted-megabits meters.
+#[derive(Clone, Copy, Debug, Default)]
+struct Meters {
+    /// Megabits transmitted since t = 0 (includes warm-up).
+    transmitted_mb: f64,
+    /// Megabits transmitted since the measurement start.
+    measured_mb: f64,
+}
+
+impl Meters {
+    /// Meters one stream's `delta` over a step whose `fraction` lies in
+    /// the measurement window.
+    #[inline]
+    fn add(&mut self, delta: f64, fraction: f64) {
+        self.transmitted_mb += delta;
+        self.measured_mb += delta * fraction;
+    }
+}
+
+/// How an allocation walk brings each stream up to `now` before reading
+/// it. The meters must add the deltas in stream order as it stood before
+/// the walk's reap, so a delta taken out of turn is held until then.
+#[derive(Clone, Copy)]
+struct Step {
+    now: SimTime,
+    /// Share of the step inside the measurement window.
+    fraction: f64,
+    /// Streams below this position advance: none when the clock does not
+    /// move, all but the newcomer `admit` pushed last otherwise.
+    advance_below: usize,
+    /// The position of a stream advanced before the walk (`usize::MAX`
+    /// for none) and its delta: the delta is metered when the walk
+    /// reaches that position, or after the walk if the position is just
+    /// past the end (a reaped last stream).
+    held_at: usize,
+    held: f64,
+    /// Whether the stream now at `held_at` was moved there from the end
+    /// by an in-place reap: it is advanced there, and its delta waits
+    /// until after the walk, its turn before the reap.
+    moved: bool,
+    deferred: f64,
+}
+
+impl Step {
+    /// A step to `now`; `fraction` is `None` when the clock does not move.
+    fn new(now: SimTime, fraction: Option<f64>) -> Step {
+        Step {
+            now,
+            fraction: fraction.unwrap_or(0.0),
+            advance_below: if fraction.is_some() { usize::MAX } else { 0 },
+            held_at: usize::MAX,
+            held: 0.0,
+            moved: false,
+            deferred: 0.0,
+        }
+    }
+
+    /// Advances the stream at position `i` ahead of the walk and holds
+    /// its delta for its turn; a no-op when the clock does not move.
+    fn hold(&mut self, i: usize, s: &mut Stream) {
+        if i < self.advance_below {
+            self.held_at = i;
+            self.held = s.advance_to(self.now);
+        }
+    }
+
+    /// Advances the stream at position `i` and meters its delta in turn.
+    #[inline(always)]
+    fn advance(&mut self, i: usize, s: &mut Stream, meters: &mut Meters) {
+        if i >= self.advance_below {
+            return;
+        }
+        if i == self.held_at {
+            meters.add(self.held, self.fraction);
+            if self.moved {
+                self.deferred = s.advance_to(self.now);
+            }
+        } else {
+            meters.add(s.advance_to(self.now), self.fraction);
+        }
+    }
+
+    /// Meters what the walk over `len` streams held back.
+    fn finish(&self, len: usize, meters: &mut Meters) {
+        if self.held_at == len {
+            meters.add(self.held, self.fraction);
+        } else if self.held_at < len && self.moved {
+            meters.add(self.deferred, self.fraction);
+        }
+    }
 }
 
 impl ServerEngine {
@@ -76,14 +185,16 @@ impl ServerEngine {
             scheduler,
             streams: Vec::new(),
             clock: SimTime::ZERO,
-            measured_mb: 0.0,
-            transmitted_mb: 0.0,
+            meters: Meters::default(),
             measure_start: SimTime::ZERO,
             committed_mbps: 0.0,
-            allocated_mbps: 0.0,
+            allocated_mbps: Cell::new(Some(0.0)),
             online: true,
             scratch: AllocScratch::default(),
             last_wake: None,
+            finisher: None,
+            walks: Cell::new(0),
+            visits: Cell::new(0),
         }
     }
 
@@ -115,19 +226,37 @@ impl ServerEngine {
         &self.streams
     }
 
-    /// The engine's local clock (time of last `advance_to`).
+    /// The engine's local clock (time of the last integration).
     pub fn clock(&self) -> SimTime {
         self.clock
     }
 
     /// Megabits transmitted within the measurement window so far.
     pub fn measured_mb(&self) -> f64 {
-        self.measured_mb
+        self.meters.measured_mb
     }
 
     /// Megabits transmitted since t = 0.
     pub fn transmitted_mb(&self) -> f64 {
-        self.transmitted_mb
+        self.meters.transmitted_mb
+    }
+
+    /// Full walks over this engine's streams so far: integrations,
+    /// allocation walks, reap scans and rate sums.
+    pub fn walks(&self) -> u64 {
+        self.walks.get()
+    }
+
+    /// Streams those walks visited.
+    pub fn stream_visits(&self) -> u64 {
+        self.visits.get()
+    }
+
+    /// Counts one walk over `n` streams.
+    #[inline]
+    fn count_walk(&self, n: usize) {
+        self.walks.set(self.walks.get() + 1);
+        self.visits.set(self.visits.get() + n as u64);
     }
 
     /// Minimum-flow admission test (§3.3): can this server take one more
@@ -151,16 +280,17 @@ impl ServerEngine {
     }
 
     /// Sum of the rates currently allocated to this server's streams —
-    /// identical to summing [`ServerEngine::streams`] in order, but O(1).
+    /// identical to summing [`ServerEngine::streams`] in order. The first
+    /// read after a mutation sums them; later reads return the cached
+    /// sum.
     pub fn allocated_mbps(&self) -> f64 {
-        self.allocated_mbps
-    }
-
-    /// Recomputes the allocated-rate aggregate from scratch, in stream
-    /// order. Called after every mutation that can change the stream set
-    /// or a rate, so the cache never drifts from the direct sum.
-    fn refresh_allocated(&mut self) {
-        self.allocated_mbps = self.streams.iter().map(Stream::rate).sum();
+        if let Some(sum) = self.allocated_mbps.get() {
+            return sum;
+        }
+        self.count_walk(self.streams.len());
+        let sum = self.streams.iter().map(Stream::rate).sum();
+        self.allocated_mbps.set(Some(sum));
+        sum
     }
 
     /// Test-only fault injection: silently perturbs one stream's allocated
@@ -174,7 +304,7 @@ impl ServerEngine {
             Some(s) => {
                 let rate = (s.rate() + delta_mbps).max(0.0);
                 s.set_rate(rate);
-                self.refresh_allocated();
+                self.allocated_mbps.set(None);
                 true
             }
             None => false,
@@ -190,7 +320,8 @@ impl ServerEngine {
         self.online = false;
         self.committed_mbps = 0.0;
         self.last_wake = None;
-        self.allocated_mbps = 0.0;
+        self.finisher = None;
+        self.allocated_mbps.set(Some(0.0));
         std::mem::take(&mut self.streams)
     }
 
@@ -205,9 +336,11 @@ impl ServerEngine {
         self.last_wake = None;
     }
 
-    /// Integrates all stream states from the engine clock to `now`.
-    /// Idempotent for equal times; panics if time would run backwards.
-    pub fn advance_to(&mut self, now: SimTime) {
+    /// Moves the clock to `now` for a step that integrates the streams
+    /// and returns the share of the step inside the measurement window,
+    /// or `None` when the clock does not move and no stream advances.
+    /// Panics if time would run backwards.
+    fn begin_step(&mut self, now: SimTime) -> Option<f64> {
         let dt = now - self.clock;
         assert!(dt >= -EPS_SECS, "engine {} time went backwards", self.id);
         if dt <= 0.0 {
@@ -216,29 +349,38 @@ impl ServerEngine {
             // than stepping it backwards, so a subsequent advance to a
             // legitimate time never sees a widened negative dt.
             self.clock = self.clock.max(now);
-            return;
+            return None;
         }
         // Fraction of this interval inside the measurement window. Rates
         // are constant across the interval, so a linear share is exact.
-        let measured_fraction = if self.measure_start <= self.clock {
+        let fraction = if self.measure_start <= self.clock {
             1.0
         } else if self.measure_start >= now {
             0.0
         } else {
             (now - self.measure_start) / dt
         };
-        for s in &mut self.streams {
-            let delta = s.advance_to(now);
-            self.transmitted_mb += delta;
-            self.measured_mb += delta * measured_fraction;
-        }
         self.clock = now;
+        Some(fraction)
+    }
+
+    /// Integrates all stream states from the engine clock to `now`.
+    /// Idempotent for equal times; panics if time would run backwards.
+    pub fn advance_to(&mut self, now: SimTime) {
+        let Some(fraction) = self.begin_step(now) else {
+            return;
+        };
+        self.count_walk(self.streams.len());
+        for s in &mut self.streams {
+            self.meters.add(s.advance_to(now), fraction);
+        }
     }
 
     /// Admits a stream (must satisfy [`ServerEngine::can_admit`]) and
-    /// reallocates bandwidth. Returns the next wake time.
+    /// reallocates bandwidth, integrating the streams already here in the
+    /// same walk. Returns the next wake time.
     pub fn admit(&mut self, stream: Stream, now: SimTime) -> Option<SimTime> {
-        self.advance_to(now);
+        let mut step = Step::new(now, self.begin_step(now));
         assert!(
             self.can_admit(stream.view_rate),
             "admission invariant violated on {}",
@@ -246,17 +388,71 @@ impl ServerEngine {
         );
         assert!(!stream.is_finished());
         self.committed_mbps += stream.view_rate;
+        step.advance_below = step.advance_below.min(self.streams.len());
         self.streams.push(stream);
-        self.reschedule(now)
+        self.commit(now, step)
+    }
+
+    /// A wake at `now`: integrates every stream, removes and returns the
+    /// finished ones, and reallocates — what `advance_to`, then
+    /// [`reap_finished`](ServerEngine::reap_finished), then
+    /// [`reschedule`](ServerEngine::reschedule) do, bit for bit, in one
+    /// walk. The next wake time is [`ServerEngine::last_wake`].
+    ///
+    /// The last wake fold named the stream whose completion this wake
+    /// should be. That stream is advanced first and, if it finished,
+    /// `swap_remove`d as the reap scan would, so the walk visits the
+    /// post-reap order; its delta and that of the stream moved into its
+    /// place are metered at their turns in the pre-reap order. A walk
+    /// that meets any other finished stream stops, and the wake falls
+    /// back to the separate steps: it integrates the rest, puts the
+    /// predicted finisher back where it was, scans and walks again.
+    pub fn wake(&mut self, now: SimTime) -> Vec<Stream> {
+        let mut step = Step::new(now, self.begin_step(now));
+        let committed = self.committed_mbps;
+        let mut reaped = Vec::new();
+        let mut reaped_at = None;
+        if let Some(p) = self.finisher.take().filter(|&p| p < self.streams.len()) {
+            step.hold(p, &mut self.streams[p]);
+            if self.streams[p].is_finished() {
+                let done = self.streams.swap_remove(p);
+                self.committed_mbps -= done.view_rate;
+                if self.streams.is_empty() {
+                    self.committed_mbps = 0.0; // absorb float drift at idle
+                }
+                step.moved = p < self.streams.len();
+                reaped.push(done);
+                reaped_at = Some(p);
+            }
+        }
+        let Some(stop) = self.walk(now, &mut step, true) else {
+            return reaped;
+        };
+        // Another stream finished: integrate the rest, undo the in-place
+        // reap, then scan and walk as the separate steps do.
+        let len = self.streams.len();
+        for i in stop + 1..len {
+            step.advance(i, &mut self.streams[i], &mut self.meters);
+        }
+        step.finish(len, &mut self.meters);
+        if let Some(p) = reaped_at {
+            self.streams.extend(reaped.pop());
+            self.streams.swap(p, len);
+            self.committed_mbps = committed;
+        }
+        let reaped = self.reap_finished(now);
+        self.commit(now, Step::new(now, None));
+        reaped
     }
 
     /// Removes and returns every finished stream. Call after
-    /// `advance_to(now)` at a wake; follow with [`ServerEngine::reschedule`].
+    /// `advance_to(now)`; follow with [`ServerEngine::reschedule`].
     pub fn reap_finished(&mut self, now: SimTime) -> Vec<Stream> {
         debug_assert!(
             (now - self.clock).abs() <= EPS_SECS,
             "reap before advancing"
         );
+        self.count_walk(self.streams.len());
         let mut finished = Vec::new();
         let mut i = 0;
         while i < self.streams.len() {
@@ -272,13 +468,14 @@ impl ServerEngine {
             if self.streams.is_empty() {
                 self.committed_mbps = 0.0; // absorb float drift at idle
             }
-            self.refresh_allocated();
+            self.allocated_mbps.set(None);
+            self.finisher = None;
         }
         finished
     }
 
     /// Removes a specific stream (for migration to another server).
-    /// The caller must `advance_to(now)` first and `reschedule` after.
+    /// The caller must `advance_to(now)` first and reallocate after.
     pub fn remove_stream(&mut self, id: StreamId, now: SimTime) -> Option<Stream> {
         debug_assert!((now - self.clock).abs() <= EPS_SECS);
         let idx = self.streams.iter().position(|s| s.id == id)?;
@@ -287,68 +484,104 @@ impl ServerEngine {
         if self.streams.is_empty() {
             self.committed_mbps = 0.0;
         }
-        self.refresh_allocated();
+        self.allocated_mbps.set(None);
+        self.finisher = None;
         Some(s)
     }
 
-    /// Pauses or resumes a stream's playback (interactivity extension).
+    /// Pauses or resumes a stream's playback (interactivity extension)
+    /// and reallocates, integrating every stream in the same walk.
     /// Returns `false` if the stream is not on this server (it may have
-    /// completed or migrated away). The caller must `reschedule` after a
-    /// successful toggle.
+    /// completed or migrated away); the engine is then only advanced to
+    /// `now`.
     pub fn set_paused(&mut self, id: StreamId, paused: bool, now: SimTime) -> bool {
-        self.advance_to(now);
-        match self.streams.iter_mut().find(|s| s.id == id) {
-            Some(s) => {
-                // Pausing moves no rate, so the allocated-rate aggregate
-                // stands until the caller's reschedule.
-                if paused {
-                    s.pause(now);
-                } else {
-                    s.resume(now);
-                }
-                true
-            }
-            None => false,
+        let Some(k) = self.streams.iter().position(|s| s.id == id) else {
+            self.advance_to(now);
+            return false;
+        };
+        let mut step = Step::new(now, self.begin_step(now));
+        let s = &mut self.streams[k];
+        step.hold(k, s);
+        if paused {
+            s.pause(now);
+        } else {
+            s.resume(now);
         }
+        self.commit(now, step);
+        true
     }
 
     /// Re-runs the allocator at `now` and returns the time of the next
-    /// intrinsic event (stream completion or buffer fill), if any.
-    ///
-    /// Two walks over the streams: the allocator's minimum-flow pass,
-    /// which also folds the next event of every stream that cannot take
-    /// workahead, and the in-order sum of the rates. Only the candidates
-    /// for workahead are visited again, to finish the wake fold. Both
-    /// results are bit-identical to [`ServerEngine::next_event_after`]
-    /// and the in-order sum; debug builds assert the wake.
+    /// intrinsic event (stream completion or buffer fill), if any. The
+    /// streams must already be integrated to `now`.
     pub fn reschedule(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(
             (now - self.clock).abs() <= EPS_SECS,
             "reschedule before advancing"
         );
-        allocate_incremental(
+        self.commit(now, Step::new(now, None))
+    }
+
+    /// A walk that must run to the end; returns the next wake time.
+    fn commit(&mut self, now: SimTime, mut step: Step) -> Option<SimTime> {
+        let stopped = self.walk(now, &mut step, false);
+        debug_assert!(stopped.is_none());
+        self.last_wake
+    }
+
+    /// One walk: each stream gets `step`'s pre-step, then its part of the
+    /// allocator's minimum-flow pass. Only the candidates for workahead
+    /// are visited again, to finish the wake fold. Both the rates and the
+    /// wake are bit-identical to [`crate::allocate`] and
+    /// [`ServerEngine::next_event_after`] on the integrated streams;
+    /// debug builds assert them.
+    ///
+    /// With `stop_at_finished` the walk stops at the first finished
+    /// stream and returns its position: that stream is integrated and
+    /// metered, the ones before it have their minimum flow, and the rest
+    /// are untouched. Otherwise, and whenever it runs to the end, it
+    /// returns `None`.
+    fn walk(&mut self, now: SimTime, step: &mut Step, stop_at_finished: bool) -> Option<usize> {
+        self.count_walk(self.streams.len());
+        // Local copies, which the inlined walk need not reload through
+        // `self` after every store to a stream.
+        let (mut local, mut meters) = (*step, self.meters);
+        let mut stopped = None;
+        let done = allocate_walk(
             self.scheduler,
             self.capacity_mbps,
             now,
             &mut self.streams,
             &mut self.scratch,
+            |i, s| {
+                local.advance(i, s, &mut meters);
+                if stop_at_finished && s.is_finished() {
+                    stopped = Some(i);
+                    return false;
+                }
+                true
+            },
         );
-        self.refresh_allocated();
-        self.last_wake = self.scratch.next_wake(now, &self.streams);
+        (*step, self.meters) = (local, meters);
+        if done.is_none() {
+            return stopped;
+        }
+        step.finish(self.streams.len(), &mut self.meters);
+        self.allocated_mbps.set(None);
+        (self.last_wake, self.finisher) = self.scratch.next_wake(now, &self.streams);
         debug_assert_eq!(
             self.last_wake,
             self.next_event_after(now).map(|(t, _)| t),
             "fused wake fold diverged on {}",
             self.id
         );
-        self.last_wake
+        None
     }
 
-    /// The wake time the most recent [`ServerEngine::reschedule`]
-    /// reported. Valid until the stream set or a rate changes — i.e. the
-    /// caller may rely on it only while it has performed no engine
-    /// mutation since that reschedule (pure `advance_to` is fine: the
-    /// cached time is absolute).
+    /// The wake time the most recent allocation walk reported. Valid
+    /// until the stream set or a rate changes — i.e. the caller may rely
+    /// on it only while it has performed no engine mutation since that
+    /// walk (pure `advance_to` is fine: the cached time is absolute).
     pub fn last_wake(&self) -> Option<SimTime> {
         self.last_wake
     }
@@ -400,6 +633,14 @@ impl ServerEngine {
             "committed bandwidth drifted on {}",
             self.id
         );
+        if let Some(cached) = self.allocated_mbps.get() {
+            let sum: f64 = self.streams.iter().map(Stream::rate).sum();
+            assert!(
+                cached.to_bits() == sum.to_bits() || (self.streams.is_empty() && cached == 0.0),
+                "cached allocated rate {cached} is not the in-order sum {sum} on {}",
+                self.id
+            );
+        }
     }
 }
 

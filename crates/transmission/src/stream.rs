@@ -77,6 +77,17 @@ pub struct Stream {
     length_secs: f64,
 }
 
+/// `f64::min` for operands that are never NaN: the same value, without
+/// the NaN handling the walks would pay for at every stream.
+#[inline(always)]
+fn min_of(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
 impl Stream {
     /// Admits a new stream at `now`. The client must be able to receive at
     /// least the view rate, otherwise playback could starve.
@@ -156,6 +167,12 @@ impl Stream {
         self.sent_mb
     }
 
+    /// Seconds of video played back so far (up to the last `advance_to`).
+    #[inline]
+    pub fn played_secs(&self) -> f64 {
+        self.played_secs
+    }
+
     /// Megabits still to transmit.
     #[inline]
     pub fn remaining_mb(&self) -> f64 {
@@ -192,12 +209,16 @@ impl Stream {
     /// not changed since the last `advance_to`).
     #[inline]
     fn played_by(&self, now: SimTime) -> f64 {
-        let extra = if self.paused {
-            0.0
-        } else {
-            now - self.last_update
-        };
-        (self.played_secs + extra.max(0.0)).min(self.length_secs())
+        if self.paused || now <= self.last_update {
+            // Nothing more played since the last update: exactly what the
+            // general form gives, as `played_secs` never exceeds the
+            // length.
+            return self.played_secs;
+        }
+        min_of(
+            self.played_secs + (now - self.last_update),
+            self.length_secs,
+        )
     }
 
     /// Megabits the client has consumed (viewed) by `now`.
@@ -298,7 +319,7 @@ impl Stream {
         let delta = (self.rate * dt).min(self.remaining_mb());
         self.sent_mb += delta;
         if !self.paused {
-            self.played_secs = (self.played_secs + dt).min(self.length_secs());
+            self.played_secs = min_of(self.played_secs + dt, self.length_secs);
         }
         self.last_update = now;
         debug_assert!(

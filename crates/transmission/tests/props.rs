@@ -95,8 +95,255 @@ fn check_against_references(engine: &ServerEngine, now: SimTime, wake: Option<Si
     engine.check_invariants();
 }
 
+/// Asserts two streams are the same stream in the same state, bit for bit.
+fn same_stream(a: &Stream, b: &Stream) {
+    prop_assert_eq!(a.id, b.id);
+    prop_assert_eq!(
+        a.sent_mb().to_bits(),
+        b.sent_mb().to_bits(),
+        "sent of {}",
+        a.id
+    );
+    prop_assert_eq!(a.rate().to_bits(), b.rate().to_bits(), "rate of {}", a.id);
+    prop_assert_eq!(
+        a.played_secs().to_bits(),
+        b.played_secs().to_bits(),
+        "played of {}",
+        a.id
+    );
+    prop_assert_eq!(a.is_paused(), b.is_paused());
+}
+
+/// Asserts two engines hold the same streams in the same order and the
+/// same meters, sums and wake, bit for bit.
+fn same_engine(a: &ServerEngine, b: &ServerEngine) {
+    prop_assert_eq!(a.clock(), b.clock());
+    prop_assert_eq!(a.active_count(), b.active_count());
+    for (x, y) in a.streams().iter().zip(b.streams()) {
+        same_stream(x, y);
+    }
+    prop_assert_eq!(a.transmitted_mb().to_bits(), b.transmitted_mb().to_bits());
+    prop_assert_eq!(a.measured_mb().to_bits(), b.measured_mb().to_bits());
+    prop_assert_eq!(a.committed_mbps().to_bits(), b.committed_mbps().to_bits());
+    prop_assert_eq!(a.allocated_mbps().to_bits(), b.allocated_mbps().to_bits());
+    // Both engines have walked, so the cached sum is a fresh in-order
+    // sum: -0.0 on an empty server.
+    let sum: f64 = a.streams().iter().map(|s| s.rate()).sum();
+    prop_assert_eq!(a.allocated_mbps().to_bits(), sum.to_bits());
+    prop_assert_eq!(a.last_wake(), b.last_wake());
+}
+
+/// Which of the cases `one_walk_matches_the_separate_walks` must reach
+/// one walk trial reached.
+#[derive(Clone, Copy, Debug, Default)]
+struct Coverage {
+    /// Wakes that reaped 0, 1, 2 and 3 or more streams.
+    reaped: [bool; 4],
+    /// A wake at the predicted time that reaped the last stream alone.
+    last_index: bool,
+    /// A wake before the predicted time: the predicted stream has not
+    /// finished.
+    early: bool,
+    /// Steps whose measurement start fell before, inside and after them.
+    measure: [bool; 3],
+    /// A pause, a resume, and a toggle of a stream the engine lost.
+    pause: [bool; 3],
+    /// Streams admitted with zero, bounded and unbounded staging, and a
+    /// replica copy.
+    admitted: [bool; 4],
+}
+
+impl Coverage {
+    fn merge(&mut self, other: Coverage) {
+        let or = |a: &mut [bool], b: &[bool]| a.iter_mut().zip(b).for_each(|(x, y)| *x |= y);
+        or(&mut self.reaped, &other.reaped);
+        self.last_index |= other.last_index;
+        self.early |= other.early;
+        or(&mut self.measure, &other.measure);
+        or(&mut self.pause, &other.pause);
+        or(&mut self.admitted, &other.admitted);
+    }
+
+    fn complete(&self) -> bool {
+        self.reaped.iter().all(|&b| b)
+            && self.last_index
+            && self.early
+            && self.measure.iter().all(|&b| b)
+            && self.pause.iter().all(|&b| b)
+            && self.admitted.iter().all(|&b| b)
+    }
+}
+
+/// One trial of `one_walk_matches_the_separate_walks`: a random walk per
+/// scheduler drives `fused` through `admit`, `wake` and `set_paused`, and
+/// a clone through the separate steps each of those stands for:
+/// `advance_to`, then `reap_finished` and `reschedule`, or the mutation
+/// on an engine already at `now`. Both must agree after every step.
+fn one_walk_trial(seed: u64, slots: usize, measure_at: f64) -> Coverage {
+    let mut rng = Rng::new(seed);
+    let mut seen = Coverage::default();
+    for kind in SchedulerKind::ALL {
+        let spare = rng.range_f64(0.0, 3.0) * VIEW;
+        let mut fused = ServerEngine::new(ServerId(0), slots as f64 * VIEW + spare, kind);
+        fused.set_measure_start(SimTime::from_secs(measure_at));
+        let mut separate = fused.clone();
+        let mut clock = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let mut lost = None;
+        let note_step = |seen: &mut Coverage, from: SimTime, to: SimTime| {
+            if to > from {
+                let m = SimTime::from_secs(measure_at);
+                let at = if m <= from {
+                    0
+                } else if m >= to {
+                    2
+                } else {
+                    1
+                };
+                seen.measure[at] = true;
+            }
+        };
+        for step in 0..50 {
+            let target = clock + rng.range_f64(0.0, 60.0);
+            // The engine's own wakes up to the next action, at the
+            // predicted time, before it, or after it.
+            for _ in 0..40 {
+                let Some(predicted) = fused.last_wake().filter(|&w| w <= target) else {
+                    break;
+                };
+                let at = match rng.below(4) {
+                    0 => {
+                        seen.early = true;
+                        clock + (predicted - clock) * rng.range_f64(0.0, 1.0)
+                    }
+                    1 => predicted + rng.range_f64(0.0, 40.0),
+                    _ => predicted,
+                };
+                let last = fused.streams().last().map(|s| s.id);
+                note_step(&mut seen, clock, at);
+                let reaped = fused.wake(at);
+                separate.advance_to(at);
+                let reference = separate.reap_finished(at);
+                separate.reschedule(at);
+                prop_assert_eq!(reaped.len(), reference.len());
+                for (x, y) in reaped.iter().zip(&reference) {
+                    same_stream(x, y);
+                }
+                same_engine(&fused, &separate);
+                seen.reaped[reaped.len().min(3)] = true;
+                if at == predicted && reaped.len() == 1 && last == Some(reaped[0].id) {
+                    seen.last_index = true;
+                }
+                if let Some(done) = reaped.first() {
+                    lost = Some(done.id);
+                }
+                clock = clock.max(at);
+            }
+            // A late wake may have run past the action.
+            let target = target.max(clock);
+            let n = fused.active_count();
+            note_step(&mut seen, clock, target);
+            match rng.below(6) {
+                // Admit one stream, or up to three identical ones, which
+                // finish together when nothing sets them apart.
+                0..=2 if fused.can_admit(2.0 * VIEW) => {
+                    let copies = if rng.chance(0.3) { 1 + rng.below(3) } else { 1 };
+                    let size = rng.range_f64(30.0, 600.0);
+                    let which = rng.below(3);
+                    let staging = [0.0, rng.range_f64(1.0, 500.0), f64::INFINITY][which];
+                    let client = ClientProfile::new(staging, rng.range_f64(VIEW, 10.0 * VIEW));
+                    let copy = step % 17 == 16;
+                    for _ in 0..copies {
+                        if !fused.can_admit(2.0 * VIEW) {
+                            break;
+                        }
+                        let stream = if copy {
+                            seen.admitted[3] = true;
+                            let id = StreamId(next_id);
+                            Stream::replica_copy(id, VideoId(0), size, 2.0 * VIEW, target)
+                        } else {
+                            seen.admitted[which] = true;
+                            Stream::new(StreamId(next_id), VideoId(0), size, VIEW, client, target)
+                        };
+                        next_id += 1;
+                        let wake = fused.admit(stream.clone(), target);
+                        separate.advance_to(target);
+                        prop_assert_eq!(wake, separate.admit(stream, target));
+                        same_engine(&fused, &separate);
+                    }
+                }
+                // Pause or resume a stream, or one the engine no longer holds.
+                3 | 4 if n > 0 => {
+                    let stale = rng.chance(0.2);
+                    let (id, paused) = match lost {
+                        Some(id) if stale => {
+                            seen.pause[2] = true;
+                            (id, true)
+                        }
+                        _ => {
+                            let s = &fused.streams()[rng.below(n)];
+                            seen.pause[usize::from(s.is_paused())] = true;
+                            (s.id, !s.is_paused())
+                        }
+                    };
+                    let found = fused.set_paused(id, paused, target);
+                    separate.advance_to(target);
+                    prop_assert_eq!(found, separate.set_paused(id, paused, target));
+                    same_engine(&fused, &separate);
+                }
+                // Migrate a stream out: the same separate steps on both.
+                5 if n > 0 => {
+                    let id = fused.streams()[rng.below(n)].id;
+                    for e in [&mut fused, &mut separate] {
+                        e.advance_to(target);
+                        e.remove_stream(id, target);
+                        e.reschedule(target);
+                    }
+                    same_engine(&fused, &separate);
+                }
+                _ => {}
+            }
+            clock = clock.max(target);
+        }
+    }
+    seen
+}
+
+/// The trials `one_walk_matches_the_separate_walks` relies on reach every
+/// case it names: each scheduler sees pauses, resumes and a stale toggle,
+/// zero, bounded and unbounded staging and a replica copy, wakes that
+/// reap 0 to 3 streams, the last stream reaped in place, early wakes, and
+/// steps before, across and after the measurement start.
+#[test]
+fn one_walk_trials_reach_every_case() {
+    let mut seen = Coverage::default();
+    for seed in 0..48 {
+        let slots = 2 + (seed as usize * 7) % 14;
+        seen.merge(one_walk_trial(seed, slots, 40.0 + 30.0 * seed as f64));
+    }
+    assert!(seen.complete(), "{seen:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-walk engine against the separate walks it fuses, with
+    /// `to_bits` equality of every stream's sent, rate and played values,
+    /// both meters, the committed and allocated sums (-0.0 on an empty
+    /// server), the reaped streams in order, and the wake. The trials
+    /// cover every scheduler, pauses, zero, bounded and unbounded
+    /// staging, a replica copy, a measurement start before, inside and
+    /// after a step, wakes that reap 0 to 3 streams, a finisher at the
+    /// last index and wakes the last fold mispredicted
+    /// (`one_walk_trials_reach_every_case` checks that they do).
+    #[test]
+    fn one_walk_matches_the_separate_walks(
+        seed in any::<u64>(),
+        slots in 2usize..16,
+        measure_at in 0.0f64..1500.0,
+    ) {
+        one_walk_trial(seed, slots, measure_at);
+    }
 
     /// For every scheduler: capacity conservation, minimum flow for
     /// playing streams, receive caps respected, and full buffers excluded

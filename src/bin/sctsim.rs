@@ -239,7 +239,13 @@ fn build_config(args: &Args) -> SimConfig {
 fn cmd_run(args: &Args) {
     let config = build_config(args);
     let trials = args.trials();
-    let seed = args.seed();
+    // The plan's base seed: `--seed`, else the config's own (a `--config`
+    // file's `"seed"`, or 0 on the flag path).
+    let seed = if args.has("seed") {
+        args.seed()
+    } else {
+        config.seed
+    };
     let trace_path = args.get("trace");
     let metrics_path = args.get("metrics");
     let spans_path = args.get("spans");

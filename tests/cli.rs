@@ -80,6 +80,46 @@ fn scenario_round_trips_through_run() {
     assert!(outcome.contains("utilization"));
 }
 
+/// A `--config` file's `"seed"` is the run's base seed when `--seed` is
+/// absent: a config with `"seed": 99` writes what the seed-0 config writes
+/// under `--seed 99`, and not what the seed-0 config writes alone.
+#[test]
+fn config_file_seed_is_the_base_seed_without_the_flag() {
+    let dir = std::env::temp_dir().join(format!("sctsim-config-seed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = sctsim(&["scenario", "--system", "tiny", "--hours", "1"]);
+    assert!(scenario.status.success());
+    let seed0 = String::from_utf8(scenario.stdout).unwrap();
+    assert!(seed0.contains("\"seed\": 0"), "{seed0}");
+    let seed99 = seed0.replacen("\"seed\": 0", "\"seed\": 99", 1);
+    let run = |config: &str, extra: &[&str], name: &str| {
+        let cfg_path = dir.join(format!("{name}.json"));
+        std::fs::write(&cfg_path, config).unwrap();
+        let out_path = dir.join(format!("{name}-out.json"));
+        let mut args = vec![
+            "run",
+            "--config",
+            cfg_path.to_str().unwrap(),
+            "--out",
+            out_path.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let out = sctsim(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(&out_path).unwrap()
+    };
+    let from_file = run(&seed99, &[], "file99");
+    let from_flag = run(&seed0, &["--seed", "99"], "flag99");
+    let unseeded = run(&seed0, &[], "file0");
+    assert_eq!(from_file, from_flag);
+    assert_ne!(from_file, unseeded);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_is_deterministic_across_invocations() {
     let args = [

@@ -11,9 +11,11 @@
 //! sample events had split the engines' integration steps, so its
 //! utilization moved in the last bits and its event count fell by 10.
 //!
-//! The four configs cover both paper systems, migration on and off, and
-//! between them exercise every event kind the loop handles: failures,
-//! pause/resume, replication copies and waitlist service.
+//! The first four configs cover both paper systems, migration on and
+//! off, and between them exercise every event kind the loop handles:
+//! failures, pause/resume, replication copies and waitlist service. They
+//! hold at most 100 streams per server, so a fifth, `dense`, pins the
+//! engine's per-stream arithmetic at 1000 slots per server.
 
 use semi_continuous_vod::prelude::*;
 use std::path::PathBuf;
@@ -217,4 +219,32 @@ fn golden_large_migration_failures() {
         .warmup_hours(0.5)
         .build();
     check_golden("large_migration_failures", &cfg);
+}
+
+/// The benchmark's `dense` shape: 4 servers of 3000 Mb/s (1000 view
+/// slots each) and 200 videos of 5–10 minutes, under P4 at θ 0.271.
+/// Every event walks a server of hundreds of streams, so this locks the
+/// engine's fused advance, reap and allocation at that depth. A short
+/// warm-up and 0.1 h measured keep the debug build within seconds.
+#[test]
+fn golden_dense() {
+    let system = SystemSpec {
+        name: "dense".into(),
+        n_servers: 4,
+        server_bandwidth_mbps: 3000.0,
+        server_disk_gb: 100.0,
+        n_videos: 200,
+        video_length_secs: (300.0, 600.0),
+        view_rate_mbps: 3.0,
+        client_receive_cap_mbps: 30.0,
+        avg_copies: 2.2,
+    };
+    let cfg = SimConfig::builder(system)
+        .policy(Policy::P4)
+        .theta(0.271)
+        .seed(5)
+        .duration_hours(0.15)
+        .warmup_hours(0.05)
+        .build();
+    check_golden("dense", &cfg);
 }
