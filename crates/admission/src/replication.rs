@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(e.active_count(), 1);
         assert!(e.streams()[0].is_copy());
         // Drive the copy to completion: 1800.x Mb at 30 Mb/s ≈ 60 s.
-        let done_at = e.next_event_after(now).unwrap().0;
+        let done_at = e.next_event_after(now).unwrap();
         assert!((done_at.as_secs() - size / 30.0).abs() < 1e-9);
         e.advance_to(done_at);
         let finished = e.reap_finished(done_at);

@@ -11,10 +11,9 @@
 //! Queued requests do not consume server resources; their playback clock
 //! starts only when they are finally admitted.
 
-use crate::controller::{Admission, Controller};
 use sct_cluster::{ReplicaMap, ServerId};
 use sct_media::{ClientProfile, VideoId};
-use sct_simcore::{Rng, SimTime};
+use sct_simcore::SimTime;
 use sct_transmission::{ServerEngine, Stream, StreamId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -130,13 +129,6 @@ pub struct ServeOutcome {
     pub touched: Vec<ServerId>,
     /// The requests served, in service order.
     pub served: Vec<ServedWaiter>,
-    /// Non-direct admissions performed on a waiter's behalf: `(waiter
-    /// stream, admission)`. Always empty for [`Waitlist::try_serve`]
-    /// (direct placement only); populated by
-    /// [`Waitlist::try_serve_admitting`] when serving a waiter migrated
-    /// or chained other streams, so the caller can mirror or narrate the
-    /// side effects.
-    pub assists: Vec<(StreamId, Admission)>,
 }
 
 /// FIFO wait queue with patience bounds.
@@ -265,61 +257,6 @@ impl Waitlist {
         out
     }
 
-    /// Like [`Waitlist::try_serve`], but each placement runs through the
-    /// full admission sequence of `controller` — direct placement,
-    /// single-hop request migration, two-step chain — so a queued viewer
-    /// can trigger the same migrations a fresh arrival would. Waiters are
-    /// tried in FIFO order; one whose admission is rejected stays queued.
-    /// Non-direct admissions are echoed in [`ServeOutcome::assists`].
-    pub fn try_serve_admitting(
-        &mut self,
-        controller: &mut Controller,
-        engines: &mut [ServerEngine],
-        map: &ReplicaMap,
-        now: SimTime,
-        rng: &mut Rng,
-    ) -> ServeOutcome {
-        let mut out = ServeOutcome::default();
-        let mut remaining: VecDeque<Waiter> = VecDeque::with_capacity(self.queue.len());
-        while let Some(w) = self.queue.pop_front() {
-            debug_assert!(w.expires > now, "expired waiter not purged");
-            // Playback starts now, not at arrival.
-            let stream = Stream::new(w.id, w.video, w.size_mb, w.view_rate, w.client, now);
-            let (admission, touched) = controller.admit(stream, engines, map, now, rng);
-            let server = match admission {
-                Admission::Direct { server } => server,
-                Admission::WithMigration { server, .. } | Admission::WithChain { server, .. } => {
-                    out.assists.push((w.id, admission));
-                    server
-                }
-                Admission::Rejected => {
-                    remaining.push_back(w);
-                    continue;
-                }
-            };
-            self.stats.served += 1;
-            self.stats.served_wait_secs += now - w.arrived;
-            self.stats.served_mb += w.size_mb;
-            out.served.push(ServedWaiter {
-                id: w.id,
-                video: w.video,
-                server,
-                batched: false,
-                waited_secs: now - w.arrived,
-            });
-            for &t in touched.iter() {
-                if !out.touched.contains(&t) {
-                    out.touched.push(t);
-                }
-            }
-            if self.spec.multicast_batching {
-                self.batch_join(w.video, server, now, &mut out.served);
-            }
-        }
-        self.queue = remaining;
-        out
-    }
-
     /// Multicast cohort join: everyone still queued for `video` joins the
     /// stream just started on `server` — served without any additional
     /// server resources.
@@ -398,7 +335,7 @@ mod tests {
         assert_eq!(wl.len(), 1);
         // First stream finishes (30 Mb at up to 30 Mb/s → quickly; walk to
         // its completion).
-        let done = engines[0].next_event_after(t0).unwrap().0;
+        let done = engines[0].next_event_after(t0).unwrap();
         engines[0].advance_to(done);
         engines[0].reap_finished(done);
         engines[0].reschedule(done);
@@ -525,100 +462,6 @@ mod tests {
         wl.try_serve(&mut engines, &map, t1);
         assert_eq!(wl.stats.served, 1, "no batching: one slot, one viewer");
         assert_eq!(wl.len(), 4);
-    }
-
-    #[test]
-    fn admitting_serve_triggers_a_chain_where_direct_fails() {
-        use crate::policy::{AssignmentPolicy, MigrationPolicy};
-        // v0 on s0 only; v1 on {s0,s1}; v2 on {s1,s2}. s0 full of v1,
-        // s1 full of v2, s2 open: a v0 waiter can only be served by the
-        // two-step chain (v2: s1→s2, then v1: s0→s1).
-        let mut engines = vec![
-            ServerEngine::new(ServerId(0), 6.0, SchedulerKind::Eftf),
-            ServerEngine::new(ServerId(1), 6.0, SchedulerKind::Eftf),
-            ServerEngine::new(ServerId(2), 6.0, SchedulerKind::Eftf),
-        ];
-        let map = ReplicaMap::from_holders(
-            3,
-            vec![
-                vec![ServerId(0)],
-                vec![ServerId(0), ServerId(1)],
-                vec![ServerId(1), ServerId(2)],
-            ],
-        );
-        let t0 = SimTime::ZERO;
-        for i in 0..2u64 {
-            engines[0].admit(
-                Stream::new(StreamId(i), VideoId(1), 3000.0, VIEW, client(), t0),
-                t0,
-            );
-            engines[1].admit(
-                Stream::new(StreamId(10 + i), VideoId(2), 3000.0, VIEW, client(), t0),
-                t0,
-            );
-        }
-        let now = SimTime::from_secs(10.0);
-        for e in engines.iter_mut() {
-            e.advance_to(now);
-            e.reschedule(now);
-        }
-        let mut wl = Waitlist::new(WaitlistSpec::new(300.0, 10));
-        wl.enqueue(StreamId(50), VideoId(0), 90.0, VIEW, client(), now);
-        // Direct-only serving cannot place it.
-        assert!(wl.try_serve(&mut engines, &map, now).served.is_empty());
-        assert_eq!(wl.len(), 1);
-        let mut c = Controller::new(
-            AssignmentPolicy::LeastLoaded,
-            MigrationPolicy {
-                handoff_latency_secs: 0.0,
-                ..MigrationPolicy::chain2()
-            },
-        );
-        let mut rng = Rng::new(11);
-        let outcome = wl.try_serve_admitting(&mut c, &mut engines, &map, now, &mut rng);
-        assert!(wl.is_empty());
-        assert_eq!(outcome.served.len(), 1);
-        assert_eq!(outcome.served[0].id, StreamId(50));
-        assert_eq!(outcome.served[0].server, ServerId(0));
-        assert_eq!(outcome.assists.len(), 1);
-        match outcome.assists[0] {
-            (StreamId(50), Admission::WithChain { server, .. }) => {
-                assert_eq!(server, ServerId(0));
-            }
-            ref other => panic!("expected a chain assist, got {other:?}"),
-        }
-        assert_eq!(outcome.touched, vec![ServerId(0), ServerId(1), ServerId(2)]);
-        assert_eq!(c.stats.chain2_migrations, 1);
-        assert_eq!(wl.stats.served, 1);
-        for e in &engines {
-            e.check_invariants();
-        }
-    }
-
-    #[test]
-    fn admitting_serve_keeps_rejected_waiters_queued() {
-        use crate::policy::{AssignmentPolicy, MigrationPolicy};
-        let (mut engines, map) = setup();
-        let t0 = SimTime::ZERO;
-        // s0 (sole holder of v0) full with long zero-staging streams and
-        // no viable migration target: admission must reject.
-        engines[0].admit(
-            Stream::new(StreamId(1), VideoId(0), 3000.0, VIEW, client(), t0),
-            t0,
-        );
-        engines[0].admit(
-            Stream::new(StreamId(2), VideoId(0), 3000.0, VIEW, client(), t0),
-            t0,
-        );
-        let mut wl = Waitlist::new(WaitlistSpec::new(300.0, 10));
-        wl.enqueue(StreamId(3), VideoId(0), 90.0, VIEW, client(), t0);
-        let mut c = Controller::new(AssignmentPolicy::LeastLoaded, MigrationPolicy::disabled());
-        let mut rng = Rng::new(12);
-        let outcome = wl.try_serve_admitting(&mut c, &mut engines, &map, t0, &mut rng);
-        assert!(outcome.served.is_empty());
-        assert!(outcome.assists.is_empty());
-        assert!(outcome.touched.is_empty());
-        assert_eq!(wl.len(), 1, "rejected waiter must stay queued");
     }
 
     #[test]

@@ -410,13 +410,20 @@ pub(crate) mod view_work {
     }
 }
 
+/// Megabits `s` has transmitted `dt` seconds past its engine's clock, at
+/// its current allocated rate. Engines integrate lazily, and a rate stays
+/// constant until the engine's next walk, so every reader between walks
+/// (this view, the differential oracle) projects this way, exactly.
+pub(crate) fn projected_sent_mb(s: &Stream, dt: f64) -> f64 {
+    (s.sent_mb() + s.rate() * dt).min(s.size_mb)
+}
+
 /// Megabits of `s` sitting in its client's staging buffer at `now`,
 /// projecting the (possibly stale) transmission state forward at the
 /// current allocated rate.
-fn projected_staged_mb(engine: &ServerEngine, s: &Stream, now: SimTime) -> f64 {
+pub(crate) fn projected_staged_mb(engine: &ServerEngine, s: &Stream, now: SimTime) -> f64 {
     let dt = (now - engine.clock()).max(0.0);
-    let sent = (s.sent_mb() + s.rate() * dt).min(s.size_mb);
-    (sent - s.viewed_mb(now)).max(0.0)
+    (projected_sent_mb(s, dt) - s.viewed_mb(now)).max(0.0)
 }
 
 impl<'a> StateView<'a> {
@@ -499,7 +506,7 @@ impl<'a> StateView<'a> {
                 if s.is_copy() {
                     continue;
                 }
-                let sent = (s.sent_mb() + s.rate() * dt).min(s.size_mb);
+                let sent = projected_sent_mb(s, dt);
                 staged += (sent - s.viewed_mb(self.now)).max(0.0);
                 if sent < s.size_mb {
                     slope += s.rate();

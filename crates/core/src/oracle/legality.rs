@@ -1,6 +1,11 @@
 //! Divergence reports and the invariant auditors: the standalone engine
 //! audit ([`audit_engines`]) and the engines-vs-reference cross-check
 //! run at every event boundary.
+//!
+//! Engines integrate lazily, as the event loop leaves them: a stream's
+//! state is current only at its engine's clock. Both auditors read it at
+//! `now` through the projection [`crate::StateView`] uses, so checking
+//! an engine never advances it.
 
 use std::fmt;
 
@@ -10,6 +15,11 @@ use sct_transmission::{ServerEngine, StreamId};
 
 use super::mirror::RefCluster;
 use super::stepper::{ORACLE_TOL_MB, ORACLE_TOL_MBPS};
+use crate::metrics::{projected_sent_mb, projected_staged_mb};
+
+/// Relative tolerance of the wake check: a cached wake may differ from
+/// the reference's earliest event by this share of the event time.
+const WAKE_REL_TOL: f64 = 1e-6;
 
 // ---------------------------------------------------------------------------
 // Divergence reports
@@ -36,6 +46,9 @@ pub enum DivergenceKind {
     StreamSet,
     /// An admission decision was illegal for the observable state.
     Admission,
+    /// A server's cached wake is not the reference's earliest completion
+    /// or buffer fill on that server.
+    Wake,
 }
 
 /// The first point where the event-driven simulator and the reference
@@ -91,8 +104,9 @@ pub(crate) use diverge;
 /// Standalone invariant audit of live engines — the half of the oracle
 /// that needs no reference replay. Checks the commitment ledger against
 /// the stream list, the capacity bound, the minimum-flow guarantee, and
-/// staging-buffer bounds. Cheap enough to call at every event of any
-/// property test.
+/// staging-buffer bounds at `now`, projecting each stream from its
+/// engine's clock. Cheap enough to call at every event of any property
+/// test.
 pub fn audit_engines(
     seed: u64,
     now: SimTime,
@@ -117,7 +131,7 @@ pub fn audit_engines(
                     s.view_rate
                 );
             }
-            let staged = s.staged_mb(now.max(e.clock()));
+            let staged = projected_staged_mb(e, s, now);
             if staged < -ORACLE_TOL_MB {
                 diverge!(
                     seed,
@@ -180,12 +194,88 @@ pub fn audit_engines(
     Ok(())
 }
 
+/// The engines against the reference at `now`: per-stream state first,
+/// so a report names its stream, then [`audit_engines`], the stream set,
+/// the per-server ledgers, conservation, and every server's cached wake.
 pub(crate) fn cross_check(
     seed: u64,
     now: SimTime,
     engines: &[ServerEngine],
     reference: &RefCluster,
 ) -> Result<(), Box<Divergence>> {
+    // Σ transmitted at `now`: each engine's meter plus what its streams
+    // send between its clock and `now`.
+    let mut transmitted = 0.0;
+    for (idx, e) in engines.iter().enumerate() {
+        let sid = Some(e.id());
+        let dt = (now - e.clock()).max(0.0);
+        transmitted += e.transmitted_mb();
+        for s in e.streams() {
+            let Some(r) = reference.find(s.id).map(|i| &reference.streams[i]) else {
+                diverge!(
+                    seed,
+                    now,
+                    Some(s.id),
+                    sid,
+                    DivergenceKind::StreamSet,
+                    "stream unknown to the reference"
+                );
+            };
+            if r.server != idx {
+                diverge!(
+                    seed,
+                    now,
+                    Some(s.id),
+                    sid,
+                    DivergenceKind::StreamSet,
+                    "reference places it on server {}",
+                    r.server
+                );
+            }
+            let sent = projected_sent_mb(s, dt);
+            transmitted += sent - s.sent_mb();
+            if (r.sent_mb - sent).abs() > ORACLE_TOL_MB {
+                diverge!(
+                    seed,
+                    now,
+                    Some(s.id),
+                    sid,
+                    DivergenceKind::SentMb,
+                    "sent {} vs reference {} (Δ={:+.3e})",
+                    sent,
+                    r.sent_mb,
+                    sent - r.sent_mb
+                );
+            }
+            if (r.rate - s.rate()).abs() > ORACLE_TOL_MBPS {
+                diverge!(
+                    seed,
+                    now,
+                    Some(s.id),
+                    sid,
+                    DivergenceKind::Rate,
+                    "rate {} vs reference {} (Δ={:+.3e})",
+                    s.rate(),
+                    r.rate,
+                    s.rate() - r.rate
+                );
+            }
+            let staged = projected_staged_mb(e, s, now);
+            if (r.staged_mb() - staged).abs() > ORACLE_TOL_MB {
+                diverge!(
+                    seed,
+                    now,
+                    Some(s.id),
+                    sid,
+                    DivergenceKind::StagedMb,
+                    "staged {} vs reference {}",
+                    staged,
+                    r.staged_mb()
+                );
+            }
+        }
+    }
+
     audit_engines(seed, now, engines)?;
 
     let live: usize = engines.iter().map(|e| e.streams().len()).sum();
@@ -240,71 +330,8 @@ pub(crate) fn cross_check(
                 e.committed_mbps()
             );
         }
-        for s in e.streams() {
-            let Some(r) = reference.find(s.id).map(|i| &reference.streams[i]) else {
-                diverge!(
-                    seed,
-                    now,
-                    Some(s.id),
-                    sid,
-                    DivergenceKind::StreamSet,
-                    "stream unknown to the reference"
-                );
-            };
-            if r.server != idx {
-                diverge!(
-                    seed,
-                    now,
-                    Some(s.id),
-                    sid,
-                    DivergenceKind::StreamSet,
-                    "reference places it on server {}",
-                    r.server
-                );
-            }
-            if (r.sent_mb - s.sent_mb()).abs() > ORACLE_TOL_MB {
-                diverge!(
-                    seed,
-                    now,
-                    Some(s.id),
-                    sid,
-                    DivergenceKind::SentMb,
-                    "sent {} vs reference {} (Δ={:+.3e})",
-                    s.sent_mb(),
-                    r.sent_mb,
-                    s.sent_mb() - r.sent_mb
-                );
-            }
-            if (r.rate - s.rate()).abs() > ORACLE_TOL_MBPS {
-                diverge!(
-                    seed,
-                    now,
-                    Some(s.id),
-                    sid,
-                    DivergenceKind::Rate,
-                    "rate {} vs reference {} (Δ={:+.3e})",
-                    s.rate(),
-                    r.rate,
-                    s.rate() - r.rate
-                );
-            }
-            let staged = s.staged_mb(now.max(e.clock()));
-            if (r.staged_mb() - staged).abs() > ORACLE_TOL_MB {
-                diverge!(
-                    seed,
-                    now,
-                    Some(s.id),
-                    sid,
-                    DivergenceKind::StagedMb,
-                    "staged {} vs reference {}",
-                    staged,
-                    r.staged_mb()
-                );
-            }
-        }
     }
 
-    let transmitted: f64 = engines.iter().map(|e| e.transmitted_mb()).sum();
     let ledger = reference.total_sent_mb();
     if (transmitted - ledger).abs() > ORACLE_TOL_MB {
         diverge!(
@@ -316,6 +343,31 @@ pub(crate) fn cross_check(
             "cluster transmitted {transmitted} vs reference ledger {ledger} (Δ={:+.3e})",
             transmitted - ledger
         );
+    }
+
+    // The event loop pops nothing but these cached wakes, so each must be
+    // the earliest event the reference sees coming on its server.
+    let expected = reference.next_events();
+    for (e, expected) in engines.iter().zip(expected) {
+        let expected = expected.map(|dt| now + dt);
+        let agree = match (e.last_wake(), expected) {
+            (None, None) => true,
+            (Some(w), Some(x)) => {
+                (w - x).abs() <= WAKE_REL_TOL * w.as_secs().abs().max(x.as_secs().abs())
+            }
+            _ => false,
+        };
+        if !agree {
+            diverge!(
+                seed,
+                now,
+                None,
+                Some(e.id()),
+                DivergenceKind::Wake,
+                "cached wake {:?} vs the reference's earliest event {expected:?}",
+                e.last_wake()
+            );
+        }
     }
     Ok(())
 }

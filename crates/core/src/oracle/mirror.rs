@@ -1,6 +1,6 @@
 //! The deliberately simple reference model: a flat stream list with an
 //! independently written allocator and integrator, plus the relocation
-//! mirror shared by migration, chain, and waitlist-assist paths.
+//! mirror shared by the migration and chain paths.
 
 use sct_cluster::{ReplicaMap, ServerId};
 use sct_media::VideoId;
@@ -38,6 +38,32 @@ pub(crate) struct RefStream {
 }
 
 impl RefStream {
+    /// A stream admitted now: nothing sent or played, no rate until its
+    /// server reallocates.
+    pub(crate) fn new(
+        id: StreamId,
+        video: VideoId,
+        server: usize,
+        size_mb: f64,
+        view_rate: f64,
+        client: ClientProfile,
+    ) -> RefStream {
+        RefStream {
+            id,
+            video,
+            server,
+            size_mb,
+            view_rate,
+            sent_mb: 0.0,
+            played_secs: 0.0,
+            sent_comp: 0.0,
+            played_comp: 0.0,
+            rate: 0.0,
+            paused: false,
+            client,
+        }
+    }
+
     pub(crate) fn remaining_mb(&self) -> f64 {
         (self.size_mb - self.sent_mb).max(0.0)
     }
@@ -282,6 +308,31 @@ impl RefCluster {
         removed
     }
 
+    /// Per server, the seconds from the reference clock to the earliest
+    /// completion or buffer fill among its streams at their current
+    /// rates: the reference's own answer to the wake its engine cached.
+    pub(crate) fn next_events(&self) -> Vec<Option<f64>> {
+        let mut next: Vec<Option<f64>> = vec![None; self.capacity.len()];
+        for s in &self.streams {
+            let slot = &mut next[s.server];
+            let mut consider = |dt: f64| {
+                if slot.is_none_or(|t| dt < t) {
+                    *slot = Some(dt);
+                }
+            };
+            if s.rate > 0.0 {
+                consider(s.remaining_mb() / s.rate);
+            }
+            // Playing, the buffer drains at the view rate; paused, not at
+            // all.
+            let growth = s.rate - if s.paused { 0.0 } else { s.view_rate };
+            if !s.client.is_unbounded_staging() && growth > 0.0 {
+                consider((s.client.staging_capacity_mb - s.staged_mb()).max(0.0) / growth);
+            }
+        }
+        next
+    }
+
     pub(crate) fn committed_mbps(&self, server: usize) -> f64 {
         self.streams
             .iter()
@@ -293,9 +344,9 @@ impl RefCluster {
 
 /// Mirrors one migration hop in the reference: `victim` must be known,
 /// must live on `from`, and `to` must hold its video; its reference
-/// placement then moves to `to`. Shared by single-hop admissions,
+/// placement then moves to `to`. Shared by single-hop admissions and
 /// chain-2 admissions (two calls, inner hop first — the order the
-/// controller applies them), and assisted waitlist serves.
+/// controller applies them).
 pub(crate) fn mirror_relocation(
     seed: u64,
     now: SimTime,

@@ -23,12 +23,22 @@
 //!   reference stream at the copy rate, and its `CopyDone` must install
 //!   the replica that later admissions are checked against;
 //! * waitlist service: rejected viewers queue with bounded patience and
-//!   re-enter as fresh streams after departures, on a legal holder —
-//!   optionally through the full admission path (migrations and chains
-//!   performed on a waiter's behalf are mirrored too);
+//!   re-enter as fresh streams after departures, placed directly on a
+//!   legal holder, as the event loop serves them;
 //! * two-step migration chains ([`Admission::WithChain`]): both hops are
 //!   checked against the deterministic plan the controller's depth-2
-//!   search must have found on the pre-admission state.
+//!   search must have found on the pre-admission state;
+//! * every server's cached wake ([`ServerEngine::last_wake`]) against the
+//!   reference's own earliest completion or buffer fill on that server.
+//!
+//! [`run_differential`] works the engines the way the event loop does,
+//! so the protocol the loop relies on is what gets checked. Engines
+//! integrate lazily: the drain wakes the server with the earliest cached
+//! wake through [`ServerEngine::wake`], trace operations call the
+//! controller, the engines and the waitlist as the loop's handlers do,
+//! and no engine is advanced or re-solved for the oracle's sake. The
+//! checks read each stream at the event time by projecting it from its
+//! engine's clock (the projection [`crate::StateView`] uses).
 //!
 //! Between trace events every per-stream rate is constant, so sent and
 //! played volumes are piecewise linear in time. The default
@@ -88,9 +98,7 @@ pub struct OracleOutcome {
     pub accepted_direct: u64,
     /// Requests placed by migrating a victim (single hop).
     pub accepted_via_migration: u64,
-    /// Placements that needed a two-step migration chain — arrivals
-    /// admitted [`Admission::WithChain`] plus chain-assisted waiter
-    /// serves.
+    /// Arrivals admitted [`Admission::WithChain`].
     pub accepted_via_chain: u64,
     /// Requests turned away.
     pub rejected: u64,
@@ -110,10 +118,10 @@ pub struct OracleOutcome {
     pub waiters_served: u64,
     /// Waiters dropped because their patience ran out.
     pub waiters_expired: u64,
-    /// Waiters served only after a migration or chain was performed on
-    /// their behalf (chain-2 scenarios route waitlist serving through
-    /// the full admission path).
-    pub waiters_assisted: u64,
+    /// Engine wakes the replay drove through [`ServerEngine::wake`].
+    pub wakes: u64,
+    /// Wakes that reaped two or more streams at once.
+    pub multi_reap_wakes: u64,
     /// Cross-checks performed (one per event boundary).
     pub checks: u64,
     /// Integration slices the reference performed over the whole replay.
@@ -126,10 +134,11 @@ pub struct OracleOutcome {
 /// A deliberately injected allocator fault, for oracle self-tests: from
 /// accepted arrival number `at_arrival` onward, the stream admitted by
 /// that arrival has its rate silently perturbed by `delta_mbps` after
-/// every reallocation, exactly as a systematically buggy allocator would.
-/// (A one-shot perturbation can be healed by an immediate reallocation
-/// with no observable data drift — correctly nothing to report.) The
-/// oracle must localize the corruption.
+/// every reallocation, exactly as a systematically buggy allocator would,
+/// starting with the reallocation that admits it. (A one-shot
+/// perturbation can be healed by the next reallocation with no
+/// observable data drift — correctly nothing to report.) The oracle must
+/// localize the corruption.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultInjection {
     /// Zero-based index of the accepted arrival whose stream to corrupt.
@@ -196,10 +205,6 @@ fn run_differential_full(
     let mut waitlist = scenario.waitlist.map(Waitlist::new);
     let mut rng = Rng::new(seed).fork(0xD1FF);
     let mut reference = RefCluster::new(scenario.n_servers, capacity, scenario.scheduler, stepper);
-    // Chain-2 scenarios serve the waitlist through the full admission
-    // path (direct → migration → chain); otherwise serving is
-    // direct-placement only, as in the production simulation.
-    let assisted_serving = scenario.chain2_on;
     let mut out = OracleOutcome::default();
     let mut accepted_seen: u64 = 0;
     let mut next_id: u64 = 0;
@@ -209,73 +214,31 @@ fn run_differential_full(
     // Armed once the faulty arrival is admitted: (stream, perturbation).
     let mut corruption: Option<(StreamId, f64)> = None;
 
-    // Serve the wait queue after a slot may have freed: expire the
-    // impatient first (`try_serve` asserts the queue holds no stale
-    // waiters), admit in FIFO order, and mirror every non-batched serve
-    // as a fresh reference stream — its parameters read back from the
-    // engine, so the mirror observes rather than re-derives.
+    // Closes an event boundary: re-applies the injected fault, as a buggy
+    // allocator would after reallocating, then cross-checks.
+    macro_rules! check {
+        ($now:expr) => {
+            if let Some((sid, delta)) = corruption {
+                for e in engines.iter_mut() {
+                    e.inject_rate_error(sid, delta);
+                }
+            }
+            out.checks += 1;
+            cross_check(seed, $now, &engines, &reference)?;
+        };
+    }
+
+    // Serve the wait queue after a slot may have freed, as the event loop
+    // does: expire the impatient first (`try_serve` asserts the queue
+    // holds no stale waiters), place waiters directly in FIFO order, and
+    // mirror every non-batched serve as a fresh reference stream — its
+    // parameters read back from the engine, so the mirror observes rather
+    // than re-derives.
     macro_rules! serve_waitlist {
         ($now:expr) => {
             if let Some(wl) = waitlist.as_mut() {
                 out.waiters_expired += wl.expire($now) as u64;
-                let serve = if assisted_serving {
-                    wl.try_serve_admitting(&mut controller, &mut engines, &map, $now, &mut rng)
-                } else {
-                    wl.try_serve(&mut engines, &map, $now)
-                };
-                // Migrations / chains performed on a waiter's behalf move
-                // victims before the waiter's own stream appears; mirror
-                // them first so the placement checks below see the
-                // post-assist reference layout.
-                for (wid, assist) in &serve.assists {
-                    out.waiters_assisted += 1;
-                    match assist {
-                        Admission::WithMigration { server, victim, to } => {
-                            mirror_relocation(
-                                seed,
-                                $now,
-                                &mut reference,
-                                &map,
-                                *victim,
-                                *server,
-                                *to,
-                            )?;
-                        }
-                        Admission::WithChain {
-                            server,
-                            first,
-                            second,
-                        } => {
-                            out.accepted_via_chain += 1;
-                            mirror_relocation(
-                                seed,
-                                $now,
-                                &mut reference,
-                                &map,
-                                second.0,
-                                first.1,
-                                second.1,
-                            )?;
-                            mirror_relocation(
-                                seed,
-                                $now,
-                                &mut reference,
-                                &map,
-                                first.0,
-                                *server,
-                                first.1,
-                            )?;
-                        }
-                        _ => diverge!(
-                            seed,
-                            $now,
-                            Some(*wid),
-                            None,
-                            DivergenceKind::Admission,
-                            "direct or rejected serve reported as an assist"
-                        ),
-                    }
-                }
+                let serve = wl.try_serve(&mut engines, &map, $now);
                 for w in &serve.served {
                     out.waiters_served += 1;
                     if !map.holds(w.server, w.video) {
@@ -303,26 +266,17 @@ fn run_differential_full(
                                 "served waiter missing from its engine"
                             );
                         };
-                        reference.streams.push(RefStream {
-                            id: w.id,
-                            video: w.video,
-                            server: w.server.index(),
-                            size_mb: s.size_mb,
-                            view_rate: s.view_rate,
-                            sent_mb: 0.0,
-                            played_secs: 0.0,
-                            sent_comp: 0.0,
-                            played_comp: 0.0,
-                            rate: 0.0,
-                            paused: false,
-                            client: s.client,
-                        });
+                        reference.streams.push(RefStream::new(
+                            w.id,
+                            w.video,
+                            w.server.index(),
+                            s.size_mb,
+                            s.view_rate,
+                            s.client,
+                        ));
                     }
                 }
                 for sid in &serve.touched {
-                    let e = &mut engines[sid.index()];
-                    e.advance_to($now);
-                    e.reschedule($now);
                     reference.reallocate(sid.index());
                 }
             }
@@ -330,27 +284,22 @@ fn run_differential_full(
     }
 
     // Drain engine events (completions / buffer-full reallocations) up to
-    // `horizon`, keeping the reference in lock-step.
+    // `horizon`, keeping the reference in lock-step: wake the server with
+    // the earliest cached wake, as the event loop pops its wake slots.
     macro_rules! drain_until {
         ($horizon:expr) => {
             loop {
                 let next = engines
                     .iter()
-                    .filter_map(|e| e.next_event_after(e.clock()).map(|(w, _)| (w, e.id())))
+                    .filter_map(|e| e.last_wake().map(|w| (w, e.id())))
                     .min_by(|a, b| a.0.cmp(&b.0));
                 match next {
                     Some((when, id)) if when <= $horizon => {
                         reference.integrate_to(when);
-                        // `when` is the minimum next event over ALL engines,
-                        // so advancing every engine to it crosses no event;
-                        // the cross-check below needs them all at `when`.
-                        for e in engines.iter_mut() {
-                            e.advance_to(when);
-                        }
-                        let e = &mut engines[id.index()];
-                        let mut reaped = false;
-                        for done in e.reap_finished(when) {
-                            reaped = true;
+                        let reaped = engines[id.index()].wake(when);
+                        out.wakes += 1;
+                        out.multi_reap_wakes += u64::from(reaped.len() >= 2);
+                        for done in &reaped {
                             if done.is_copy() {
                                 // CopyDone: the replica must be known to
                                 // the manager and lands in the shared map,
@@ -393,19 +342,12 @@ fn run_differential_full(
                                 ),
                             }
                         }
-                        e.reschedule(when);
                         reference.reallocate(id.index());
-                        if reaped {
+                        if !reaped.is_empty() {
                             // A departure freed capacity somewhere.
                             serve_waitlist!(when);
                         }
-                        if let Some((sid, delta)) = corruption {
-                            for e in engines.iter_mut() {
-                                e.inject_rate_error(sid, delta);
-                            }
-                        }
-                        out.checks += 1;
-                        cross_check(seed, when, &engines, &reference)?;
+                        check!(when);
                     }
                     _ => break,
                 }
@@ -418,10 +360,6 @@ fn run_differential_full(
         let now = *when;
         drain_until!(now);
         reference.integrate_to(now);
-        // The drain guarantees no engine event remains before `now`.
-        for e in engines.iter_mut() {
-            e.advance_to(now);
-        }
         match op {
             TraceOp::Arrival { video, size_mb } => {
                 out.arrivals += 1;
@@ -433,15 +371,23 @@ fn run_differential_full(
                     .iter()
                     .copied()
                     .min_by_key(|s| (engines[s.index()].active_count(), *s));
-                // The deterministic depth-2 plan on the pre-admission
-                // state: a `WithChain` outcome must equal it exactly,
-                // and a rejection under a chain-2 policy implies none
-                // existed.
-                let expected_chain = if scenario.migration_on && scenario.chain2_on {
-                    controller.chain2_plan(*video, &engines, &map, now)
-                } else {
-                    None
-                };
+                // The deterministic depth-2 plan on the state the
+                // controller's own search will see: a `WithChain` outcome
+                // must equal it exactly, and a rejection under a chain-2
+                // policy implies none existed. Only consulted when no
+                // direct slot exists, and then `Controller::admit` brings
+                // the request's holders up to `now` before searching, so
+                // the plan is computed on a clone advanced the same way.
+                let expected_chain =
+                    if scenario.migration_on && scenario.chain2_on && expected_direct.is_none() {
+                        let mut searched = engines.clone();
+                        for &h in map.holders(*video) {
+                            searched[h.index()].advance_to(now);
+                        }
+                        controller.chain2_plan(*video, &searched, &map, now)
+                    } else {
+                        None
+                    };
                 let (admission, touched) =
                     controller.admit(stream, &mut engines, &map, now, &mut rng);
                 match admission {
@@ -457,20 +403,6 @@ fn run_differential_full(
                                 "direct to {server}, least-loaded eligible was {expected_direct:?}"
                             );
                         }
-                        reference.streams.push(RefStream {
-                            id,
-                            video: *video,
-                            server: server.index(),
-                            size_mb: *size_mb,
-                            view_rate: view,
-                            sent_mb: 0.0,
-                            played_secs: 0.0,
-                            sent_comp: 0.0,
-                            played_comp: 0.0,
-                            rate: 0.0,
-                            paused: false,
-                            client: scenario.client,
-                        });
                     }
                     Admission::WithMigration { server, victim, to } => {
                         out.accepted_via_migration += 1;
@@ -495,20 +427,6 @@ fn run_differential_full(
                             );
                         }
                         mirror_relocation(seed, now, &mut reference, &map, victim, server, to)?;
-                        reference.streams.push(RefStream {
-                            id,
-                            video: *video,
-                            server: server.index(),
-                            size_mb: *size_mb,
-                            view_rate: view,
-                            sent_mb: 0.0,
-                            played_secs: 0.0,
-                            sent_comp: 0.0,
-                            played_comp: 0.0,
-                            rate: 0.0,
-                            paused: false,
-                            client: scenario.client,
-                        });
                     }
                     Admission::WithChain {
                         server,
@@ -571,20 +489,6 @@ fn run_differential_full(
                             server,
                             first.1,
                         )?;
-                        reference.streams.push(RefStream {
-                            id,
-                            video: *video,
-                            server: server.index(),
-                            size_mb: *size_mb,
-                            view_rate: view,
-                            sent_mb: 0.0,
-                            played_secs: 0.0,
-                            sent_comp: 0.0,
-                            played_comp: 0.0,
-                            rate: 0.0,
-                            paused: false,
-                            client: scenario.client,
-                        });
                     }
                     Admission::Rejected => {
                         out.rejected += 1;
@@ -622,39 +526,38 @@ fn run_differential_full(
                         }
                     }
                 }
+                if let Admission::Direct { server }
+                | Admission::WithMigration { server, .. }
+                | Admission::WithChain { server, .. } = admission
+                {
+                    reference.streams.push(RefStream::new(
+                        id,
+                        *video,
+                        server.index(),
+                        *size_mb,
+                        view,
+                        scenario.client,
+                    ));
+                }
                 for sid in touched.iter() {
-                    let e = &mut engines[sid.index()];
-                    e.advance_to(now);
-                    e.reschedule(now);
                     reference.reallocate(sid.index());
                 }
-                if let Some((sid, delta)) = corruption {
-                    for e in engines.iter_mut() {
-                        e.inject_rate_error(sid, delta);
-                    }
-                }
-                out.checks += 1;
-                cross_check(seed, now, &engines, &reference)?;
                 if admission.accepted() {
-                    if let Some(f) = fault {
-                        if accepted_seen == f.at_arrival {
-                            // Corrupt the newly admitted stream's rate —
-                            // invisible to the reference, so the oracle
-                            // must flag it at the next event boundary.
-                            corruption = Some((id, f.delta_mbps));
-                            for e in engines.iter_mut() {
-                                e.inject_rate_error(id, f.delta_mbps);
-                            }
-                        }
+                    // The faulty arrival's own reallocation is the first
+                    // to corrupt its rate, so this boundary's check sees
+                    // it: a lazy engine integrates a rate only when it is
+                    // next walked, which may heal it first.
+                    if let Some(f) = fault.filter(|f| f.at_arrival == accepted_seen) {
+                        corruption = Some((id, f.delta_mbps));
                     }
                     accepted_seen += 1;
                 }
+                check!(now);
             }
             TraceOp::Fail(server) => {
                 let taken = engines[server.index()].fail(now);
                 let taken_ids: Vec<StreamId> = taken.iter().map(|s| s.id).collect();
                 let evac = controller.evacuate(taken, *server, &mut engines, &map, now);
-                let touched = evac.touched;
                 reference.online[server.index()] = false;
                 // Mirror each victim's fate by observing where it landed.
                 for vid in taken_ids {
@@ -722,27 +625,17 @@ fn run_differential_full(
                         }
                     }
                 }
-                for sid in &touched {
-                    let e = &mut engines[sid.index()];
-                    e.advance_to(now);
-                    e.reschedule(now);
+                for sid in &evac.touched {
                     reference.reallocate(sid.index());
                 }
-                out.checks += 1;
-                cross_check(seed, now, &engines, &reference)?;
+                check!(now);
             }
             TraceOp::Repair(server) => {
                 engines[server.index()].repair(now);
                 reference.online[server.index()] = true;
                 // The repaired server came back empty — room for waiters.
                 serve_waitlist!(now);
-                if let Some((sid, delta)) = corruption {
-                    for e in engines.iter_mut() {
-                        e.inject_rate_error(sid, delta);
-                    }
-                }
-                out.checks += 1;
-                cross_check(seed, now, &engines, &reference)?;
+                check!(now);
             }
             TraceOp::StartCopy { video, size_mb } => {
                 let launch = replication.as_mut().and_then(|m| {
@@ -778,22 +671,14 @@ fn run_differential_full(
                             .replication
                             .expect("launch implies a replication spec")
                             .copy_rate_mbps;
-                        reference.streams.push(RefStream {
-                            id: stream,
-                            video: *video,
-                            server: source.index(),
-                            size_mb: *size_mb,
-                            view_rate: copy_rate,
-                            sent_mb: 0.0,
-                            played_secs: 0.0,
-                            sent_comp: 0.0,
-                            played_comp: 0.0,
-                            rate: 0.0,
-                            paused: false,
-                            client: ClientProfile::new(f64::INFINITY, copy_rate),
-                        });
-                        let e = &mut engines[source.index()];
-                        e.reschedule(now);
+                        reference.streams.push(RefStream::new(
+                            stream,
+                            *video,
+                            source.index(),
+                            *size_mb,
+                            copy_rate,
+                            ClientProfile::new(f64::INFINITY, copy_rate),
+                        ));
                         reference.reallocate(source.index());
                     }
                     Some(CopyLaunch::FromTertiary { .. }) => {
@@ -803,13 +688,7 @@ fn run_differential_full(
                     // with spare copy bandwidth) or replication disabled.
                     None => {}
                 }
-                if let Some((sid, delta)) = corruption {
-                    for e in engines.iter_mut() {
-                        e.inject_rate_error(sid, delta);
-                    }
-                }
-                out.checks += 1;
-                cross_check(seed, now, &engines, &reference)?;
+                check!(now);
             }
             TraceOp::Pause(stream) | TraceOp::Resume(stream) => {
                 let paused = matches!(op, TraceOp::Pause(_));
@@ -835,7 +714,6 @@ fn run_differential_full(
                             );
                         }
                         reference.streams[ri].paused = paused;
-                        engines[server.index()].reschedule(now);
                         reference.reallocate(server.index());
                         out.pauses_applied += 1;
                     }
@@ -859,8 +737,7 @@ fn run_differential_full(
                         "reference holds a stream the engines lost"
                     ),
                 }
-                out.checks += 1;
-                cross_check(seed, now, &engines, &reference)?;
+                check!(now);
             }
         }
     }

@@ -158,7 +158,7 @@ impl WakeScheduler {
     fn arm(&mut self, engine: &ServerEngine, now: SimTime, prof: &LoopProfiler) {
         debug_assert_eq!(
             engine.last_wake(),
-            engine.next_event_after(now).map(|(t, _)| t),
+            engine.next_event_after(now),
             "arm() without a fresh reschedule on {}",
             engine.id()
         );

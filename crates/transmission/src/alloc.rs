@@ -166,9 +166,12 @@ pub fn allocate(
 /// much is sorted.
 #[derive(Clone, Debug, Default)]
 pub struct AllocScratch {
-    /// This call's candidates (`!buffer_full`), by ascending index. Only
-    /// they can receive workahead; every other stream stays at its
-    /// minimum flow.
+    /// Under the waterfill, this call's candidates (`!buffer_full`), by
+    /// ascending index, with what the wake fold reads of them. Only they
+    /// can receive workahead; every other stream stays at its minimum
+    /// flow. The ordered schedulers only count theirs: their wake fold
+    /// revisits the walked head, and the rare head extension reads the
+    /// streams again.
     open: Vec<Open>,
     /// The earliest completion at minimum flow, `now` plus `finish_in`,
     /// over the playing streams whose events this call already knows,
@@ -196,8 +199,8 @@ pub struct AllocScratch {
     indices: Vec<usize>,
 }
 
-/// A candidate for workahead, as the minimum-flow pass found it. Rates do
-/// not move either value, so the wake fold reads them after allocation.
+/// A waterfill candidate, as the minimum-flow pass found it. Rates do not
+/// move either value, so the wake fold reads them after allocation.
 #[derive(Clone, Copy, Debug)]
 struct Open {
     /// Index into the stream slice.
@@ -381,6 +384,7 @@ fn allocate_incremental_inner(
     // at minimum flow (see `settled_wake`).
     let mut settled: Option<(SimTime, usize)> = None;
     let mut used = 0.0;
+    let mut candidates = 0;
     for (i, s) in streams.iter_mut().enumerate() {
         if !pre(i, s) {
             return None;
@@ -395,16 +399,18 @@ fn allocate_incremental_inner(
         let staged = if gather { s.staged_mb(now) } else { 0.0 };
         let candidate = gather && !s.is_full_at(staged);
         if candidate {
-            open.push(Open {
-                index: i,
-                finish_in,
-                staged,
-            });
+            candidates += 1;
             if ordered {
                 let k = (now + finish_in, s.id);
                 if in_head(&k) {
                     head.push((k, i as u32));
                 }
+            } else {
+                open.push(Open {
+                    index: i,
+                    finish_in,
+                    staged,
+                });
             }
         }
         if !s.is_paused() && (ordered || !candidate) {
@@ -442,17 +448,20 @@ fn allocate_incremental_inner(
                     spare -= give;
                     walked += 1;
                 }
-                if spare <= EPS_MB || walked == open.len() {
+                if spare <= EPS_MB || walked == candidates {
                     break;
                 }
                 // The walk outran the head: extend it with the next
                 // stretch of the spare order, from beyond its last key.
+                // Phase 1's arithmetic gives the same candidates and keys:
+                // only rates have moved since.
                 if rest.is_empty() {
                     let last = head.last().map(|e| e.0);
-                    rest.extend(open.iter().filter_map(|c| {
-                        let k = (now + c.finish_in, streams[c.index].id);
-                        last.is_none_or(|l| spare_order(kind, &k, &l).is_gt())
-                            .then_some((k, c.index as u32))
+                    rest.extend(streams.iter().enumerate().filter_map(|(i, s)| {
+                        let k = (now + s.remaining_mb() / s.view_rate, s.id);
+                        (!s.is_full_at(s.staged_mb(now))
+                            && last.is_none_or(|l| spare_order(kind, &k, &l).is_gt()))
+                        .then_some((k, i as u32))
                     }));
                 }
                 let take = (2 * walked + HEAD_SLACK).min(rest.len());

@@ -34,16 +34,6 @@ use sct_cluster::ServerId;
 use sct_simcore::SimTime;
 use std::cell::Cell;
 
-/// What a scheduled wake-up is expected to handle (diagnostic only — the
-/// engine re-derives the actual state when woken).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineEvent {
-    /// A stream will have transmitted all its data.
-    Completion,
-    /// A client staging buffer will be full.
-    BufferFull,
-}
-
 /// The transmission state of one data server.
 #[derive(Clone, Debug)]
 pub struct ServerEngine {
@@ -571,7 +561,7 @@ impl ServerEngine {
         (self.last_wake, self.finisher) = self.scratch.next_wake(now, &self.streams);
         debug_assert_eq!(
             self.last_wake,
-            self.next_event_after(now).map(|(t, _)| t),
+            self.next_event_after(now),
             "fused wake fold diverged on {}",
             self.id
         );
@@ -586,20 +576,17 @@ impl ServerEngine {
         self.last_wake
     }
 
-    /// When (and why) this server next changes state on its own.
-    pub fn next_event_after(&self, now: SimTime) -> Option<(SimTime, EngineEvent)> {
-        let mut best: Option<(SimTime, EngineEvent)> = None;
+    /// When this server next changes state on its own: the earliest
+    /// stream completion or buffer fill at the current rates. The
+    /// reference the cached wake ([`ServerEngine::last_wake`]) is checked
+    /// against.
+    pub fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
+        let mut best: Option<SimTime> = None;
         for s in &self.streams {
-            if let Some(dt) = s.time_to_completion() {
-                let t = now + dt;
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, EngineEvent::Completion));
-                }
-            }
-            if let Some(dt) = s.time_to_buffer_full(now) {
-                let t = now + dt;
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, EngineEvent::BufferFull));
+            let events = [s.time_to_completion(), s.time_to_buffer_full(now)];
+            for t in events.into_iter().flatten().map(|dt| now + dt) {
+                if best.is_none_or(|bt| t < bt) {
+                    best = Some(t);
                 }
             }
         }
@@ -862,7 +849,7 @@ mod tests {
         let now = SimTime::ZERO;
         // 30 Mb buffer fills quickly at full rate.
         e.admit(mk_stream(1, 300.0, 30.0, now), now);
-        let w = e.next_event_after(now).unwrap().0; // buffer-full
+        let w = e.next_event_after(now).unwrap(); // buffer-full
         e.advance_to(w);
         e.reschedule(w);
         assert!(e.set_paused(StreamId(1), true, w));
@@ -980,7 +967,7 @@ mod tests {
             let Some(next) = e.next_event_after(t) else {
                 break;
             };
-            t = next.0;
+            t = next;
             e.advance_to(t);
             for s in e.reap_finished(t) {
                 total_reaped += s.sent_mb();

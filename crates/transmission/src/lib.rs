@@ -33,7 +33,7 @@ pub mod engine;
 pub mod stream;
 
 pub use alloc::{allocate, allocate_incremental, AllocScratch, SchedulerKind};
-pub use engine::{EngineEvent, ServerEngine};
+pub use engine::ServerEngine;
 pub use stream::{Stream, StreamId};
 
 /// Tolerance for data-volume comparisons, in megabits (≈ one bit).

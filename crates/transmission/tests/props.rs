@@ -74,7 +74,7 @@ fn build_streams(specs: &[StreamSpec], at: SimTime) -> Vec<Stream> {
 /// Checks what a `reschedule(now)` returned, and the aggregate it left,
 /// against the references: `next_event_after` and a fresh in-order sum.
 fn check_against_references(engine: &ServerEngine, now: SimTime, wake: Option<SimTime>) {
-    let reference = engine.next_event_after(now).map(|(t, _)| t);
+    let reference = engine.next_event_after(now);
     prop_assert_eq!(
         wake,
         reference,
@@ -429,7 +429,7 @@ proptest! {
         for _ in 0..60 {
             let arrival = clock + rng.range_f64(0.0, 120.0);
             // Drain engine events up to the arrival.
-            while let Some((when, _)) = engine.next_event_after(clock) {
+            while let Some(when) = engine.next_event_after(clock) {
                 if when > arrival {
                     break;
                 }
@@ -668,7 +668,7 @@ proptest! {
         // Reference: one engine all the way.
         let mut a = ServerEngine::new(ServerId(0), 90.0, SchedulerKind::Eftf);
         a.admit(mk(), SimTime::ZERO);
-        let done_ref = a.next_event_after(SimTime::ZERO).unwrap().0;
+        let done_ref = a.next_event_after(SimTime::ZERO).unwrap();
         // Split: move the stream at split_frac of its transfer.
         let mut b1 = ServerEngine::new(ServerId(0), 90.0, SchedulerKind::Eftf);
         let mut b2 = ServerEngine::new(ServerId(1), 90.0, SchedulerKind::Eftf);
@@ -678,7 +678,7 @@ proptest! {
         let moved = b1.remove_stream(StreamId(1), mid).unwrap();
         b2.advance_to(mid);
         b2.admit(moved, mid);
-        let done_split = b2.next_event_after(mid).unwrap().0;
+        let done_split = b2.next_event_after(mid).unwrap();
         prop_assert!(
             (done_split.as_secs() - done_ref.as_secs()).abs() < 1e-6,
             "migration changed the completion time: {done_split} vs {done_ref}"

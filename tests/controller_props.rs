@@ -111,7 +111,7 @@ proptest! {
             loop {
                 let next = engines
                     .iter()
-                    .filter_map(|e| e.next_event_after(e.clock()).map(|(w, _)| (w, e.id())))
+                    .filter_map(|e| e.next_event_after(e.clock()).map(|w| (w, e.id())))
                     .min_by(|a, b| a.0.cmp(&b.0));
                 match next {
                     Some((when, id)) if when <= arrival => {

@@ -49,6 +49,7 @@ fn random_scenarios_produce_zero_divergences() {
     let mut chain_scenarios = 0u64;
     let mut chained = 0u64;
     let mut long_drain_scenarios = 0u64;
+    let mut wakes = 0u64;
     for seed in 0..104u64 {
         let sc = OracleScenario::generate(seed);
         let combo = (seed % 4) as usize * 2 + usize::from(sc.migration_on);
@@ -74,6 +75,7 @@ fn random_scenarios_produce_zero_divergences() {
                 waitlisted += out.waitlisted;
                 waiters_served += out.waiters_served;
                 chained += out.accepted_via_chain;
+                wakes += out.wakes;
                 // One closed-form slice per boundary plus at most two
                 // crossings per live stream: the slice count is bounded
                 // by the event count, never by simulated duration —
@@ -127,8 +129,8 @@ fn random_scenarios_produce_zero_divergences() {
          (queued {waitlisted}, served {waiters_served})"
     );
     // The chain-2 axis (bit 5) must be represented and must actually
-    // fire: at least one arrival or assisted waiter placed by a
-    // two-step chain somewhere in the matrix.
+    // fire: at least one arrival placed by a two-step chain somewhere in
+    // the matrix.
     assert!(
         chain_scenarios >= 104 / 4,
         "only {chain_scenarios}/104 scenarios armed two-step chains"
@@ -144,6 +146,9 @@ fn random_scenarios_produce_zero_divergences() {
         long_drain_scenarios >= 104 / 4,
         "only {long_drain_scenarios}/104 scenarios carried a long drain"
     );
+    // The replay drives the engines through the event loop's own wake,
+    // so its in-place reap and cached wake are what the matrix checks.
+    assert!(wakes > 0, "the matrix drove no engine wake");
 }
 
 /// Exact-vs-naive stepper agreement over the full matrix, with the naive
@@ -347,11 +352,9 @@ fn injected_allocator_bug_is_caught_and_localized() {
         let clean = run_differential(&sc).unwrap_or_else(|d| panic!("clean run diverged: {d}"));
         let accepted = clean.accepted_direct + clean.accepted_via_migration;
         assert!(accepted > 0, "vacuous scenario");
-        // Corrupt after the LAST admission: no later admission can
-        // trigger a reallocation that overwrites the bad rate before a
-        // cross-check sees it. (Injected right before a simultaneous
-        // admission to the same server, a corruption is healed with zero
-        // observable effect — correctly nothing to report.)
+        // Corrupt the stream of the last direct or single-hop admission.
+        // The corruption starts with the reallocation that admits it, so
+        // that boundary's own check must already see it.
         let fault = FaultInjection {
             at_arrival: accepted - 1,
             delta_mbps: 0.75,
@@ -579,13 +582,13 @@ fn pinned_chain2_migration_scenario_passes_the_oracle() {
     }
 }
 
-/// Waitlist-triggered chain-2 pinned on a hand-built trace. Same ring
-/// topology with two slots per server; at t = 0 the v0 waiter's chain is
-/// blocked because s2 is full too, so it queues. At t = 20 the short v2
-/// clip on s2 finishes, the departure triggers waitlist service through
-/// the full admission path, and the waiter is placed by a fresh chain
-/// (v2: s1 → s2, v1: s0 → s1, waiter → s0) — an assisted serve the
-/// reference mirrors hop by hop.
+/// The waitlist places waiters directly or not at all, under a chain-2
+/// policy too, as the event loop serves them. Same ring topology with
+/// two slots per server; at t = 0 the v0 arrival's chain is blocked
+/// because s2 is full too, so it queues. At t = 20 the short v2 clip on
+/// s2 finishes, but the waiter's only holder, s0, is still full: no
+/// migration or chain runs on its behalf, and it expires (patience 60 s)
+/// before the long clips depart at t = 200.
 #[test]
 fn pinned_chain2_waitlist_scenario_passes_the_oracle() {
     for scheduler in SchedulerKind::ALL {
@@ -635,19 +638,54 @@ fn pinned_chain2_waitlist_scenario_passes_the_oracle() {
         assert_eq!(out.rejected, 1, "{scheduler:?}");
         assert_eq!(out.waitlisted, 1, "{scheduler:?}");
         assert_eq!(
-            out.waiters_served, 1,
-            "{scheduler:?}: the departure at t = 20 must free the chain"
+            out.waiters_served, 0,
+            "{scheduler:?}: the freed slot on s2 does not hold v0"
         );
+        assert_eq!(out.waiters_expired, 1, "{scheduler:?}");
         assert_eq!(
-            out.waiters_assisted, 1,
-            "{scheduler:?}: the serve must go through the admission path"
+            out.accepted_via_chain, 0,
+            "{scheduler:?}: no chain runs on a waiter's behalf"
         );
+        assert_eq!(out.completions, 6, "{scheduler:?}");
+    }
+}
+
+/// Two equal clips admitted at one instant on one no-staging server
+/// finish together: one wake must reap both. The last wake fold predicts
+/// only one of them, so this is the wake's fallback to a full reap scan.
+#[test]
+fn pinned_simultaneous_finish_scenario_passes_the_oracle() {
+    for scheduler in SchedulerKind::ALL {
+        let arrival = (
+            SimTime::ZERO,
+            TraceOp::Arrival {
+                video: VideoId(0),
+                size_mb: 60.0,
+            },
+        );
+        let sc = OracleScenario {
+            seed: 0x2F1,
+            n_servers: 1,
+            slots_per_server: 2,
+            view_rate: 3.0,
+            scheduler,
+            migration_on: false,
+            chain2_on: false,
+            restart_on: false,
+            client: ClientProfile::no_staging(30.0),
+            holders: vec![vec![ServerId(0)]],
+            replication: None,
+            waitlist: None,
+            trace: vec![arrival.clone(), arrival],
+        };
+        let out = run_differential(&sc).unwrap_or_else(|d| panic!("{scheduler:?}: {d}"));
+        assert_eq!(out.accepted_direct, 2, "{scheduler:?}");
+        assert_eq!(out.completions, 2, "{scheduler:?}");
         assert_eq!(
-            out.accepted_via_chain, 1,
-            "{scheduler:?}: the assisted serve must be a two-step chain"
+            (out.wakes, out.multi_reap_wakes),
+            (1, 1),
+            "{scheduler:?}: one wake reaps both streams"
         );
-        assert_eq!(out.waiters_expired, 0, "{scheduler:?}");
-        assert_eq!(out.completions, 7, "{scheduler:?}");
     }
 }
 

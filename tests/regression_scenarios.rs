@@ -50,7 +50,7 @@ fn controller_props_regression_seed_bd871fc3() {
         loop {
             let next = engines
                 .iter()
-                .filter_map(|e| e.next_event_after(e.clock()).map(|(w, _)| (w, e.id())))
+                .filter_map(|e| e.next_event_after(e.clock()).map(|w| (w, e.id())))
                 .min_by(|a, b| a.0.cmp(&b.0));
             match next {
                 Some((when, id)) if when <= arrival => {
@@ -115,7 +115,7 @@ fn run_single_server(
     for (i, &(gap, size_mb)) in reqs.iter().enumerate() {
         t += gap;
         let arrival = SimTime::from_secs(t);
-        while let Some((when, _)) = engine.next_event_after(clock) {
+        while let Some(when) = engine.next_event_after(clock) {
             if when > arrival {
                 break;
             }

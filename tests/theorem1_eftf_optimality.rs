@@ -46,7 +46,7 @@ fn run_single_server(
         t += r.gap;
         let arrival = SimTime::from_secs(t);
         // Drain intrinsic events up to the arrival.
-        while let Some((when, _)) = engine.next_event_after(clock) {
+        while let Some(when) = engine.next_event_after(clock) {
             if when > arrival {
                 break;
             }
